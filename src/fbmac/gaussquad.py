@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from ._rng import substream
@@ -216,6 +215,7 @@ def boundary_scale(
     probability shrinks with ``t`` and the largest scale still at or above
     ``1 - eps`` is returned (0.0 when the origin itself is already outside).
     """
+    from scipy.optimize import brentq  # here, not at import: Monte Carlo users never solve
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     d = np.asarray(direction, dtype=float)

@@ -17,10 +17,16 @@ method materializes the Gaussian vectors and serves as the oracle; the
 (by rotational invariance they depend on a few chi-square and normal scalars
 only), which makes 1e7-trial runs cheap at any blocklength.  Tests verify the
 two methods agree in distribution.
+
+Memory: a sampler holds one chunk of draws per worker.  The estimators pass
+a per-chunk ``reduce`` and keep only per-chunk moments (count, mean, sum of
+squared deviations), combined in chunk order, so their memory does not grow
+with the number of trials; only the KS check keeps every draw, to sort them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from ._rng import chunk_sizes, substream, thread_map
-from .core import DomainError, PowerPair, capacity, dispersion
+from .core import DomainError, PowerPair, capacity, capacity_vector, dispersion
 from .gaussquad import ProbEstimate
 
 _CHUNK = 1 << 16
@@ -127,8 +133,7 @@ def info_density_p2p(x: ShellSample, z: np.ndarray) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (x.n,):
         raise DomainError("noise vector dimension mismatch")
-    n, p = x.n, x.p
-    return n * capacity(p) + (p * (n - float(z @ z)) + 2.0 * float(x.x @ z)) / (2.0 * (1.0 + p))
+    return _density(x.n, x.p, float(z @ z), float(x.x @ z))
 
 
 def info_density_vector_mac(
@@ -140,17 +145,18 @@ def info_density_vector_mac(
         raise DomainError("dimension mismatch between codewords and noise")
     if pp is not None and (pp.p1 != x1.p or pp.p2 != x2.p):
         raise DomainError("PowerPair disagrees with the shell samples")
-    n = x1.n
-    p1, p2 = x1.p, x2.p
-    ps = p1 + p2
-    zsq = float(z @ z)
-    x1z = float(x1.x @ z)
-    x2z = float(x2.x @ z)
-    x12 = float(x1.x @ x2.x)
-    i1 = n * capacity(p1) + (p1 * (n - zsq) + 2.0 * x1z) / (2.0 * (1.0 + p1))
-    i2 = n * capacity(p2) + (p2 * (n - zsq) + 2.0 * x2z) / (2.0 * (1.0 + p2))
-    i3 = n * capacity(ps) + (ps * (n - zsq) + 2.0 * (x12 + x1z + x2z)) / (2.0 * (1.0 + ps))
-    return InfoDensityVector(i1, i2, i3)
+    zsq, x1z, x2z, x12 = float(z @ z), float(x1.x @ z), float(x2.x @ z), float(x1.x @ x2.x)
+    return InfoDensityVector(*_mac_densities(x1.n, x1.p, x2.p, zsq, x1z, x2z, x12))
+
+
+def _density(n, p, zsq, xz):
+    """n C(p) + [p (n - ||z||^2) + 2 <x, z>] / (2 (1 + p)): the one density formula."""
+    return n * capacity(p) + (p * (n - zsq) + 2.0 * xz) / (2.0 * (1.0 + p))
+
+
+def _mac_densities(n, p1, p2, zsq, x1z, x2z, x12):
+    xsz = x12 + x1z + x2z  # <x1 + x2, z> + <x1, x2>
+    return _density(n, p1, zsq, x1z), _density(n, p2, zsq, x2z), _density(n, p1 + p2, zsq, xsz)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +172,7 @@ def _p2p_stats_reduced(n: int, p: float, m: int, rng: np.random.Generator):
     """
     g = rng.standard_normal(m)
     h = rng.chisquare(n - 1, m)
-    zsq = g * g + h
-    xz = math.sqrt(n * p) * g
-    return zsq, xz
+    return g * g + h, math.sqrt(n * p) * g
 
 
 def _p2p_stats_direct(n: int, p: float, m: int, rng: np.random.Generator):
@@ -178,20 +182,32 @@ def _p2p_stats_direct(n: int, p: float, m: int, rng: np.random.Generator):
     return np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", x, z)
 
 
-def p2p_density_samples(n: int, p: float, trials: int, seed=0, method: str = "reduced") -> np.ndarray:
-    """Draws of the p2p modified information density under the channel law."""
-    if n < 2:
-        raise DomainError("need n >= 2")
-    stats = _p2p_stats_reduced if method == "reduced" else _p2p_stats_direct
-    chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (2 * n))
+def _stream(n, trials, seed, method, width, draw, reduce, empty):
+    """Chunked draws: ``draw(m, rng)`` per chunk, optionally reduced as drawn."""
+    chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (width * n))
 
     def run(item):
         idx, m = item
-        zsq, xz = stats(n, p, m, substream(seed, idx))
-        return n * capacity(p) + (p * (n - zsq) + 2.0 * xz) / (2.0 * (1.0 + p))
+        out = draw(m, substream(seed, idx))
+        return out if reduce is None else reduce(out)
 
     parts = thread_map(run, enumerate(chunk_sizes(trials, chunk)))
-    return np.concatenate(parts) if parts else np.empty(0)
+    if reduce is not None:
+        return parts
+    return np.concatenate(parts, axis=-1) if parts else empty
+
+
+def p2p_density_samples(n: int, p: float, trials: int, seed=0, method: str = "reduced", reduce=None):
+    """Draws of the p2p modified information density under the channel law, or with
+    ``reduce`` the list of ``reduce(chunk)`` over the chunks of draws, in chunk order."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+    stats = _p2p_stats_reduced if method == "reduced" else _p2p_stats_direct
+
+    def draw(m, rng):
+        return _density(n, p, *stats(n, p, m, rng))
+
+    return _stream(n, trials, seed, method, 2, draw, reduce, np.empty(0))
 
 
 def _mac_stats_reduced(n: int, p1: float, p2: float, m: int, rng: np.random.Generator):
@@ -219,36 +235,43 @@ def _mac_stats_direct(n: int, p1: float, p2: float, m: int, rng: np.random.Gener
     z = rng.standard_normal((m, n))
     x1 = math.sqrt(n * p1) * w1 / np.linalg.norm(w1, axis=1, keepdims=True)
     x2 = math.sqrt(n * p2) * w2 / np.linalg.norm(w2, axis=1, keepdims=True)
-    return (
-        np.einsum("ij,ij->i", z, z),
-        np.einsum("ij,ij->i", x1, z),
-        np.einsum("ij,ij->i", x2, z),
-        np.einsum("ij,ij->i", x1, x2),
-    )
+    return tuple(np.einsum("ij,ij->i", a, b) for a, b in ((z, z), (x1, z), (x2, z), (x1, x2)))
 
 
 def mac_density_samples(
-    n: int, pp: PowerPair, trials: int, seed=0, method: str = "reduced"
-) -> np.ndarray:
-    """(3, trials) draws of the MAC density vector under the channel law."""
+    n: int, pp: PowerPair, trials: int, seed=0, method: str = "reduced", reduce=None
+):
+    """(3, trials) draws of the MAC density vector under the channel law; ``reduce``
+    as in :func:`p2p_density_samples`, applied to (3, m) chunks."""
     if n < 3:
         raise DomainError("need n >= 3")
-    p1, p2 = pp.p1, pp.p2
-    ps = p1 + p2
     stats = _mac_stats_reduced if method == "reduced" else _mac_stats_direct
-    chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (3 * n))
-    c1, c2, c3 = n * capacity(p1), n * capacity(p2), n * capacity(ps)
 
-    def run(item):
-        idx, m = item
-        zsq, x1z, x2z, x12 = stats(n, p1, p2, m, substream(seed, idx))
-        i1 = c1 + (p1 * (n - zsq) + 2.0 * x1z) / (2.0 * (1.0 + p1))
-        i2 = c2 + (p2 * (n - zsq) + 2.0 * x2z) / (2.0 * (1.0 + p2))
-        i3 = c3 + (ps * (n - zsq) + 2.0 * (x12 + x1z + x2z)) / (2.0 * (1.0 + ps))
-        return np.stack([i1, i2, i3])
+    def draw(m, rng):
+        return np.stack(_mac_densities(n, pp.p1, pp.p2, *stats(n, pp.p1, pp.p2, m, rng)))
 
-    parts = thread_map(run, enumerate(chunk_sizes(trials, chunk)))
-    return np.concatenate(parts, axis=1) if parts else np.empty((3, 0))
+    return _stream(n, trials, seed, method, 3, draw, reduce, np.empty((3, 0)))
+
+
+def moments(x: np.ndarray) -> tuple:
+    """(count, mean, sum of squared deviations) of each row of a chunk of draws."""
+    mean = x.mean(axis=-1)
+    dev = x - mean[..., None]
+    return x.shape[-1], mean, (dev * dev).sum(axis=-1)
+
+
+def merge_moments(parts: list) -> tuple:
+    """(mean, standard error) from per-chunk moments; Chan, Golub & LeVeque (1979) in chunk order."""
+    if sum(c for c, _, _ in parts) < 2:
+        raise DomainError("need at least 2 draws for a standard error")
+    count, mean, m2 = parts[0]
+    for c, mu, sq in parts[1:]:
+        total = count + c
+        delta = mu - mean
+        mean = mean + delta * (c / total)
+        m2 = m2 + sq + delta * delta * (count * c / total)
+        count = total
+    return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
 def _wilson_ci(k: int, n: int) -> tuple[float, float]:
@@ -268,17 +291,11 @@ def empirical_outage_p2p(
         raise DomainError("trials must be >= 1000")
     if math.isnan(log_threshold):
         raise DomainError("threshold must not be NaN")
-    stats = _p2p_stats_reduced if method == "reduced" else _p2p_stats_direct
-    chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (2 * n))
-    cterm = n * capacity(p)
 
-    def run(item):
-        idx, m = item
-        zsq, xz = stats(n, p, m, substream(seed, idx))
-        it = cterm + (p * (n - zsq) + 2.0 * xz) / (2.0 * (1.0 + p))
+    def below(it):
         return int(np.count_nonzero(it <= log_threshold))
 
-    hits = sum(thread_map(run, enumerate(chunk_sizes(trials, chunk))))
+    hits = sum(p2p_density_samples(n, p, trials, seed, method, reduce=below))
     phat = hits / trials
     lo, hi = _wilson_ci(hits, trials)
     return OutageEstimate(phat, math.sqrt(max(phat * (1 - phat), 1e-300) / trials), trials, lo, hi)
@@ -335,35 +352,6 @@ def _ks_distance(samples: np.ndarray, sigma: float) -> float:
     return float(max((grid - cdf).max(), (cdf - grid + 1.0 / k).max()))
 
 
-def _f_samples_p2p(n: int, p: float, trials: int, seed, method: str) -> np.ndarray:
-    stats = _p2p_stats_reduced if method == "reduced" else _p2p_stats_direct
-    chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (2 * n))
-
-    def run(item):
-        idx, m = item
-        zsq, xz = stats(n, p, m, substream(seed, idx))
-        return (p * (n - zsq) + 2.0 * xz) / n
-
-    return np.concatenate(thread_map(run, enumerate(chunk_sizes(trials, chunk))))
-
-
-def _f_samples_mac(n: int, pp: PowerPair, trials: int, seed, method: str) -> np.ndarray:
-    p1, p2 = pp.p1, pp.p2
-    ps = p1 + p2
-    stats = _mac_stats_reduced if method == "reduced" else _mac_stats_direct
-    chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (3 * n))
-
-    def run(item):
-        idx, m = item
-        zsq, x1z, x2z, x12 = stats(n, p1, p2, m, substream(seed, idx))
-        f1 = (p1 * (n - zsq) + 2.0 * x1z) / n
-        f2 = (p2 * (n - zsq) + 2.0 * x2z) / n
-        f3 = (ps * (n - zsq) + 2.0 * (x12 + x1z + x2z)) / n
-        return np.stack([f1, f2, f3])
-
-    return np.concatenate(thread_map(run, enumerate(chunk_sizes(trials, chunk))), axis=1)
-
-
 def clt_function_check(
     case: str,
     n: int,
@@ -383,13 +371,16 @@ def clt_function_check(
     if n < 16:
         raise DomainError("need n >= 16")
     if case == "p2p":
-        vals = _f_samples_p2p(n, p, trials, seed, method)
+        # [p (n - ||z||^2) + 2 <x, z>] / n, recovered from the density draws
+        vals = (p2p_density_samples(n, p, trials, seed, method) - n * capacity(p)) * (2.0 * (1.0 + p) / n)
         var = clt_target_cov_p2p(n, p)
         ks = _ks_distance(vals, math.sqrt(var))
         return KsReport(n, trials, ks, np.zeros(1), np.array([[var]]))
     if case == "mac-joint":
         pp = pp if pp is not None else PowerPair(1.0, 1.0)
-        vals = _f_samples_mac(n, pp, trials, seed, method)
+        vals = mac_density_samples(n, pp, trials, seed, method)
+        vals -= n * capacity_vector(pp).as_array()[:, None]
+        vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
         target = clt_target_cov_mac(n, pp)
         ks = max(_ks_distance(vals[i], math.sqrt(target[i, i])) for i in range(3))
         emp = np.cov(vals)
@@ -626,15 +617,13 @@ def sum_density(t: float, n: int, pp: PowerPair) -> float:
 def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0) -> np.ndarray:
     """Draws of ||x1 + x2||^2 / n for independent shell inputs."""
 
-    def run(item):
-        idx, m = item
-        rng = substream(seed, idx)
+    def draw(m, rng):
         g2 = rng.standard_normal(m)
         h2 = rng.chisquare(n - 1, m)
         x12 = n * math.sqrt(pp.p1 * pp.p2) * g2 / np.sqrt(g2 * g2 + h2)
         return pp.p1 + pp.p2 + 2.0 * x12 / n
 
-    return np.concatenate(thread_map(run, enumerate(chunk_sizes(trials, _CHUNK))))
+    return _stream(n, trials, seed, "reduced", 1, draw, None, np.empty(0))
 
 
 # ---------------------------------------------------------------------------
@@ -659,26 +648,26 @@ def p2p_confusion_importance(
     Uses E_P[e^{-i} 1{i > log_gamma}]; the channel law puts most draws above
     the threshold, so rare reference-measure events are resolved at any n.
     """
-    w = importance_weights(p2p_density_samples(n, p, trials, seed), log_gamma)
-    return ProbEstimate(
-        min(float(w.mean()), 1.0), float(w.std(ddof=1) / math.sqrt(trials)), trials
-    )
+
+    def weights(it):
+        return moments(importance_weights(it, log_gamma))
+
+    mean, se = merge_moments(p2p_density_samples(n, p, trials, seed, reduce=weights))
+    return ProbEstimate(min(float(mean), 1.0), float(se), trials)
 
 
 def p2p_confusion_direct(n: int, p: float, log_gamma: float, trials: int, seed=0) -> ProbEstimate:
     """Reference-measure tail by sampling y from the reference law directly."""
 
-    def run(item):
-        idx, m = item
-        rng = substream(seed, idx)
+    def draw(m, rng):
         g = rng.standard_normal(m)
         h = rng.chisquare(n - 1, m)
-        ysq = (1.0 + p) * (g * g + h)
-        xy = math.sqrt(n * p * (1.0 + p)) * g
-        it = n * capacity(p) - 0.5 * p * (g * g + h) + xy - 0.5 * n * p
+        return n * capacity(p) - 0.5 * p * (g * g + h) + math.sqrt(n * p * (1.0 + p)) * g - 0.5 * n * p
+
+    def above(it):
         return int(np.count_nonzero(it > log_gamma))
 
-    hits = sum(thread_map(run, enumerate(chunk_sizes(trials, _CHUNK))))
+    hits = sum(_stream(n, trials, seed, "reduced", 1, draw, above, None))
     phat = hits / trials
     return ProbEstimate(phat, math.sqrt(max(phat * (1 - phat), 1e-300) / trials), trials)
 
@@ -696,14 +685,14 @@ def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> 
     Computed entirely with bounded reweighted terms e^{ln gamma - i}, so no
     under/overflow at any blocklength.
     """
+
+    def contrib(lg, it):
+        return moments(np.where(it > lg, np.exp(np.clip(lg - it, -745.0, 0.0)), 0.0))
+
     out = []
     for j, n in enumerate(n_list):
         lg = n * capacity(p) - math.sqrt(n * dispersion(p))
-        it = p2p_density_samples(int(n), p, trials, (seed, j))
-        contrib = np.where(it > lg, np.exp(np.clip(lg - it, -745.0, 0.0)), 0.0)
-        out.append(
-            ConfusionScalePoint(
-                int(n), float(contrib.mean()), float(contrib.std(ddof=1) / math.sqrt(trials))
-            )
-        )
+        reduce = functools.partial(contrib, lg)
+        mean, se = merge_moments(p2p_density_samples(int(n), p, trials, (seed, j), reduce=reduce))
+        out.append(ConfusionScalePoint(int(n), float(mean), float(se)))
     return out

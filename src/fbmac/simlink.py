@@ -25,9 +25,13 @@ import numpy as np
 
 from ._rng import chunk_sizes, substream, thread_map
 from .core import DomainError, PowerPair
-from .shellmc import _wilson_ci, importance_weights, mac_density_samples, p2p_density_samples
+from .shellmc import _wilson_ci, importance_weights, merge_moments, moments
+from .shellmc import mac_density_samples, p2p_density_samples
 
-_SIM_BUDGET = 1 << 23  # scalars per simulation chunk
+#: scalars per simulation chunk; a simulator holds one (b, m, n) codeword block
+#: per user and worker, normalized in place, and for the MAC the (b, m1, m2) pair
+#: arrays.  The bound estimators hold one density chunk (see ``shellmc``).
+_SIM_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,24 @@ def shell_rn_constants(pp: PowerPair, c_gamma: float = 2.0) -> tuple[float, floa
     return 1.0, 1.0, k3
 
 
+def _sim_chunk(n: int, m1: int, m2: int = 0) -> int:
+    """Trials per chunk (``m2 = 0``: point-to-point); DomainError if one trial is over budget."""
+    held = m1 * m2 + (m1 + m2 + 1) * n if m2 else (m1 + 1) * n
+    cost = (m1 * m2 + m1 + m2) * n if m2 else held
+    if held > _SIM_BUDGET:
+        raise DomainError(f"one trial needs {held} scalars, over the budget of {_SIM_BUDGET}")
+    return max(1, _SIM_BUDGET // cost)
+
+
 def _shell_rows(rng: np.random.Generator, b: int, m: int, n: int, p: float) -> np.ndarray:
     w = rng.standard_normal((b, m, n))
-    return math.sqrt(n * p) * w / np.linalg.norm(w, axis=2, keepdims=True)
+    step = max(1, (1 << 16) // (m * n))  # rows per norm, which squares them in a temporary
+    norm = np.concatenate(
+        [np.linalg.norm(w[i : i + step], axis=2, keepdims=True) for i in range(0, b, step)]
+    )
+    w *= math.sqrt(n * p)
+    w /= norm
+    return w
 
 
 def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> SimResult:
@@ -116,7 +135,7 @@ def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> 
         raise DomainError("need trials >= 1")
     seed = spec.seed if seed is None else seed
     n, m, p = spec.n, spec.m1, spec.p1
-    chunk = max(1, _SIM_BUDGET // ((m + 1) * n))
+    chunk = _sim_chunk(n, m)
 
     def run(item):
         idx, b = item
@@ -151,7 +170,7 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> 
     n, m1, m2 = spec.n, spec.m1, spec.m2
     p1, p2 = spec.p1, spec.p2
     ps = p1 + p2
-    chunk = max(1, _SIM_BUDGET // ((m1 * m2 + m1 + m2) * n))
+    chunk = _sim_chunk(n, m1, m2)
 
     def run(item):
         idx, b = item
@@ -194,17 +213,15 @@ def p2p_achievability_bound(
     if trials < 1000:
         raise DomainError("need trials >= 1000")
     seed = spec.seed if seed is None else seed
-    it = p2p_density_samples(spec.n, spec.p1, trials, seed)
-    outage = it <= th.log_gamma1
-    conf = importance_weights(it, th.log_gamma1)
-    stat = outage + (k * (spec.m1 - 1) / 2.0) * conf
-    return BoundEstimate(
-        float(stat.mean()),
-        float(stat.std(ddof=1) / math.sqrt(trials)),
-        float(outage.mean()),
-        float(stat.mean() - outage.mean()),
-        trials,
-    )
+    weight = k * (spec.m1 - 1) / 2.0
+
+    def chunk_moments(it):
+        outage = it <= th.log_gamma1
+        return moments(np.stack([outage + weight * importance_weights(it, th.log_gamma1), outage]))
+
+    parts = p2p_density_samples(spec.n, spec.p1, trials, seed, reduce=chunk_moments)
+    (value, outage), (se, _) = merge_moments(parts)
+    return BoundEstimate(float(value), float(se), float(outage), float(value - outage), trials)
 
 
 def mac_achievability_bound(
@@ -230,24 +247,17 @@ def mac_achievability_bound(
     pp = PowerPair(spec.p1, spec.p2)
     if k3 is None:
         k3 = shell_rn_constants(pp)[2]
-    i1, i2, i3 = mac_density_samples(spec.n, pp, trials, seed)
-    o1 = i1 <= th.log_gamma1
-    o2 = i2 <= th.log_gamma2
-    o3 = i3 <= th.log_gamma3
-    if mode == "joint":
-        outage = (o1 | o2 | o3).astype(float)
-    else:
-        outage = o1.astype(float) + o2 + o3
-    conf = (
-        (k1 * (spec.m1 - 1) / 2.0) * importance_weights(i1, th.log_gamma1)
-        + (k2 * (spec.m2 - 1) / 2.0) * importance_weights(i2, th.log_gamma2)
-        + (k3 * (spec.m1 - 1) * (spec.m2 - 1) / 2.0) * importance_weights(i3, th.log_gamma3)
+    gammas = (th.log_gamma1, th.log_gamma2, th.log_gamma3)
+    weights = (k1 * (spec.m1 - 1) / 2.0, k2 * (spec.m2 - 1) / 2.0,
+               k3 * (spec.m1 - 1) * (spec.m2 - 1) / 2.0)
+
+    def chunk_moments(iv):
+        o1, o2, o3 = (i <= g for i, g in zip(iv, gammas))
+        outage = (o1 | o2 | o3).astype(float) if mode == "joint" else o1.astype(float) + o2 + o3
+        conf = sum(w * importance_weights(i, g) for w, i, g in zip(weights, iv, gammas))
+        return moments(np.stack([outage + conf, outage, conf]))
+
+    (value, outage, conf), (se, _, _) = merge_moments(
+        mac_density_samples(spec.n, pp, trials, seed, reduce=chunk_moments)
     )
-    stat = outage + conf
-    return BoundEstimate(
-        float(stat.mean()),
-        float(stat.std(ddof=1) / math.sqrt(trials)),
-        float(outage.mean()),
-        float(conf.mean()),
-        trials,
-    )
+    return BoundEstimate(float(value), float(se), float(outage), float(conf), trials)

@@ -167,6 +167,8 @@ def test_simulate_json(capsys):
 def test_usage_errors_exit_2(capsys):
     assert run_cli(["region", "--kind", "bogus"], capsys)[0] == 2
     assert run_cli(["nonsense"], capsys)[0] == 2
+    # one draw has no standard error: refused, not a NaN payload
+    assert run_cli(["verify", "confusion-scaling", "--trials", "1"], capsys)[0] == 2
     # eps outside (0,1) is a domain error -> usage exit code
     code, _, err = run_cli(
         ["region", "--kind", "joint", "--n", "500", "--eps", "2.0", "--p1-db", "0", "--p2-db", "0"],

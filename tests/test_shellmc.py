@@ -515,8 +515,27 @@ def test_samplers_thread_invariant(monkeypatch):
     monkeypatch.setenv("FBMAC_THREADS", "1")
     a1 = p2p_density_samples(200, 1.0, 150_000, seed=30)
     b1 = mac_density_samples(100, pp, 150_000, seed=31)
-    monkeypatch.setenv("FBMAC_THREADS", "5")
-    a5 = p2p_density_samples(200, 1.0, 150_000, seed=30)
-    b5 = mac_density_samples(100, pp, 150_000, seed=31)
-    assert np.array_equal(a1, a5)
-    assert np.array_equal(b1, b5)
+    c1 = confusion_scaling_check([400, 1600], 1.0, seed=32, trials=150_000)
+    monkeypatch.setenv("FBMAC_THREADS", "7")
+    a7 = p2p_density_samples(200, 1.0, 150_000, seed=30)
+    b7 = mac_density_samples(100, pp, 150_000, seed=31)
+    c7 = confusion_scaling_check([400, 1600], 1.0, seed=32, trials=150_000)
+    assert np.array_equal(a1, a7)
+    assert np.array_equal(b1, b7)
+    assert c1 == c7
+
+
+def test_chunk_reductions_match_full_arrays():
+    # per-chunk moments merged in chunk order agree with the full-array figures
+    trials = 150_000  # three chunks, the last one ragged
+    for j, pt in enumerate(confusion_scaling_check([400, 1600], 1.0, seed=33, trials=trials)):
+        lg = pt.n * capacity(1.0) - math.sqrt(pt.n * dispersion(1.0))
+        it = p2p_density_samples(pt.n, 1.0, trials, seed=(33, j))
+        contrib = np.where(it > lg, np.exp(np.minimum(lg - it, 0.0)), 0.0)
+        assert pt.value == pytest.approx(contrib.mean(), rel=1e-12)
+        assert pt.std_err == pytest.approx(contrib.std(ddof=1) / math.sqrt(trials), rel=1e-12)
+    parts = p2p_density_samples(64, 1.0, trials, seed=34, reduce=len)
+    assert parts == [1 << 16, 1 << 16, trials - (2 << 16)]
+    pp = PowerPair(1.0, 2.0)
+    chunks = mac_density_samples(64, pp, trials, seed=35, reduce=lambda c: c)
+    assert np.array_equal(np.concatenate(chunks, axis=1), mac_density_samples(64, pp, trials, seed=35))

@@ -182,6 +182,105 @@ def test_shell_codewords_satisfy_power_constraint():
     assert np.allclose(norms, 40 * 2.0, rtol=1e-12)
 
 
+def test_shell_rows_in_place_match_plain_normalization():
+    # normalized in place over slices of the b axis: same bits as one expression
+    from fbmac.simlink import _shell_rows
+    from fbmac._rng import substream
+
+    b, m, n, p = 70, 5, 400, 2.0  # 32 rows per norm slice, so three slices
+    x = _shell_rows(substream(12), b, m, n, p)
+    w = substream(12).standard_normal((b, m, n))
+    assert np.array_equal(x, math.sqrt(n * p) * w / np.linalg.norm(w, axis=2, keepdims=True))
+
+
+def test_sim_chunk_budget():
+    # the budget is computed, never allocated
+    from fbmac.simlink import _SIM_BUDGET, _sim_chunk
+
+    assert _sim_chunk(100, 8) == _SIM_BUDGET // (9 * 100)
+    assert _sim_chunk(100, 8, 8) == _SIM_BUDGET // ((64 + 16) * 100)
+    assert _sim_chunk(_SIM_BUDGET // 64, 63) == 1  # one trial exactly at the budget
+    with pytest.raises(DomainError):
+        _sim_chunk(_SIM_BUDGET // 64 + 1, 63)
+    # the (m1, m2) pair arrays alone: 2^28 scalars, 2 GB per temporary
+    with pytest.raises(DomainError):
+        _sim_chunk(10, 1 << 14, 1 << 14)
+    with pytest.raises(DomainError):
+        _sim_chunk(1 << 17, 64, 2)
+    # pair arrays under the budget run, one trial per chunk
+    assert _sim_chunk(64, 1 << 11, 1 << 11) == 1
+
+
+def test_simulate_over_budget_exits_2(monkeypatch, capsys):
+    from fbmac import simlink
+    from fbmac.cli import main
+
+    monkeypatch.setattr(simlink, "_SIM_BUDGET", 100)  # one trial below holds 5 * 50 scalars
+    args = ["simulate", "p2p", "--n", "50", "--m1", "4", "--p1-db", "0", "--trials", "2000"]
+    assert main(args) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_bounds_thread_invariant_and_match_full_arrays(monkeypatch):
+    # the estimators reduce chunk by chunk; compare with the full arrays
+    from fbmac.shellmc import importance_weights, mac_density_samples, p2p_density_samples
+
+    trials = 150_000
+    pp = PowerPair(0.2, 0.1)  # low SNR, so that outage and confusion both count
+    spec = CodebookSpec(n=80, m1=6, m2=5, p1=pp.p1, p2=pp.p2, seed=40)
+    th = default_thresholds(spec, *shell_rn_constants(pp))
+    p2p_spec = CodebookSpec(n=80, m1=6, p1=0.1, seed=41)
+    p2p_th = default_thresholds(p2p_spec, 1.0, 1.0, 1.0)
+    runs = []
+    for threads in ("1", "7"):
+        monkeypatch.setenv("FBMAC_THREADS", threads)
+        runs.append(
+            [
+                p2p_achievability_bound(p2p_spec, p2p_th, trials),
+                mac_achievability_bound(spec, th, trials, mode="joint"),
+                mac_achievability_bound(spec, th, trials, mode="splitting"),
+            ]
+        )
+    assert runs[0] == runs[1]
+    p2p, joint, split = runs[0]
+
+    it = p2p_density_samples(80, 0.1, trials, seed=41)
+    outage = it <= p2p_th.log_gamma1
+    stat = outage + 2.5 * importance_weights(it, p2p_th.log_gamma1)
+    want = [(stat, outage)]
+    iv = mac_density_samples(80, pp, trials, seed=40)
+    gammas = (th.log_gamma1, th.log_gamma2, th.log_gamma3)
+    k3 = shell_rn_constants(pp)[2]
+    conf = sum(w * importance_weights(i, g) for w, i, g in zip((2.5, 2.0, 10.0 * k3), iv, gammas))
+    below = [i <= g for i, g in zip(iv, gammas)]
+    for out in (below[0] | below[1] | below[2], sum(b.astype(float) for b in below)):
+        want.append((out + conf, out))
+    for got, (stat, out) in zip((p2p, joint, split), want):
+        assert got.value == pytest.approx(stat.mean(), rel=1e-12, abs=0.0)
+        assert got.std_err == pytest.approx(stat.std(ddof=1) / math.sqrt(trials), rel=1e-12)
+        assert got.outage == pytest.approx(out.mean(), rel=1e-12)
+        assert abs(got.value - got.outage - got.confusion) <= 1e-12
+        assert got.confusion > 0 and got.outage > 0
+    assert split.value >= joint.value
+
+
+def test_bound_memory_does_not_grow_with_trials(monkeypatch):
+    # 2^20 trials held as full (3, trials) arrays take about 60 MB; one chunk
+    # of 2^16 draws and its moments stay far below
+    import tracemalloc
+
+    monkeypatch.setenv("FBMAC_THREADS", "1")
+    spec = CodebookSpec(n=100, m1=8, m2=8, p1=0.1, p2=0.1, seed=42)
+    th = default_thresholds(spec, *shell_rn_constants(PowerPair(0.1, 0.1)))
+    tracemalloc.start()
+    try:
+        mac_achievability_bound(spec, th, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_sim_result_validation():
     with pytest.raises(DomainError):
         SimResult(10, 11, 0.5, 0.0, 1.0)
