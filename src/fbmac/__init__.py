@@ -20,7 +20,6 @@ from .core import (  # noqa: F401
     DispersionMatrix,
     DomainError,
     PowerPair,
-    RatePoint,
     SecondOrderParams,
     bits_to_nats,
     capacity,

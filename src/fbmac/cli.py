@@ -73,6 +73,9 @@ _FIG1_FILES = (
     ("pentagon", "pentagon.csv"),
 )
 
+#: most checks ``verify bessel --grid N`` makes (N^2 of them, a few microseconds each)
+_BESSEL_GRID_CALLS = 1 << 20
+
 
 def emit_region(rb: RegionBoundary, fmt: str, config: dict) -> bytes:
     """Serialize a boundary; byte-identical for identical (boundary, config)."""
@@ -443,11 +446,13 @@ def _cmd_verify(args) -> int:
         }
     elif args.target == "bessel":
         if args.grid:
+            if not 0 < args.grid <= math.isqrt(_BESSEL_GRID_CALLS):
+                raise DomainError(f"--grid N makes N^2 checks, at most {_BESSEL_GRID_CALLS}")
             rng = np.random.Generator(np.random.Philox(seed))
             ks = rng.uniform(0.0, 300.0, args.grid)
             zs = rng.uniform(1e-6, 600.0, args.grid)
-            results = [bessel_ratio_bound_check(k, z).holds for k in ks for z in zs]
-            verdict = {"target": "bessel", "grid": args.grid, "pass": bool(all(results))}
+            holds = all(bessel_ratio_bound_check(k, z).holds for k in ks for z in zs)
+            verdict = {"target": "bessel", "grid": args.grid, "pass": bool(holds)}
         else:
             if args.k is None or args.z is None:
                 raise DomainError("need --k and --z (or --grid)")

@@ -120,18 +120,6 @@ class DispersionMatrix:
         object.__setattr__(self, "entries", m)
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """A rate pair in nats per channel use."""
-
-    r1: float
-    r2: float
-
-    def __post_init__(self) -> None:
-        if self.r1 < 0 or self.r2 < 0:
-            raise DomainError("rates must be nonnegative")
-
-
 def capacity(p: float) -> float:
     """Gaussian point-to-point capacity ln(1+p)/2 in nats per use."""
     p = float(p)

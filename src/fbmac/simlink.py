@@ -5,6 +5,13 @@ ensemble-average error probability), a uniform message, and Gaussian noise.
 The decoder accepts the first codeword (lexicographically first pair for the
 MAC) whose modified information density, computed as an explicit density
 ratio against the capacity-achieving reference law, exceeds its threshold.
+A trial draws the Gram matrix of its k = m1 + m2 + 1 codeword and noise
+vectors, which is all the decoder reads: by Bartlett's decomposition of the
+Wishart law, k i.i.d. N(0, I_n) vectors are, in a basis of their span, the
+rows of a lower triangular factor in d = min(n, k) coordinates, row i holding
+min(i, d) standard normals and, for i < d, sqrt(chi2(n - i)) on the diagonal.
+Codeword rows are scaled onto their shells.  The error counts are exact in
+law, and a trial costs the same at any n >= k.
 
 The companion ``*_achievability_bound`` estimators evaluate the matching
 upper bounds on the ensemble-average error: an outage term under the channel
@@ -28,10 +35,10 @@ from .core import DomainError, PowerPair
 from .shellmc import _wilson_ci, importance_weights, merge_moments, moments
 from .shellmc import mac_density_samples, p2p_density_samples
 
-#: scalars per simulation chunk; a simulator holds one (b, m, n) codeword block
-#: per user and worker, normalized in place, and for the MAC the (b, m1, m2) pair
-#: arrays.  The bound estimators hold one density chunk (see ``shellmc``).
-_SIM_BUDGET = 1 << 23
+#: scalars per simulation chunk; a trial holds its k x min(n, k) Bartlett rows and
+#: its (m1, m2) pair arrays or m dot products, so its cost stops growing at n = k.
+#: The bound estimators hold one density chunk (see ``shellmc``).
+_SIM_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,38 +118,49 @@ def shell_rn_constants(pp: PowerPair, c_gamma: float = 2.0) -> tuple[float, floa
 
 def _sim_chunk(n: int, m1: int, m2: int = 0) -> int:
     """Trials per chunk (``m2 = 0``: point-to-point); DomainError if one trial is over budget."""
-    held = m1 * m2 + (m1 + m2 + 1) * n if m2 else (m1 + 1) * n
-    cost = (m1 * m2 + m1 + m2) * n if m2 else held
+    k = m1 + m2 + 1
+    held = k * min(n, k) + (m1 * m2 if m2 else m1)
     if held > _SIM_BUDGET:
         raise DomainError(f"one trial needs {held} scalars, over the budget of {_SIM_BUDGET}")
-    return max(1, _SIM_BUDGET // cost)
+    return _SIM_BUDGET // held
 
 
-def _shell_rows(rng: np.random.Generator, b: int, m: int, n: int, p: float) -> np.ndarray:
-    w = rng.standard_normal((b, m, n))
-    step = max(1, (1 << 16) // (m * n))  # rows per norm, which squares them in a temporary
-    norm = np.concatenate(
-        [np.linalg.norm(w[i : i + step], axis=2, keepdims=True) for i in range(0, b, step)]
-    )
-    w *= math.sqrt(n * p)
-    w /= norm
+def _span_rows(rng: np.random.Generator, b: int, n: int, shells: np.ndarray) -> np.ndarray:
+    """(b, k, d) Bartlett rows of k = len(shells) + 1 N(0, I_n) vectors, d = min(n, k).
+
+    Draws the below-diagonal normals row by row, then the (b, d) chi-squares;
+    row i < k - 1 is scaled to squared norm n shells[i], the noise row is not.
+    """
+    k = len(shells) + 1
+    d = min(n, k)
+    w = np.zeros((b, k, d))
+    rows, cols = np.tril_indices(k, -1, d)
+    w[:, rows, cols] = rng.standard_normal((b, rows.size))
+    diag = np.arange(d)
+    w[:, diag, diag] = np.sqrt(rng.chisquare(n - diag, (b, d)))
+    x = w[:, :-1]
+    x *= np.sqrt(n * shells / np.einsum("bkd,bkd->bk", x, x))[:, :, None]
     return w
+
+
+def _count_errors(run, seed, trials: int, chunk: int) -> SimResult:
+    """Sum ``run(rng, b)`` error counts over chunks of ``trials``, chunk i on substream (seed, i)."""
+    if trials < 1:
+        raise DomainError("need trials >= 1")
+    items = enumerate(chunk_sizes(trials, chunk))
+    errors = sum(thread_map(lambda item: run(substream(seed, item[0]), item[1]), items))
+    lo, hi = _wilson_ci(errors, trials)
+    return SimResult(trials, errors, errors / trials, lo, hi)
 
 
 def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> SimResult:
     """Ensemble-average error of the first-past-threshold decoder."""
-    if trials < 1:
-        raise DomainError("need trials >= 1")
-    seed = spec.seed if seed is None else seed
     n, m, p = spec.n, spec.m1, spec.p1
-    chunk = _sim_chunk(n, m)
 
-    def run(item):
-        idx, b = item
-        rng = substream(seed, idx)
-        x = _shell_rows(rng, b, m, n, p)
+    def run(rng, b):
+        w = _span_rows(rng, b, n, np.full(m, p))
+        x, z = w[:, :m], w[:, m]
         msg = rng.integers(0, m, b)
-        z = rng.standard_normal((b, n))
         y = x[np.arange(b), msg] + z
         ysq = np.einsum("bn,bn->b", y, y)
         dot = np.einsum("bn,bmn->bm", y, x)
@@ -157,29 +175,20 @@ def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> 
         ok = passing.any(axis=1) & (first == msg)
         return int(b - np.count_nonzero(ok))
 
-    errors = sum(thread_map(run, enumerate(chunk_sizes(trials, chunk))))
-    lo, hi = _wilson_ci(errors, trials)
-    return SimResult(trials, errors, errors / trials, lo, hi)
+    return _count_errors(run, spec.seed if seed is None else seed, trials, _sim_chunk(n, m))
 
 
 def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> SimResult:
     """Ensemble-average error of the first jointly-typical pair decoder."""
-    if trials < 1:
-        raise DomainError("need trials >= 1")
-    seed = spec.seed if seed is None else seed
     n, m1, m2 = spec.n, spec.m1, spec.m2
     p1, p2 = spec.p1, spec.p2
     ps = p1 + p2
-    chunk = _sim_chunk(n, m1, m2)
 
-    def run(item):
-        idx, b = item
-        rng = substream(seed, idx)
-        x1 = _shell_rows(rng, b, m1, n, p1)
-        x2 = _shell_rows(rng, b, m2, n, p2)
+    def run(rng, b):
+        w = _span_rows(rng, b, n, np.repeat([p1, p2], [m1, m2]))
+        x1, x2, z = w[:, :m1], w[:, m1:-1], w[:, -1]
         j = rng.integers(0, m1, b)
         k = rng.integers(0, m2, b)
-        z = rng.standard_normal((b, n))
         y = x1[np.arange(b), j] + x2[np.arange(b), k] + z
         ysq = np.einsum("bn,bn->b", y, y)[:, None, None]
         d1 = np.einsum("bn,bmn->bm", y, x1)[:, :, None]
@@ -198,9 +207,7 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> 
         ok = flat.any(axis=1) & (first == j * m2 + k)
         return int(b - np.count_nonzero(ok))
 
-    errors = sum(thread_map(run, enumerate(chunk_sizes(trials, chunk))))
-    lo, hi = _wilson_ci(errors, trials)
-    return SimResult(trials, errors, errors / trials, lo, hi)
+    return _count_errors(run, spec.seed if seed is None else seed, trials, _sim_chunk(n, m1, m2))
 
 
 def p2p_achievability_bound(

@@ -90,3 +90,51 @@ def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, var: float) -> float:
     diff = y - mean
     n = y.size
     return float(-0.5 * n * math.log(2.0 * math.pi * var) - 0.5 * (diff @ diff) / var)
+
+
+def materialized_error_rate(
+    n: int, sizes: tuple, powers: tuple, log_gammas: tuple, trials: int, seed: int, chunk: int = 250
+) -> float:
+    """Error rate of the first-past-threshold decoder with codewords drawn in R^n.
+
+    ``sizes``/``powers`` hold one entry per user: one for point-to-point, two
+    for the MAC.  Each trial draws every codeword as an i.i.d. N(0, I_n)
+    vector scaled onto its shell, a uniform message per user and N(0, I_n)
+    noise; the decoder evaluates the information densities against the
+    reference laws N(0, (1 + P) I) from explicit squared distances and picks
+    the first (lexicographic) candidate whose densities all exceed their
+    thresholds.
+    """
+    rng = np.random.default_rng(seed)
+    m1, p1 = sizes[0], powers[0]
+    m2, p2 = (sizes[1], powers[1]) if len(sizes) > 1 else (1, 0.0)  # a silent second user
+    errors = 0
+    for start in range(0, trials, chunk):
+        b = min(chunk, trials - start)
+        books = []
+        for m, p in ((m1, p1), (m2, p2)):
+            w = rng.standard_normal((b, m, n))
+            norm = np.linalg.norm(w, axis=2, keepdims=True)
+            books.append(math.sqrt(n * p) * w / norm)
+        x1, x2 = books
+        j = rng.integers(0, m1, b)
+        k = rng.integers(0, m2, b)
+        y = x1[np.arange(b), j] + x2[np.arange(b), k] + rng.standard_normal((b, n))
+        y = y[:, None, None, :]
+        x1, x2 = x1[:, :, None, :], x2[:, None, :, :]
+
+        def sq(v):
+            return np.sum(v * v, axis=-1)
+
+        chan = -0.5 * sq(y - x1 - x2)  # log channel density + n ln(2 pi) / 2
+        dens = [0.5 * n * math.log1p(p1) + sq(y - x2) / (2 * (1 + p1)) + chan]
+        if len(sizes) > 1:
+            dens.append(0.5 * n * math.log1p(p2) + sq(y - x1) / (2 * (1 + p2)) + chan)
+            dens.append(0.5 * n * math.log1p(p1 + p2) + sq(y) / (2 * (1 + p1 + p2)) + chan)
+        passing = np.ones((b, m1, m2), dtype=bool)
+        for i, g in zip(dens, log_gammas):
+            passing &= i > g
+        flat = passing.reshape(b, m1 * m2)
+        decided = np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
+        errors += int(np.count_nonzero(decided != j * m2 + k))
+    return errors / trials

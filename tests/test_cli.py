@@ -129,6 +129,18 @@ def test_verify_bessel(capsys):
     assert code == 0 and verdict["pass"] is True
 
 
+def test_verify_bessel_grid_over_budget_exits_2(capsys):
+    # refused before any check runs: the largest grid is computed, never run
+    import math
+
+    from fbmac.cli import _BESSEL_GRID_CALLS
+
+    top = math.isqrt(_BESSEL_GRID_CALLS)
+    for grid in (top + 1, 10**9, -1):
+        code, _, err = run_cli(["verify", "bessel", "--grid", str(grid)], capsys)
+        assert code == 2 and f"at most {_BESSEL_GRID_CALLS}" in err
+
+
 def test_verify_inner_product(capsys):
     code, out, _ = run_cli(
         ["verify", "inner-product", "--n", "100", "--pairs", "40000", "--seed", "1"], capsys

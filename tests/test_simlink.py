@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -18,6 +19,7 @@ from fbmac.simlink import (
     p2p_achievability_bound,
     mac_achievability_bound,
 )
+from oracles import materialized_error_rate, two_sample_ks
 
 
 def calibrated_power(n: int, m: int, eps_target: float) -> float:
@@ -160,6 +162,8 @@ def test_eps_hat_improves_toward_optimal_threshold():
 
 
 def test_simulation_deterministic_and_thread_invariant(monkeypatch):
+    from fbmac.simlink import _sim_chunk
+
     spec = CodebookSpec(n=60, m1=4, p1=1.0, seed=10)
     th = default_thresholds(spec, 1.0, 1.0, 1.0)
     a = simulate_p2p(spec, th, 5000)
@@ -170,55 +174,140 @@ def test_simulation_deterministic_and_thread_invariant(monkeypatch):
     monkeypatch.setenv("FBMAC_THREADS", "7")
     d = simulate_p2p(spec, th, 5000)
     assert a == c == d
+    # several chunks per call, for both simulators
+    mac = CodebookSpec(n=60, m1=8, m2=8, p1=0.3, p2=0.3, seed=10)
+    mac_th = default_thresholds(mac, *shell_rn_constants(PowerPair(0.3, 0.3)))
+    trials = 3 * _sim_chunk(60, 4) + 17
+    assert trials > 3 * _sim_chunk(60, 8, 8)
+    runs = []
+    for threads in ("1", "7"):
+        monkeypatch.setenv("FBMAC_THREADS", threads)
+        runs.append((simulate_p2p(spec, th, trials), simulate_mac(mac, mac_th, trials)))
+    assert runs[0] == runs[1]
 
 
 def test_shell_codewords_satisfy_power_constraint():
     # the feasibility term of the bounds is identically zero for shell inputs
-    from fbmac.simlink import _shell_rows
+    from fbmac.simlink import _span_rows
     from fbmac._rng import substream
 
-    x = _shell_rows(substream(11), 16, 5, 40, 2.0)
-    norms = np.einsum("bmn,bmn->bm", x, x)
-    assert np.allclose(norms, 40 * 2.0, rtol=1e-12)
+    for n in (40, 3):  # n >= k and n < k
+        shells = np.repeat([2.0, 0.3], [5, 4])
+        w = _span_rows(substream(11), 16, n, shells)
+        assert w.shape == (16, 10, min(n, 10))
+        norms = np.einsum("bkd,bkd->bk", w[:, :-1], w[:, :-1])
+        assert np.allclose(norms, n * shells, rtol=1e-12, atol=0.0)
 
 
-def test_shell_rows_in_place_match_plain_normalization():
-    # normalized in place over slices of the b axis: same bits as one expression
-    from fbmac.simlink import _shell_rows
+def _gram_statistics(w: np.ndarray, pairs) -> list:
+    # the noise row's squared norm and the cosines of the given row pairs
+    norms = np.sqrt(np.einsum("bkd,bkd->bk", w, w))
+    stats = [norms[:, -1] ** 2]
+    for i, j in pairs:
+        stats.append(np.einsum("bd,bd->b", w[:, i], w[:, j]) / (norms[:, i] * norms[:, j]))
+    return stats
+
+
+@pytest.mark.parametrize("n", [12, 5])
+def test_span_rows_gram_matches_explicit_gaussian_vectors(n):
+    # Bartlett rows against k explicit N(0, I_n) vectors: the noise norm is
+    # chi2(n) and the cosines, which the shell scaling leaves alone, agree
+    from fbmac.simlink import _span_rows
     from fbmac._rng import substream
 
-    b, m, n, p = 70, 5, 400, 2.0  # 32 rows per norm slice, so three slices
-    x = _shell_rows(substream(12), b, m, n, p)
-    w = substream(12).standard_normal((b, m, n))
-    assert np.array_equal(x, math.sqrt(n * p) * w / np.linalg.norm(w, axis=2, keepdims=True))
+    k, samples = 9, 20_000
+    pairs = [(0, 1), (2, 3), (3, 7), (0, k - 1), (6, 7), (k - 2, k - 1)]
+    rows = _span_rows(substream(21, n), samples, n, np.full(k - 1, 1.5))
+    explicit = np.random.default_rng(22 + n).standard_normal((samples, k, n))
+    crit = 1.95 * math.sqrt(2.0 / samples)  # two-sample KS at level 1e-3
+    got, want = _gram_statistics(rows, pairs), _gram_statistics(explicit, pairs)
+    for a, b in zip(got, want):
+        assert two_sample_ks(a, b) < crit
+
+
+@pytest.mark.parametrize(
+    "n, m1, m2, p",
+    [(100, 8, 8, 0.1), (100, 8, 0, 0.1), (5, 8, 8, 3.0), (6, 9, 0, 1.0)],
+)
+def test_simulators_match_materialized_codewords(n, m1, m2, p):
+    # error rates agree with codewords drawn in R^n, within 4 combined std errors
+    trials = 20_000
+    if m2:
+        spec = CodebookSpec(n=n, m1=m1, m2=m2, p1=p, p2=p, seed=30)
+        th = default_thresholds(spec, *shell_rn_constants(PowerPair(p, p)))
+        sim = simulate_mac(spec, th, trials)
+        gammas = (th.log_gamma1, th.log_gamma2, th.log_gamma3)
+        ref = materialized_error_rate(n, (m1, m2), (p, p), gammas, trials, seed=31)
+    else:
+        spec = CodebookSpec(n=n, m1=m1, p1=p, seed=30)
+        th = default_thresholds(spec, 1.0, 1.0, 1.0)
+        sim = simulate_p2p(spec, th, trials)
+        ref = materialized_error_rate(n, (m1,), (p,), (th.log_gamma1,), trials, seed=31)
+    se = math.sqrt((sim.eps_hat * (1 - sim.eps_hat) + ref * (1 - ref)) / trials)
+    assert 0.1 < ref < 0.9  # the operating point is strained, not trivial
+    assert abs(sim.eps_hat - ref) <= 4.0 * se
+
+
+def test_simulate_p2p_memory_does_not_grow_with_n(monkeypatch):
+    # drawing the codewords in R^n peaked at about 73 MB; the Bartlett rows of
+    # a chunk and its dot products stay far below
+    import tracemalloc
+
+    monkeypatch.setenv("FBMAC_THREADS", "1")
+    spec = CodebookSpec(n=100, m1=8, p1=0.1, seed=43)
+    th = default_thresholds(spec, 1.0, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        simulate_p2p(spec, th, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_sim_chunk_budget():
-    # the budget is computed, never allocated
+    # the budget is computed, never allocated: a trial holds k x min(n, k)
+    # Bartlett rows plus the (m1, m2) pair arrays (point-to-point: m dots)
     from fbmac.simlink import _SIM_BUDGET, _sim_chunk
 
-    assert _sim_chunk(100, 8) == _SIM_BUDGET // (9 * 100)
-    assert _sim_chunk(100, 8, 8) == _SIM_BUDGET // ((64 + 16) * 100)
-    assert _sim_chunk(_SIM_BUDGET // 64, 63) == 1  # one trial exactly at the budget
+    assert _sim_chunk(100, 8) == _SIM_BUDGET // (9 * 9 + 8)
+    assert _sim_chunk(100, 8, 8) == _SIM_BUDGET // (17 * 17 + 64)
+    assert _sim_chunk(5, 8, 8) == _SIM_BUDGET // (17 * 5 + 64)
+    assert _sim_chunk(10**9, 8) == _sim_chunk(9, 8)  # no growth with n beyond k
+    # one trial exactly at the budget: (m + 1)^2 = k + m^2 scalars at n = 1
+    m = math.isqrt(_SIM_BUDGET) - 1
+    assert (m + 1) ** 2 == _SIM_BUDGET
+    assert _sim_chunk(1, m, m) == 1
     with pytest.raises(DomainError):
-        _sim_chunk(_SIM_BUDGET // 64 + 1, 63)
+        _sim_chunk(2, m, m)
     # the (m1, m2) pair arrays alone: 2^28 scalars, 2 GB per temporary
     with pytest.raises(DomainError):
         _sim_chunk(10, 1 << 14, 1 << 14)
+    # k x min(n, k) rows alone over the budget
+    k = math.isqrt(_SIM_BUDGET) + 1
     with pytest.raises(DomainError):
-        _sim_chunk(1 << 17, 64, 2)
-    # pair arrays under the budget run, one trial per chunk
-    assert _sim_chunk(64, 1 << 11, 1 << 11) == 1
+        _sim_chunk(10**6, k - 1)
+    assert _sim_chunk(_SIM_BUDGET // k - 1, k - 1) >= 1  # fewer coordinates fit
 
 
 def test_simulate_over_budget_exits_2(monkeypatch, capsys):
     from fbmac import simlink
     from fbmac.cli import main
 
-    monkeypatch.setattr(simlink, "_SIM_BUDGET", 100)  # one trial below holds 5 * 50 scalars
+    monkeypatch.setattr(simlink, "_SIM_BUDGET", 20)  # one trial below holds 5 * 5 + 4 scalars
     args = ["simulate", "p2p", "--n", "50", "--m1", "4", "--p1-db", "0", "--trials", "2000"]
     assert main(args) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_simulate_p2p_at_a_million_dimensions_runs(capsys):
+    # the drawn rows do not grow with n: a million-symbol block is cheap
+    from fbmac.cli import main
+
+    args = ["simulate", "p2p", "--n", "1000000", "--m1", "8", "--p1-db", "-60", "--trials", "2000"]
+    assert main(args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["trials"] == 2000 and 0.0 < out["eps_hat"] < 1.0
 
 
 def test_bounds_thread_invariant_and_match_full_arrays(monkeypatch):
@@ -287,24 +376,41 @@ def test_sim_result_validation():
     BoundEstimate(0.1, 0.01, 0.05, 0.05, 100)
 
 
-def _replay_stream(seed, chunk_index):
+def _replay_rows(seed, trials, n, shells):
+    # rebuild the simulator's Bartlett rows entry by entry from its chunk stream:
+    # the below-diagonal normals row by row, then one chi-square per diagonal
+    # entry; codeword rows are scaled onto their shells, the last row is noise
     from fbmac._rng import substream
 
-    return substream(seed, chunk_index)
+    rng = substream(seed, 0)  # single chunk at these sizes
+    k = len(shells) + 1
+    d = min(n, k)
+    below = rng.standard_normal((trials, sum(min(i, d) for i in range(k))))
+    chi = rng.chisquare([n - i for i in range(d)], (trials, d))
+    rows = np.zeros((trials, k, d))
+    for t in range(trials):
+        pos = 0
+        for i in range(k):
+            for c in range(min(i, d)):
+                rows[t, i, c] = below[t, pos]
+                pos += 1
+            if i < d:
+                rows[t, i, i] = math.sqrt(chi[t, i])
+            if i < k - 1:
+                rows[t, i] *= math.sqrt(n * shells[i]) / math.sqrt(float(rows[t, i] @ rows[t, i]))
+    return rng, rows
 
 
 def test_simulate_p2p_matches_loop_reference():
-    # replay the simulator's chunk stream and decode with explicit formulas
+    # replay the simulator's chunk stream and decode with explicit formulas in R^d
     n, m, p, trials, seed = 12, 5, 1.3, 400, 77
     spec = CodebookSpec(n=n, m1=m, p1=p, seed=seed)
     th = Thresholds(math.log(1.5))
     res = simulate_p2p(spec, th, trials)
 
-    rng = _replay_stream(seed, 0)  # single chunk at this size
-    w = rng.standard_normal((trials, m, n))
-    x = math.sqrt(n * p) * w / np.linalg.norm(w, axis=2, keepdims=True)
+    rng, rows = _replay_rows(seed, trials, n, [p] * m)
+    x, z = rows[:, :m], rows[:, m]
     msg = rng.integers(0, m, trials)
-    z = rng.standard_normal((trials, n))
     errors = 0
     for t in range(trials):
         y = x[t, msg[t]] + z[t]
@@ -319,47 +425,46 @@ def test_simulate_p2p_matches_loop_reference():
                 decided = j
                 break
         errors += decided != msg[t]
+    assert 0 < errors < trials
     assert res.errors == errors
 
 
 def test_simulate_mac_matches_loop_reference():
-    n, m1, m2, p1, p2, trials, seed = 10, 3, 2, 1.0, 0.7, 300, 78
-    spec = CodebookSpec(n=n, m1=m1, m2=m2, p1=p1, p2=p2, seed=seed)
+    m1, m2, p1, p2, trials, seed = 3, 2, 1.0, 0.7, 300, 78
     th = Thresholds(math.log(0.8), math.log(0.4), math.log(1.2))
-    res = simulate_mac(spec, th, trials)
-
-    rng = _replay_stream(seed, 0)
-    w1 = rng.standard_normal((trials, m1, n))
-    x1 = math.sqrt(n * p1) * w1 / np.linalg.norm(w1, axis=2, keepdims=True)
-    w2 = rng.standard_normal((trials, m2, n))
-    x2 = math.sqrt(n * p2) * w2 / np.linalg.norm(w2, axis=2, keepdims=True)
-    j_true = rng.integers(0, m1, trials)
-    k_true = rng.integers(0, m2, trials)
-    z = rng.standard_normal((trials, n))
     ps = p1 + p2
-    errors = 0
-    for t in range(trials):
-        y = x1[t, j_true[t]] + x2[t, k_true[t]] + z[t]
-        decided = None
-        for j in range(m1):
-            for k in range(m2):
-                diff = y - x1[t, j] - x2[t, k]
-                log_chan = -0.5 * float(diff @ diff)
-                i1 = (
-                    0.5 * n * math.log1p(p1)
-                    + float((y - x2[t, k]) @ (y - x2[t, k])) / (2.0 * (1.0 + p1))
-                    + log_chan
-                )
-                i2 = (
-                    0.5 * n * math.log1p(p2)
-                    + float((y - x1[t, j]) @ (y - x1[t, j])) / (2.0 * (1.0 + p2))
-                    + log_chan
-                )
-                i3 = 0.5 * n * math.log1p(ps) + float(y @ y) / (2.0 * (1.0 + ps)) + log_chan
-                if i1 > th.log_gamma1 and i2 > th.log_gamma2 and i3 > th.log_gamma3:
-                    decided = (j, k)
+    for n in (10, 4):  # n >= k = 6 and n < k
+        spec = CodebookSpec(n=n, m1=m1, m2=m2, p1=p1, p2=p2, seed=seed)
+        res = simulate_mac(spec, th, trials)
+
+        rng, rows = _replay_rows(seed, trials, n, [p1] * m1 + [p2] * m2)
+        x1, x2, z = rows[:, :m1], rows[:, m1 : m1 + m2], rows[:, -1]
+        j_true = rng.integers(0, m1, trials)
+        k_true = rng.integers(0, m2, trials)
+        errors = 0
+        for t in range(trials):
+            y = x1[t, j_true[t]] + x2[t, k_true[t]] + z[t]
+            decided = None
+            for j in range(m1):
+                for k in range(m2):
+                    diff = y - x1[t, j] - x2[t, k]
+                    log_chan = -0.5 * float(diff @ diff)
+                    i1 = (
+                        0.5 * n * math.log1p(p1)
+                        + float((y - x2[t, k]) @ (y - x2[t, k])) / (2.0 * (1.0 + p1))
+                        + log_chan
+                    )
+                    i2 = (
+                        0.5 * n * math.log1p(p2)
+                        + float((y - x1[t, j]) @ (y - x1[t, j])) / (2.0 * (1.0 + p2))
+                        + log_chan
+                    )
+                    i3 = 0.5 * n * math.log1p(ps) + float(y @ y) / (2.0 * (1.0 + ps)) + log_chan
+                    if i1 > th.log_gamma1 and i2 > th.log_gamma2 and i3 > th.log_gamma3:
+                        decided = (j, k)
+                        break
+                if decided is not None:
                     break
-            if decided is not None:
-                break
-        errors += decided != (j_true[t], k_true[t])
-    assert res.errors == errors
+            errors += decided != (j_true[t], k_true[t])
+        assert 0 < errors < trials
+        assert res.errors == errors
