@@ -129,9 +129,9 @@ class _OrthantIntegrator:
         gen = _GEN_1D if self.dim == 2 else _GEN_2D
         shifts = substream(seed).random((self.randomizations, self.dim - 1))
         idx = np.arange(1, self.samples + 1, dtype=float)
-        # tent-periodized shifted lattice, one replicate per randomization
-        pts = (idx[None, :, None] * gen[None, None, :] + shifts[:, None, :]) % 1.0
-        self.x = np.abs(2.0 * pts - 1.0)
+        # tent-periodized shifted lattice, one replicate per randomization, built in place
+        x = np.remainder(idx[None, :, None] * gen[None, None, :] + shifts[:, None, :], 1.0)
+        self.x = np.abs(np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x), out=x)
 
     def __call__(self, z: np.ndarray) -> tuple[float, float]:
         if self.dim == 0:
@@ -141,15 +141,17 @@ class _OrthantIntegrator:
         if self.dim == 1:
             return float(ndtr(zz[0] / chol[0, 0])), 0.0
         e0 = float(ndtr(zz[0] / chol[0, 0]))
-        # all randomization replicates in one (R, N) block
+        # all randomization replicates in one (R, N) block, updated in place
         prob = np.full((self.randomizations, self.samples), e0)
         e_prev = prob
         y = np.empty((self.dim - 1, self.randomizations, self.samples))
+        shift = np.empty_like(prob)  # once e_prev is read, its block holds the next shift
         for i in range(1, self.dim):
-            y[i - 1] = ndtri(np.clip(self.x[:, :, i - 1] * e_prev, _TINY, _ONE_MINUS))
-            shift = np.einsum("j,jrn->rn", chol[i, :i], y[:i])
-            e_prev = ndtr((zz[i] - shift) / chol[i, i])
-            prob = prob * e_prev
+            yi = np.multiply(self.x[:, :, i - 1], e_prev, out=y[i - 1])
+            ndtri(np.clip(yi, _TINY, _ONE_MINUS, out=yi), out=yi)
+            np.einsum("j,jrn->rn", chol[i, :i], y[:i], out=shift)
+            e_prev = ndtr(np.divide(np.subtract(zz[i], shift, out=shift), chol[i, i], out=shift), out=shift)
+            prob *= e_prev
         means = prob.mean(axis=1)
         value = float(np.clip(means.mean(), 0.0, 1.0))
         if self.randomizations < 2:
@@ -193,6 +195,11 @@ def quantile_set_member(
     return est.value >= 1.0 - eps
 
 
+def _gap(t: float, integ: _OrthantIntegrator, origin: np.ndarray | None, d: np.ndarray, target: float) -> float:
+    """Orthant probability at scale ``t`` on the ray, minus ``target``."""
+    return integ(t * d if origin is None else origin - t * d)[0] - target
+
+
 def boundary_scale(
     eps: float,
     sigma: np.ndarray,
@@ -214,6 +221,10 @@ def boundary_scale(
     With ``origin`` the ray is ``z(t) = origin - t * direction``; the
     probability shrinks with ``t`` and the largest scale still at or above
     ``1 - eps`` is returned (0.0 when the origin itself is already outside).
+
+    The ray's integrator reaches ``brentq`` through ``args``, never a closure:
+    brentq's NaN-check wrapper refers to itself, so a closure passed to it
+    would keep the lattice alive in a reference cycle after the call returns.
     """
     from scipy.optimize import brentq  # here, not at import: Monte Carlo users never solve
     if not (0.0 < eps < 1.0):
@@ -222,25 +233,18 @@ def boundary_scale(
     if d.shape != (3,) or (d < 0).any() or not d.any():
         raise DomainError("direction must be a nonzero, nonnegative 3-vector")
     sigma = np.asarray(sigma, dtype=float)
-    query_check = OrthantQuery(sigma, np.zeros(3))  # validates the covariance
-    del query_check
+    OrthantQuery(sigma, np.zeros(3))  # validates the covariance
     target = 1.0 - eps
     scale = 20.0 * math.sqrt(max(float(np.diag(sigma).max()), EIG_FLOOR))
 
     if origin is None:
-        active = d > 0
-        integ = _OrthantIntegrator(sigma, active, samples, seed, 8)
-
-        def gap(t: float) -> float:
-            return integ(t * d)[0] - target
-
+        args = (_OrthantIntegrator(sigma, d > 0, samples, seed, 8), None, d, target)
         lo, hi = 0.0, scale
-        g0 = gap(lo)
-        if g0 >= 0.0:
-            hi, ghi = lo, g0
+        if _gap(lo, *args) >= 0.0:
+            hi = lo
             lo = -scale
             for _ in range(64):
-                if gap(lo) < 0.0:
+                if _gap(lo, *args) < 0.0:
                     break
                 hi = lo
                 lo *= 2.0
@@ -248,30 +252,26 @@ def boundary_scale(
                 raise BracketError("no non-member found while expanding downward")
         else:
             for _ in range(64):
-                if gap(hi) >= 0.0:
+                if _gap(hi, *args) >= 0.0:
                     break
                 lo = hi
                 hi *= 2.0
             else:
                 raise BracketError("no member found while expanding upward")
-        if gap(hi) == 0.0:
+        if _gap(hi, *args) == 0.0:
             return hi
-        return float(brentq(gap, lo, hi, xtol=tol, maxiter=200))
+        return float(brentq(_gap, lo, hi, args=args, xtol=tol, maxiter=200))
 
     origin = np.asarray(origin, dtype=float)
-    integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed, 8)
-
-    def gap_from(t: float) -> float:
-        return integ(origin - t * d)[0] - target
-
-    if gap_from(0.0) < 0.0:
+    args = (_OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed, 8), origin, d, target)
+    if _gap(0.0, *args) < 0.0:
         return 0.0
     lo, hi = 0.0, bracket_hint if bracket_hint else scale
     for _ in range(64):
-        if gap_from(hi) < 0.0:
+        if _gap(hi, *args) < 0.0:
             break
         lo = hi
         hi *= 2.0
     else:
         raise BracketError("no non-member found while expanding the ray")
-    return float(brentq(gap_from, lo, hi, xtol=tol, maxiter=200))
+    return float(brentq(_gap, lo, hi, args=args, xtol=tol, maxiter=200))

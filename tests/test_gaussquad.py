@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ from fbmac.core import DomainError, PowerPair, dispersion_matrix_shell, dispersi
 from fbmac.gaussquad import (
     OrthantQuery,
     ProbEstimate,
+    _OrthantIntegrator,
     boundary_scale,
     lower_orthant_prob,
     q_inv_scalar,
     q_scalar,
     quantile_set_member,
 )
+from fbmac.regions import second_order_ray
 from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv
 
 
@@ -197,3 +200,20 @@ def test_boundary_scale_rejects_bad_direction():
         boundary_scale(0.1, np.eye(3), np.array([0.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
         boundary_scale(0.1, np.eye(3), np.array([1.0, -1.0, 0.0]))
+
+
+def test_boundary_scale_frees_its_integrator():
+    # brentq keeps its objective in a reference cycle; the lattice must not hang off it
+    pp = PowerPair(1.0, 1.0)
+    sigma = dispersion_matrix_shell(pp).entries
+    d = np.array([1.0, 1.0, 2.0])
+    gc.collect()
+    gc.disable()
+    try:
+        boundary_scale(1e-3, sigma, d, samples=1 << 12, seed=0)
+        boundary_scale(1e-3, sigma, d, samples=1 << 12, seed=0, origin=np.full(3, 10.0))
+        second_order_ray(500, 1e-3, pp, 0.7, "sumshell")
+        left = sum(isinstance(o, _OrthantIntegrator) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert left == 0
