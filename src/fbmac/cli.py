@@ -18,38 +18,47 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from ._rng import default_seed
 from .core import DomainError, PowerPair, db_to_linear, nats_to_bits
 from .gaussquad import BracketError
 from .regions import (
+    REGIONS,
     GallagerParams,
     RegionBoundary,
-    conjectured_sum_outer_boundary,
-    cover_wyner_pentagon,
-    gallager_boundary,
+    RegionOptions,
     gallager_ray,
-    iid_gaussian_boundary,
-    joint_outage_boundary,
-    outage_splitting_boundary,
     p2p_second_order_rate,
     pentagon_ray,
     second_order_ray,
     splitting_ray,
+    tdma_ray,
+)
+
+# unused here: perfbench/tracing.py wraps the builders as attributes of fbmac.cli
+from .regions import (  # noqa: F401
+    conjectured_sum_outer_boundary,
+    cover_wyner_pentagon,
+    gallager_boundary,
+    iid_gaussian_boundary,
+    joint_outage_boundary,
+    outage_splitting_boundary,
     su_outer_box,
     sumshell_hypothetical_boundary,
     tdma_boundary,
-    tdma_ray,
 )
 from .shellmc import (
     bessel_ratio_bound_check,
+    bessel_ratio_bound_grid,
     clt_function_check,
+    clt_passes,
     confusion_scaling_check,
+    confusion_scaling_verdict,
+    inner_product_variance_ratio,
     rn_bound_mac_check,
     rn_bound_p2p_check,
-    sum_inner_product_samples,
+    rn_bound_passes,
+    variance_ratio_passes,
 )
 from .simlink import (
     CodebookSpec,
@@ -59,18 +68,6 @@ from .simlink import (
     shell_rn_constants,
     simulate_mac,
     simulate_p2p,
-)
-
-_FIG1_FILES = (
-    ("joint", "joint.csv"),
-    ("splitting", "splitting.csv"),
-    ("iid", "iid.csv"),
-    ("gallager", "gallager.csv"),
-    ("tdma", "tdma.csv"),
-    ("su-outer", "su_outer.csv"),
-    ("sumshell", "sumshell.csv"),
-    ("conjectured-sum-outer", "conjectured_sum_outer.csv"),
-    ("pentagon", "pentagon.csv"),
 )
 
 #: most checks ``verify bessel --grid N`` makes (N^2 of them, a few microseconds each)
@@ -114,31 +111,6 @@ def _write_bytes(data: bytes, out) -> None:
         Path(out).write_bytes(data)
 
 
-def compute_region(kind: str, n: int, eps: float, pp: PowerPair, args) -> RegionBoundary:
-    points = args.points
-    samples = args.samples
-    seed = args.seed
-    if kind == "joint":
-        return joint_outage_boundary(n, eps, pp, points, samples, seed)
-    if kind == "splitting":
-        return outage_splitting_boundary(n, eps, pp, args.lambda_grid, points)
-    if kind == "iid":
-        return iid_gaussian_boundary(n, eps, pp, args.delta_rule, points, samples, seed)
-    if kind == "gallager":
-        return gallager_boundary(GallagerParams(args.gallager_a, n, eps), pp, points)
-    if kind == "tdma":
-        return tdma_boundary(n, eps, pp)
-    if kind == "su-outer":
-        return su_outer_box(n, eps, pp)
-    if kind == "sumshell":
-        return sumshell_hypothetical_boundary(n, eps, pp, points, samples, seed)
-    if kind == "conjectured-sum-outer":
-        return conjectured_sum_outer_boundary(n, eps, pp)
-    if kind == "pentagon":
-        return cover_wyner_pentagon(pp)
-    raise DomainError(f"unknown region kind {kind!r}")
-
-
 def _nesting_checks(n, eps, pp, samples, seed) -> dict:
     """Containment checks at 8 angles plus the symmetric-ray rate ordering.
 
@@ -152,7 +124,6 @@ def _nesting_checks(n, eps, pp, samples, seed) -> dict:
     b2 = p2p_second_order_rate(n, eps, pp.p2)
     tol = 2e-3
     checks = []
-    ok = True
     for i, th in enumerate(thetas):
         r_joint = second_order_ray(n, eps, pp, th, "shell", samples, (seed, 101, i))
         r_iid = second_order_ray(n, eps, pp, th, "iid", samples, (seed, 102, i))
@@ -160,15 +131,16 @@ def _nesting_checks(n, eps, pp, samples, seed) -> dict:
         r_split = splitting_ray(n, eps, pp, th)
         r_gal = gallager_ray(gp, pp, th)
         r_box = pentagon_ray(th, b1, b2, math.inf)
-        row = {
-            "theta": th,
-            "iid_le_joint": bool(r_iid <= r_joint + tol),
-            "splitting_le_joint": bool(r_split <= r_joint + tol),
-            "joint_lt_sumshell": bool(r_joint < r_ss + tol),
-            "gallager_le_joint": bool(r_gal <= r_joint + tol),
-            "achievable_in_su_box": bool(max(r_joint, r_split, r_iid) <= r_box + tol),
+        slack = {
+            "iid_le_joint": r_joint - r_iid,
+            "splitting_le_joint": r_joint - r_split,
+            "joint_lt_sumshell": r_ss - r_joint,
+            "gallager_le_joint": r_joint - r_gal,
+            "achievable_in_su_box": r_box - max(r_joint, r_split, r_iid),
         }
-        ok = ok and all(v for k, v in row.items() if k != "theta")
+        row = {"theta": th}
+        for name, s in slack.items():
+            row.update({name: _holds(name, s, tol), f"{name}_slack": s})
         checks.append(row)
     th = math.pi / 4.0
     sym = {
@@ -179,14 +151,21 @@ def _nesting_checks(n, eps, pp, samples, seed) -> dict:
         "joint": second_order_ray(n, eps, pp, th, "shell", samples, (seed, 105)),
         "sumshell": second_order_ray(n, eps, pp, th, "sumshell", samples, (seed, 106)),
     }
-    sym["ordering_ok"] = bool(
-        sym["tdma"] < sym["iid"] + tol
-        and sym["iid"] < sym["splitting"] + tol
-        and sym["splitting"] <= sym["joint"] + tol
-        and sym["joint"] < sym["sumshell"] + tol
-    )
-    ok = ok and sym["ordering_ok"]
+    slack = {
+        "tdma_lt_iid": sym["iid"] - sym["tdma"],
+        "iid_lt_splitting": sym["splitting"] - sym["iid"],
+        "splitting_le_joint": sym["joint"] - sym["splitting"],
+        "joint_lt_sumshell": sym["sumshell"] - sym["joint"],
+    }
+    sym.update({f"{name}_slack": s for name, s in slack.items()})
+    sym["ordering_ok"] = all(_holds(name, s, tol) for name, s in slack.items())
+    ok = all(v for row in checks for v in row.values() if isinstance(v, bool)) and sym["ordering_ok"]
     return {"ok": ok, "rays": checks, "symmetric": sym}
+
+
+def _holds(name: str, slack: float, tol: float) -> bool:
+    """Whether an inequality holds to ``tol`` nats; only ``a_lt_b`` names are strict."""
+    return bool(slack > -tol if "_lt_" in name else slack >= -tol)
 
 
 def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, samples=1 << 12, seed=0) -> dict:
@@ -204,12 +183,10 @@ def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, sampl
         "seed": seed,
         "units": "bits",
     }
-    ns = argparse.Namespace(
-        points=points, samples=samples, seed=seed, lambda_grid=64, delta_rule="zero", gallager_a=1.0
-    )
+    opts = RegionOptions(points, samples, seed)
     files = []
-    for kind, fname in _FIG1_FILES:
-        rb = compute_region(kind, n, eps, pp, ns).in_units("bits")
+    for kind, (fname, build) in REGIONS.items():
+        rb = build(n, eps, pp, opts).in_units("bits")
         data = emit_region(rb, "csv", {**config, "kind": kind, "file": fname})
         (out / fname).write_bytes(data)
         files.append({"name": fname, "kind": kind, "rows": int(rb.points.shape[0])})
@@ -238,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     rp = sub.add_parser("region", help="emit one rate-region boundary")
-    rp.add_argument("--kind", required=True, choices=[k for k, _ in _FIG1_FILES])
+    rp.add_argument("--kind", required=True, choices=list(REGIONS))
     _add_common(rp)
     rp.add_argument("--points", type=int, default=256)
     rp.add_argument("--samples", type=int, default=1 << 12)
@@ -273,19 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_rn1 = vsub.add_parser("rn-p2p")
     v_rn1.add_argument("--p", type=float, required=True)
-    v_rn1.add_argument("--out", default=None)
 
     v_rn2 = vsub.add_parser("rn-mac")
     v_rn2.add_argument("--p1", type=float, required=True)
     v_rn2.add_argument("--p2", type=float, required=True)
-    v_rn2.add_argument("--out", default=None)
 
     v_bes = vsub.add_parser("bessel")
     v_bes.add_argument("--k", type=float, default=None)
     v_bes.add_argument("--z", type=float, default=None)
     v_bes.add_argument("--grid", type=int, default=0, help="check an NxN (k, z) grid")
     v_bes.add_argument("--seed", type=int, default=None)
-    v_bes.add_argument("--out", default=None)
 
     v_clt = vsub.add_parser("clt")
     v_clt.add_argument("--case", choices=["p2p", "mac-joint"], default="p2p")
@@ -295,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_clt.add_argument("--p1", type=float, default=1.0)
     v_clt.add_argument("--p2", type=float, default=1.0)
     v_clt.add_argument("--seed", type=int, default=None)
-    v_clt.add_argument("--out", default=None)
 
     v_ip = vsub.add_parser("inner-product")
     v_ip.add_argument("--n", type=int, default=100)
@@ -303,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     v_ip.add_argument("--p2", type=float, default=1.0)
     v_ip.add_argument("--pairs", type=int, default=100_000)
     v_ip.add_argument("--seed", type=int, default=None)
-    v_ip.add_argument("--out", default=None)
 
     v_cs = vsub.add_parser("confusion-scaling")
     v_cs.add_argument("--p", type=float, default=1.0)
     v_cs.add_argument("--n-list", type=int, nargs="+", default=[400, 1600], dest="n_list")
     v_cs.add_argument("--trials", type=int, default=1 << 17)
     v_cs.add_argument("--seed", type=int, default=None)
-    v_cs.add_argument("--out", default=None)
 
     v_b = vsub.add_parser("bounds")
     v_b.add_argument("--mode", choices=["p2p", "mac-joint", "mac-splitting"], required=True)
@@ -322,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     v_b.add_argument("--sim-trials", type=int, default=20_000, dest="sim_trials")
     v_b.add_argument("--bound-trials", type=int, default=200_000, dest="bound_trials")
     v_b.add_argument("--seed", type=int, default=None)
-    v_b.add_argument("--out", default=None)
+    for target in vsub.choices.values():  # every verdict goes to stdout or --out
+        target.add_argument("--out", default=None)
 
     fp = sub.add_parser("figure1", help="emit the full comparison bundle")
     fp.add_argument("--n", type=int, default=500)
@@ -344,23 +316,10 @@ def _resolved_seed(args) -> int:
 def _cmd_region(args) -> int:
     pp = PowerPair(db_to_linear(args.p1_db), db_to_linear(args.p2_db))
     args.seed = _resolved_seed(args)
-    rb = compute_region(args.kind, args.n, args.eps, pp, args).in_units(args.units)
-    config = {
-        "command": "region",
-        "kind": args.kind,
-        "n": args.n,
-        "eps": args.eps,
-        "p1_db": args.p1_db,
-        "p2_db": args.p2_db,
-        "points": args.points,
-        "samples": args.samples,
-        "seed": args.seed,
-        "units": args.units,
-        "format": args.format,
-        "delta_rule": args.delta_rule,
-        "gallager_a": args.gallager_a,
-        "lambda_grid": args.lambda_grid,
-    }
+    opts = RegionOptions(**{f: getattr(args, f) for f in RegionOptions._fields})
+    _, build = REGIONS[args.kind]
+    rb = build(args.n, args.eps, pp, opts).in_units(args.units)
+    config = {k: v for k, v in vars(args).items() if k != "out"}  # every option but where to write
     _write_bytes(emit_region(rb, args.format, config), args.out)
     return 0
 
@@ -373,23 +332,23 @@ def _cmd_p2p(args) -> int:
     return 0
 
 
+def _link_spec(args, seed: int) -> CodebookSpec:
+    """The codebooks of ``simulate`` and ``verify bounds``: one user in p2p mode, two otherwise."""
+    p1 = db_to_linear(args.p1_db)
+    if args.mode == "p2p":
+        return CodebookSpec(n=args.n, m1=args.m1, p1=p1, seed=seed)
+    if args.p2_db is None:
+        raise DomainError(f"--p2-db is required in {args.mode} mode")
+    return CodebookSpec(n=args.n, m1=args.m1, m2=args.m2, p1=p1, p2=db_to_linear(args.p2_db), seed=seed)
+
+
 def _cmd_simulate(args) -> int:
     seed = _resolved_seed(args)
+    spec = _link_spec(args, seed)
     if args.mode == "p2p":
-        spec = CodebookSpec(n=args.n, m1=args.m1, p1=db_to_linear(args.p1_db), seed=seed)
         th = default_thresholds(spec, args.k1, args.k1, args.k1)
         res = simulate_p2p(spec, th, args.trials)
     else:
-        if args.p2_db is None:
-            raise DomainError("--p2-db is required for mac simulation")
-        spec = CodebookSpec(
-            n=args.n,
-            m1=args.m1,
-            m2=args.m2,
-            p1=db_to_linear(args.p1_db),
-            p2=db_to_linear(args.p2_db),
-            seed=seed,
-        )
         k3 = args.k3
         if k3 is None:
             k3 = shell_rn_constants(PowerPair(spec.p1, spec.p2))[2]
@@ -419,40 +378,29 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _resolved_seed(args)
-    if args.target == "rn-p2p":
-        rep = rn_bound_p2p_check(args.p)
+    if args.target in ("rn-p2p", "rn-mac"):
+        if args.target == "rn-p2p":
+            inputs = {"p": args.p}
+            expected = 1.0 + args.p
+            rep = rn_bound_p2p_check(args.p)
+        else:
+            inputs = {"p1": args.p1, "p2": args.p2}
+            expected = args.p1 + args.p2
+            rep = rn_bound_mac_check(PowerPair(args.p1, args.p2))
         verdict = {
-            "target": "rn-p2p",
-            "p": args.p,
+            "target": args.target,
+            **inputs,
             "max": rep.max_value,
             "argmax": rep.argmax,
-            "expected_argmax": 1.0 + args.p,
+            "expected_argmax": expected,
             "constants": rep.constants,
-            "pass": bool(rep.max_value <= 1e-9 and abs(rep.argmax - (1.0 + args.p)) <= 1e-6 * (1.0 + args.p)),
-        }
-    elif args.target == "rn-mac":
-        pp = PowerPair(args.p1, args.p2)
-        rep = rn_bound_mac_check(pp)
-        target = args.p1 + args.p2
-        verdict = {
-            "target": "rn-mac",
-            "p1": args.p1,
-            "p2": args.p2,
-            "max": rep.max_value,
-            "argmax": rep.argmax,
-            "expected_argmax": target,
-            "constants": rep.constants,
-            "pass": bool(rep.max_value <= 1e-9 and abs(rep.argmax - target) <= 1e-6 * target),
+            "pass": rn_bound_passes(rep, expected),
         }
     elif args.target == "bessel":
         if args.grid:
             if not 0 < args.grid <= math.isqrt(_BESSEL_GRID_CALLS):
                 raise DomainError(f"--grid N makes N^2 checks, at most {_BESSEL_GRID_CALLS}")
-            rng = np.random.Generator(np.random.Philox(seed))
-            ks = rng.uniform(0.0, 300.0, args.grid)
-            zs = rng.uniform(1e-6, 600.0, args.grid)
-            holds = all(bessel_ratio_bound_check(k, z).holds for k in ks for z in zs)
-            verdict = {"target": "bessel", "grid": args.grid, "pass": bool(holds)}
+            verdict = {"target": "bessel", "grid": args.grid, "pass": bessel_ratio_bound_grid(args.grid, seed)}
         else:
             if args.k is None or args.z is None:
                 raise DomainError("need --k and --z (or --grid)")
@@ -475,31 +423,27 @@ def _cmd_verify(args) -> int:
             "trials": args.trials,
             "ks_distance": rep.ks_distance,
             "cov_rel_err": rep.cov_rel_err,
-            "pass": bool(rep.ks_distance <= max(0.01, 3.0 / math.sqrt(args.n))),
+            "pass": clt_passes(rep),
         }
     elif args.target == "inner-product":
-        pp = PowerPair(args.p1, args.p2)
-        t = sum_inner_product_samples(args.n, pp, args.pairs, seed)
-        inner = (t - pp.p1 - pp.p2) * args.n / 2.0
-        ratio = float(inner.var(ddof=1) / (args.n * pp.p1 * pp.p2))
+        ratio = inner_product_variance_ratio(args.n, PowerPair(args.p1, args.p2), args.pairs, seed)
         verdict = {
             "target": "inner-product",
             "n": args.n,
             "pairs": args.pairs,
             "variance_ratio": ratio,
-            "pass": bool(abs(ratio - 1.0) <= 0.05),
+            "pass": variance_ratio_passes(ratio),
         }
     elif args.target == "confusion-scaling":
         pts = confusion_scaling_check(args.n_list, args.p, seed, args.trials)
         payload = [{"n": q.n, "value": q.value, "std_err": q.std_err} for q in pts]
-        ratio = pts[0].value / pts[-1].value if pts[-1].value > 0 else math.inf
-        expected = math.sqrt(pts[-1].n / pts[0].n)
+        ratio, expected, ok = confusion_scaling_verdict(pts)
         verdict = {
             "target": "confusion-scaling",
             "points": payload,
             "ratio_first_last": ratio,
             "expected_sqrt_ratio": expected,
-            "pass": bool(0.7 * expected <= ratio <= 1.45 * expected),
+            "pass": ok,
         }
     elif args.target == "bounds":
         verdict = _verify_bounds(args, seed)
@@ -510,19 +454,13 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_bounds(args, seed: int) -> dict:
-    p1 = db_to_linear(args.p1_db)
+    spec = _link_spec(args, seed)
     if args.mode == "p2p":
-        spec = CodebookSpec(n=args.n, m1=args.m1, p1=p1, seed=seed)
         th = default_thresholds(spec, 1.0, 1.0, 1.0)
         sim = simulate_p2p(spec, th, args.sim_trials)
         rhs = p2p_achievability_bound(spec, th, args.bound_trials)
     else:
-        if args.p2_db is None:
-            raise DomainError("--p2-db is required for mac bounds")
-        p2 = db_to_linear(args.p2_db)
-        spec = CodebookSpec(n=args.n, m1=args.m1, m2=args.m2, p1=p1, p2=p2, seed=seed)
-        k1, k2, k3 = shell_rn_constants(PowerPair(p1, p2))
-        th = default_thresholds(spec, k1, k2, k3)
+        th = default_thresholds(spec, *shell_rn_constants(PowerPair(spec.p1, spec.p2)))
         sim = simulate_mac(spec, th, args.sim_trials)
         mode = "joint" if args.mode == "mac-joint" else "splitting"
         rhs = mac_achievability_bound(spec, th, args.bound_trials, mode=mode)

@@ -212,4 +212,7 @@ def bits_to_nats(x: float) -> float:
 
 def db_to_linear(db: float) -> float:
     """dB -> linear SNR; used once at the CLI boundary."""
-    return 10.0 ** (float(db) / 10.0)
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise DomainError(f"{db} dB is beyond the float range as a linear SNR") from None

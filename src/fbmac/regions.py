@@ -6,21 +6,9 @@ rate plane, so boundaries are sampled along rays ``(cos t, sin t)`` for
 r1).  Third-order ``O(1/n)`` and ``O(log n / n)`` corrections are uniformly
 dropped; negative rates clamp to zero.
 
-Region inventory (kinds):
-
-* ``joint``       -- trivariate quantile set of the shell dispersion matrix.
-* ``splitting``   -- union over an error-budget simplex of scalar-quantile
-  pentagons (per-user and sum constraints).
-* ``iid``         -- same ray construction with the i.i.d.-Gaussian capacity
-  vector and dispersion matrix at backed-off powers.
-* ``sumshell``    -- hypothetical sum-power-shell ensemble (rank-2 matrix);
-  conjectured to be an outer bound, flagged in metadata.
-* ``gallager``    -- truncated-Gaussian-ensemble error-exponent region.
-* ``tdma``        -- time sharing with power control and split error budgets.
-* ``su-outer``    -- single-user outer rectangle.
-* ``conjectured-sum-outer`` -- scalar sum-rate cap intersected with the
-  single-user rectangle; conjecture, not a theorem.
-* ``pentagon``    -- asymptotic capacity pentagon.
+The region kinds are the keys of ``REGIONS`` at the end of this module, in
+figure1 file order; each maps to its figure1 CSV name and to a builder that
+calls the constructor below, whose docstring says what the region is.
 """
 
 from __future__ import annotations
@@ -47,19 +35,6 @@ from .core import (
 )
 from .gaussquad import boundary_scale, q_inv_scalar
 
-REGION_KINDS = (
-    "joint",
-    "splitting",
-    "iid",
-    "gallager",
-    "tdma",
-    "su-outer",
-    "sumshell",
-    "conjectured-sum-outer",
-    "pentagon",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class RegionBoundary:
     """Sampled boundary polyline with provenance metadata."""
@@ -76,7 +51,7 @@ class RegionBoundary:
     _REPAIR_TOL = 5e-4
 
     def __post_init__(self) -> None:
-        if self.kind not in REGION_KINDS:
+        if self.kind not in REGIONS:
             raise DomainError(f"unknown region kind {self.kind!r}")
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         if self.empty:
@@ -177,7 +152,10 @@ def resolve_delta(delta_rule, n: int) -> float:
         return 0.0
     if delta_rule in ("n^-1/4", "quartic"):
         return float(n) ** -0.25
-    delta = float(delta_rule)
+    try:
+        delta = float(delta_rule)
+    except (TypeError, ValueError):
+        raise DomainError(f"unknown delta rule {delta_rule!r}") from None
     if not (0.0 <= delta < 1.0):
         raise DomainError("delta must lie in [0, 1)")
     return delta
@@ -203,8 +181,10 @@ def second_order_ray(
 
 
 def _quantile_boundary(
-    kind: str, n, eps, pp, num_points, samples, seed, delta=0.0, extra_params=None
+    name: str, kind: str, n, eps, pp, num_points, samples, seed, delta=0.0, extra_params=None
 ) -> RegionBoundary:
+    """Region ``name`` solved ray by ray against the quantile set of ray ``kind``."""
+    SecondOrderParams(n, eps)
     thetas = ray_angles(num_points)
     cvec, sigma = _quantile_region_setup(kind, pp, n, delta)
     sqrt_n = math.sqrt(n)
@@ -234,25 +214,22 @@ def _quantile_boundary(
     }
     if extra_params:
         params.update(extra_params)
-    kind_name = {"shell": "joint", "iid": "iid", "sumshell": "sumshell"}[kind]
-    return RegionBoundary(kind_name, params, _ray_points(radii, thetas))
+    return RegionBoundary(name, params, _ray_points(radii, thetas))
 
 
 def joint_outage_boundary(
     n: int, eps: float, pp: PowerPair, num_points: int = 256, samples: int = 1 << 12, seed=0
 ) -> RegionBoundary:
     """Power-shell joint-outage region boundary."""
-    SecondOrderParams(n, eps)
-    return _quantile_boundary("shell", n, eps, pp, num_points, samples, seed)
+    return _quantile_boundary("joint", "shell", n, eps, pp, num_points, samples, seed)
 
 
 def sumshell_hypothetical_boundary(
     n: int, eps: float, pp: PowerPair, num_points: int = 256, samples: int = 1 << 12, seed=0
 ) -> RegionBoundary:
     """Hypothetical sum-power-shell region; conjectured outer bound."""
-    SecondOrderParams(n, eps)
     return _quantile_boundary(
-        "sumshell", n, eps, pp, num_points, samples, seed, extra_params={"conjectured_outer": True}
+        "sumshell", "sumshell", n, eps, pp, num_points, samples, seed, extra_params={"conjectured_outer": True}
     )
 
 
@@ -269,7 +246,7 @@ def iid_gaussian_boundary(
     SecondOrderParams(n, eps)
     delta = resolve_delta(delta_rule, n)
     return _quantile_boundary(
-        "iid", n, eps, pp, num_points, samples, seed, delta=delta, extra_params={"delta": delta}
+        "iid", "iid", n, eps, pp, num_points, samples, seed, delta=delta, extra_params={"delta": delta}
     )
 
 
@@ -293,9 +270,7 @@ def _splitting_bounds(n: int, eps: float, pp: PowerPair, resolution: int):
     pairs = [(a, b) for a in i for b in range(1, resolution - a)]
     lam = np.array([(a, b, resolution - a - b) for a, b in pairs], dtype=float) / resolution
     v_sum = dispersion_matrix_shell(pp).entries[2, 2]
-    pen1 = np.array([_clamped_penalty(l * eps) for l in lam[:, 0]])
-    pen2 = np.array([_clamped_penalty(l * eps) for l in lam[:, 1]])
-    pen3 = np.array([_clamped_penalty(l * eps) for l in lam[:, 2]])
+    pen1, pen2, pen3 = (np.array([_clamped_penalty(l * eps) for l in col]) for col in lam.T)
     b1 = np.maximum(capacity(pp.p1) - math.sqrt(dispersion(pp.p1) / n) * pen1, 0.0)
     b2 = np.maximum(capacity(pp.p2) - math.sqrt(dispersion(pp.p2) / n) * pen2, 0.0)
     b3 = np.maximum(capacity(pp.p_sum) - math.sqrt(v_sum / n) * pen3, 0.0)
@@ -564,3 +539,51 @@ def cover_wyner_pentagon(pp: PowerPair) -> RegionBoundary:
     bs = capacity(pp.p_sum)
     params = {"p1": pp.p1, "p2": pp.p2}
     return RegionBoundary("pentagon", params, _pentagon_polyline(b1, b2, bs))
+
+
+# ---------------------------------------------------------------------------
+# the table of region kinds
+# ---------------------------------------------------------------------------
+
+
+class RegionOptions(NamedTuple):
+    """Knobs of the builders, each kind reading the ones it takes; the defaults are figure1's."""
+
+    points: int = 256
+    samples: int = 1 << 12
+    seed: object = 0
+    lambda_grid: int = 64
+    delta_rule: object = "zero"
+    gallager_a: float = 1.0
+
+
+#: every region kind, in figure1 file order: kind -> (figure1 CSV name, builder), where
+#: builder(n, eps, pp, RegionOptions) -> RegionBoundary.  The builders look their
+#: function up in this module when called, so a wrapper set on the module is the one run.
+REGIONS = {
+    "joint": (
+        "joint.csv", lambda n, eps, pp, o: joint_outage_boundary(n, eps, pp, o.points, o.samples, o.seed)
+    ),
+    "splitting": (
+        "splitting.csv",
+        lambda n, eps, pp, o: outage_splitting_boundary(n, eps, pp, o.lambda_grid, o.points),
+    ),
+    "iid": (
+        "iid.csv",
+        lambda n, eps, pp, o: iid_gaussian_boundary(n, eps, pp, o.delta_rule, o.points, o.samples, o.seed),
+    ),
+    "gallager": (
+        "gallager.csv",
+        lambda n, eps, pp, o: gallager_boundary(GallagerParams(o.gallager_a, n, eps), pp, o.points),
+    ),
+    "tdma": ("tdma.csv", lambda n, eps, pp, o: tdma_boundary(n, eps, pp)),
+    "su-outer": ("su_outer.csv", lambda n, eps, pp, o: su_outer_box(n, eps, pp)),
+    "sumshell": (
+        "sumshell.csv",
+        lambda n, eps, pp, o: sumshell_hypothetical_boundary(n, eps, pp, o.points, o.samples, o.seed),
+    ),
+    "conjectured-sum-outer": (
+        "conjectured_sum_outer.csv", lambda n, eps, pp, o: conjectured_sum_outer_boundary(n, eps, pp)
+    ),
+    "pentagon": ("pentagon.csv", lambda n, eps, pp, o: cover_wyner_pentagon(pp)),
+}

@@ -389,6 +389,11 @@ def clt_function_check(
     raise DomainError(f"unknown case {case!r}")
 
 
+def clt_passes(rep: KsReport) -> bool:
+    """The ``verify clt`` rule: KS distance at most max(0.01, 3/sqrt(n))."""
+    return bool(rep.ks_distance <= max(0.01, 3.0 / math.sqrt(rep.n)))
+
+
 # ---------------------------------------------------------------------------
 # divergence-bound functions (uniform Radon-Nikodym constants)
 # ---------------------------------------------------------------------------
@@ -421,9 +426,11 @@ def rn_bound_function_mac(t: float, p1: float, p2: float) -> float:
     return math.log(ps / (math.e * p2)) + t / ps + math.log1p(-cos0_sq)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_max(fn, grid: np.ndarray, tol: float) -> tuple[float, float]:
+    """(max, argmax) of ``fn``: its best grid point, refined by golden section between the neighbours."""
+    k = int(np.array([fn(t) for t in grid]).argmax())
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
@@ -451,11 +458,7 @@ def rn_bound_p2p_check(p: float, t_grid_resolution: int = 4096) -> ExtremeReport
         raise DomainError("p must be positive")
     hi = 20.0 * (1.0 + p)
     grid = np.linspace(hi / t_grid_resolution, hi, t_grid_resolution)
-    vals = np.array([rn_bound_function_p2p(t, p) for t in grid])
-    k = int(vals.argmax())
-    lo_b = grid[max(k - 1, 0)]
-    hi_b = grid[min(k + 1, t_grid_resolution - 1)]
-    fmax, argmax = _golden_max(lambda t: rn_bound_function_p2p(t, p), lo_b, hi_b, 1e-9 * (1.0 + p))
+    fmax, argmax = _golden_max(lambda t: rn_bound_function_p2p(t, p), grid, 1e-9 * (1.0 + p))
     c_asym = math.log(0.5) + math.log(math.sqrt(2.0 * math.pi)) + math.log(math.sqrt(math.pi / 8.0))
     c_fin = math.log(0.5) + 2.0 + math.log(math.sqrt(math.pi / 8.0))
     constants = {
@@ -478,16 +481,17 @@ def rn_bound_mac_check(pp: PowerPair, t_grid_resolution: int = 4096) -> ExtremeR
     width = hi - lo
     inset = 1e-9 * width
     grid = np.linspace(lo + inset, hi - inset, t_grid_resolution)
-    vals = np.array([rn_bound_function_mac(t, p1, p2) for t in grid])
-    k = int(vals.argmax())
-    lo_b = grid[max(k - 1, 0)]
-    hi_b = grid[min(k + 1, t_grid_resolution - 1)]
-    fmax, argmax = _golden_max(lambda t: rn_bound_function_mac(t, p1, p2), lo_b, hi_b, 1e-9 * width)
+    fmax, argmax = _golden_max(lambda t: rn_bound_function_mac(t, p1, p2), grid, 1e-9 * width)
     constants = {
         "k3_finite_n": math.exp(2.0) * p2 / math.sqrt(2.0 * math.pi * p1),
         "k3_asymptotic": p2 / math.sqrt(p1),
     }
     return ExtremeReport(fmax, argmax, constants)
+
+
+def rn_bound_passes(rep: ExtremeReport, expected_argmax: float) -> bool:
+    """The ``verify rn-p2p``/``rn-mac`` rule: max <= 1e-9 at 1+P or P1+P2, to 1e-6 relative."""
+    return bool(rep.max_value <= 1e-9 and abs(rep.argmax - expected_argmax) <= 1e-6 * expected_argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +564,14 @@ def bessel_ratio_bound_check(k: float, z: float) -> BesselBoundReport:
     return BesselBoundReport(log_lhs <= log_rhs, log_lhs, log_rhs)
 
 
+def bessel_ratio_bound_grid(size: int, seed=0) -> bool:
+    """Whether the bound holds on a random size x size grid of (k, z) in (0, 300) x (0, 600)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    ks = rng.uniform(0.0, 300.0, size)
+    zs = rng.uniform(1e-6, 600.0, size)
+    return all(bessel_ratio_bound_check(k, z).holds for k in ks for z in zs)
+
+
 def shell_output_logpdf(y_norm_sq: float, n: int, p: float) -> float:
     """Log density of the output law induced by a shell input, at ||y||^2 given.
 
@@ -624,6 +636,19 @@ def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0) -> np.
         return pp.p1 + pp.p2 + 2.0 * x12 / n
 
     return _stream(n, trials, seed, "reduced", 1, draw, None, np.empty(0))
+
+
+def inner_product_variance_ratio(n: int, pp: PowerPair, pairs: int, seed=0) -> float:
+    """Var <x1, x2> over n p1 p2, its value for independent shell inputs, from ``pairs`` draws."""
+    if pairs < 2:
+        raise DomainError("need at least 2 pairs for a variance")
+    inner = (sum_inner_product_samples(n, pp, pairs, seed) - pp.p1 - pp.p2) * n / 2.0
+    return float(inner.var(ddof=1) / (n * pp.p1 * pp.p2))
+
+
+def variance_ratio_passes(ratio: float) -> bool:
+    """The ``verify inner-product`` rule: the variance ratio within 1 +- 5%."""
+    return bool(abs(ratio - 1.0) <= 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -696,3 +721,10 @@ def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> 
         mean, se = merge_moments(p2p_density_samples(int(n), p, trials, (seed, j), reduce=reduce))
         out.append(ConfusionScalePoint(int(n), float(mean), float(se)))
     return out
+
+
+def confusion_scaling_verdict(points: list[ConfusionScalePoint]) -> tuple[float, float, bool]:
+    """(first/last value, sqrt(n_last/n_first), pass): the ratio must be 0.7 to 1.45 times the prediction."""
+    ratio = points[0].value / points[-1].value if points[-1].value > 0 else math.inf
+    expected = math.sqrt(points[-1].n / points[0].n)
+    return ratio, expected, bool(0.7 * expected <= ratio <= 1.45 * expected)

@@ -49,6 +49,7 @@ from fbmac.shellmc import (
     mac_density_samples,
     rn_bound_mac_check,
     rn_bound_p2p_check,
+    rn_bound_passes,
 )
 from fbmac.simlink import (
     CodebookSpec,
@@ -204,11 +205,11 @@ def test_criterion_5_divergence_bound_numerics():
     failures = []
     for p in (0.1, 1.0, 10.0):
         rep = rn_bound_p2p_check(p)
-        if not (rep.max_value <= 1e-9 and abs(rep.argmax - (1 + p)) <= 1e-6 * (1 + p)):
+        if not rn_bound_passes(rep, 1 + p):
             failures.append(f"p2p p={p}: max {rep.max_value:.2e} at {rep.argmax:.8f}")
     for p1, p2 in ((1.0, 1.0), (1.0, 3.0), (0.5, 2.0)):
         rep = rn_bound_mac_check(PowerPair(p1, p2))
-        if not (rep.max_value <= 1e-9 and abs(rep.argmax - (p1 + p2)) <= 1e-6 * (p1 + p2)):
+        if not rn_bound_passes(rep, p1 + p2):
             failures.append(f"mac ({p1},{p2}): max {rep.max_value:.2e} at {rep.argmax:.8f}")
     elapsed = time.monotonic() - start
     _report("criterion 5", not failures, f"all maxima <= 1e-9 at 1+P / P1+P2; runtime {elapsed:.1f}s")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from fbmac.cli import main
+from fbmac.cli import build_parser, figure1_bundle, main
+from fbmac.core import PowerPair
+from fbmac.regions import REGIONS, RegionBoundary, RegionOptions
 
 
 def run_cli(args, capsys):
@@ -181,6 +184,24 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["nonsense"], capsys)[0] == 2
     # one draw has no standard error: refused, not a NaN payload
     assert run_cli(["verify", "confusion-scaling", "--trials", "1"], capsys)[0] == 2
+    # a variance needs two pairs: refused, not a NaN payload
+    for pairs in ("1", "0"):
+        assert run_cli(["verify", "inner-product", "--pairs", pairs], capsys)[0] == 2
+    # a delta rule that is neither a name nor a number
+    code, _, err = run_cli(
+        [
+            "region", "--kind", "iid", "--n", "500", "--eps", "1e-3", "--p1-db", "0", "--p2-db", "0",
+            "--points", "8", "--delta-rule", "bogus",
+        ],
+        capsys,
+    )
+    assert code == 2 and "delta rule" in err
+    # an SNR in dB whose linear value overflows a float
+    assert run_cli(["p2p", "--n", "500", "--eps", "1e-3", "--p-db", "4000"], capsys)[0] == 2
+    code, _, err = run_cli(
+        ["region", "--kind", "joint", "--n", "500", "--eps", "1e-3", "--p1-db", "4000", "--p2-db", "0"], capsys
+    )
+    assert code == 2 and "invalid" in err
     # eps outside (0,1) is a domain error -> usage exit code
     code, _, err = run_cli(
         ["region", "--kind", "joint", "--n", "500", "--eps", "2.0", "--p1-db", "0", "--p2-db", "0"],
@@ -209,6 +230,48 @@ def test_figure1_bundle(tmp_path, capsys):
         rows = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
         assert len(rows) - 1 == entry["rows"]  # header + data rows
     assert manifest["nesting"]["ok"] is True
+
+
+@pytest.fixture(scope="module")
+def bundle16(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("f1_16")
+    figure1_bundle(500, 1e-3, PowerPair(1.0, 1.0), out_dir, points=16, samples=1024, seed=0)
+    return json.loads((out_dir / "manifest.json").read_text())
+
+
+def test_nesting_booleans_agree_with_slacks(bundle16):
+    nesting = bundle16["nesting"]
+    tol = 2e-3
+    for row in nesting["rays"]:
+        flags = {k: v for k, v in row.items() if isinstance(v, bool)}
+        assert len(flags) == 5
+        for name, flag in flags.items():
+            slack = row[f"{name}_slack"]
+            assert math.isfinite(slack)
+            assert flag is (slack > -tol if "_lt_" in name else slack >= -tol), name
+    sym = nesting["symmetric"]
+    slacks = {k[: -len("_slack")]: v for k, v in sym.items() if k.endswith("_slack")}
+    assert sorted(slacks) == ["iid_lt_splitting", "joint_lt_sumshell", "splitting_le_joint", "tdma_lt_iid"]
+    assert slacks["tdma_lt_iid"] == sym["iid"] - sym["tdma"]
+    assert slacks["splitting_le_joint"] == sym["joint"] - sym["splitting"]
+    expect = all(s > -tol if "_lt_" in name else s >= -tol for name, s in slacks.items())
+    assert sym["ordering_ok"] is expect
+    # ok aggregates the booleans only: theta and the slacks are numbers
+    flags = [v for row in nesting["rays"] for v in row.values() if isinstance(v, bool)]
+    assert nesting["ok"] is (all(flags) and sym["ordering_ok"])
+
+
+def test_region_table_is_the_single_source(bundle16):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    region = sub.choices["region"]
+    kind_action = next(a for a in region._actions if a.dest == "kind")
+    assert list(kind_action.choices) == list(REGIONS)
+    assert [f["kind"] for f in bundle16["files"]] == list(REGIONS)
+    assert [f["name"] for f in bundle16["files"]] == [fname for fname, _ in REGIONS.values()]
+    opts = RegionOptions(points=8, samples=1024, seed=0)
+    for kind, (_, build) in REGIONS.items():
+        rb = build(500, 1e-3, PowerPair(1.0, 1.0), opts)
+        assert isinstance(rb, RegionBoundary) and rb.kind == kind
 
 
 def test_cli_entrypoint_subprocess():

@@ -9,8 +9,14 @@ from fbmac._rng import substream
 from fbmac.core import DomainError, PowerPair, capacity, capacity_vector, dispersion
 from fbmac.shellmc import (
     bessel_ratio_bound_check,
+    ConfusionScalePoint,
+    ExtremeReport,
+    KsReport,
     clt_function_check,
+    clt_passes,
     confusion_scaling_check,
+    confusion_scaling_verdict,
+    inner_product_variance_ratio,
     empirical_outage_p2p,
     f_mac,
     f_p2p,
@@ -25,10 +31,12 @@ from fbmac.shellmc import (
     rn_bound_function_p2p,
     rn_bound_mac_check,
     rn_bound_p2p_check,
+    rn_bound_passes,
     sample_shell,
     shell_output_logpdf,
     sum_density,
     sum_inner_product_samples,
+    variance_ratio_passes,
 )
 from oracles import gaussian_logpdf, log_bessel_i_mp, two_sample_ks
 
@@ -539,3 +547,57 @@ def test_chunk_reductions_match_full_arrays():
     pp = PowerPair(1.0, 2.0)
     chunks = mac_density_samples(64, pp, trials, seed=35, reduce=lambda c: c)
     assert np.array_equal(np.concatenate(chunks, axis=1), mac_density_samples(64, pp, trials, seed=35))
+
+
+# ---------------------------------------------------------------------------
+# verdict rules of ``fbmac verify``, pinned at their thresholds
+# ---------------------------------------------------------------------------
+
+JUST = 1e-9  # relative step just inside / just outside a threshold
+
+
+def test_rn_bound_rule_thresholds():
+    for target in (2.0, 4.0):
+        assert rn_bound_passes(ExtremeReport(1e-9 * (1 - JUST), target, {}), target)
+        assert not rn_bound_passes(ExtremeReport(1e-9 * (1 + JUST), target, {}), target)
+        for side in (-1.0, 1.0):
+            inside = target + side * 1e-6 * target * (1 - 1e-3)
+            outside = target + side * 1e-6 * target * (1 + 1e-3)
+            assert rn_bound_passes(ExtremeReport(0.0, inside, {}), target)
+            assert not rn_bound_passes(ExtremeReport(0.0, outside, {}), target)
+
+
+def test_clt_rule_thresholds():
+    # 3/sqrt(n) above 0.01 for n < 90000, the 0.01 floor beyond
+    for n, limit in ((100, 0.3), (1024, 3.0 / 32.0), (10**6, 0.01)):
+        for ks, ok in ((limit * (1 - JUST), True), (limit * (1 + JUST), False)):
+            rep = KsReport(n, 1000, ks, np.zeros(1), np.eye(1))
+            assert clt_passes(rep) is ok, (n, ks)
+
+
+def test_confusion_scaling_rule_thresholds():
+    for n_first, n_last in ((400, 1600), (100, 900)):
+        expected = math.sqrt(n_last / n_first)
+        for factor, ok in ((0.7 * (1 + JUST), True), (0.7 * (1 - JUST), False),
+                           (1.45 * (1 - JUST), True), (1.45 * (1 + JUST), False)):
+            pts = [ConfusionScalePoint(n_first, factor * expected, 0.0), ConfusionScalePoint(n_last, 1.0, 0.0)]
+            ratio, exp, passed = confusion_scaling_verdict(pts)
+            assert ratio == pytest.approx(factor * expected, rel=1e-15) and exp == expected
+            assert passed is ok, (n_first, factor)
+    zero_last = [ConfusionScalePoint(400, 1.0, 0.0), ConfusionScalePoint(1600, 0.0, 0.0)]
+    assert confusion_scaling_verdict(zero_last)[0] == math.inf
+    assert confusion_scaling_verdict(zero_last)[2] is False
+
+
+def test_variance_ratio_rule_thresholds():
+    assert variance_ratio_passes(0.95 + JUST) and variance_ratio_passes(1.05 - JUST)
+    assert not variance_ratio_passes(0.95 - JUST) and not variance_ratio_passes(1.05 + JUST)
+    assert variance_ratio_passes(1.0)
+
+
+def test_inner_product_variance_ratio():
+    for pairs in (0, 1):
+        with pytest.raises(DomainError):
+            inner_product_variance_ratio(100, PowerPair(1.0, 1.0), pairs)
+    ratio = inner_product_variance_ratio(100, PowerPair(1.0, 2.0), 40_000, seed=5)
+    assert math.isfinite(ratio) and variance_ratio_passes(ratio)
