@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from .core import DomainError
+
 SEED_ENV = "FBMAC_SEED"
 THREADS_ENV = "FBMAC_THREADS"
 
@@ -24,7 +26,11 @@ U = TypeVar("U")
 
 def default_seed() -> int:
     """Seed used when a caller passes none: ``FBMAC_SEED`` or 0."""
-    return int(os.environ.get(SEED_ENV, "0"))
+    raw = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def seed_path(seed) -> tuple[int, ...]:

@@ -310,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_seed(args) -> int:
-    return default_seed() if getattr(args, "seed", None) is None else args.seed
+    """``--seed``, else ``FBMAC_SEED``, else 0; the one place a seed is checked."""
+    seed = default_seed() if getattr(args, "seed", None) is None else args.seed
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _cmd_region(args) -> int:

@@ -70,7 +70,7 @@ class SecondOrderParams:
     eps: float
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
+        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if not (0.0 < self.eps < 1.0):
             raise DomainError(f"eps must lie in (0, 1), got {self.eps!r}")

@@ -26,6 +26,7 @@ from .core import (
     DomainError,
     PowerPair,
     SecondOrderParams,
+    _require_finite_positive,
     capacity,
     capacity_vector,
     dispersion,
@@ -81,21 +82,6 @@ class RegionBoundary:
 
 
 @dataclass(frozen=True)
-class SplitWeights:
-    """Positive error-budget weights summing to one."""
-
-    l1: float
-    l2: float
-    l3: float
-
-    def __post_init__(self) -> None:
-        if min(self.l1, self.l2, self.l3) < 0:
-            raise DomainError("weights must be nonnegative")
-        if abs(self.l1 + self.l2 + self.l3 - 1.0) > 1e-12:
-            raise DomainError("weights must sum to 1")
-
-
-@dataclass(frozen=True)
 class GallagerParams:
     """Knobs of the error-exponent region: prefactor constant and (n, eps)."""
 
@@ -104,8 +90,7 @@ class GallagerParams:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise DomainError("a must be positive")
+        _require_finite_positive("a", self.a)
         SecondOrderParams(self.n, self.eps)
 
 
@@ -121,11 +106,20 @@ def _ray_points(radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.maximum(pts[::-1], 0.0)
 
 
+def _normal_rate(c, v, n: int, penalty):
+    """The normal approximation c - sqrt(v/n) penalty, clamped at zero; broadcasts."""
+    return np.maximum(c - np.sqrt(v / n) * penalty, 0.0)
+
+
+def _penalty(level):
+    """Q^{-1}(level) clamped at zero: an error budget past 1/2 earns no rate bonus."""
+    return np.maximum(-ndtri(level), 0.0)
+
+
 def p2p_second_order_rate(n: int, eps: float, p: float) -> float:
     """C(p) - sqrt(V(p)/n) Qinv(eps), clamped at zero; nats per use."""
     SecondOrderParams(n, eps)
-    rate = capacity(p) - math.sqrt(dispersion(p) / n) * q_inv_scalar(eps)
-    return max(rate, 0.0)
+    return float(_normal_rate(capacity(p), dispersion(p), n, q_inv_scalar(eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +168,14 @@ def second_order_ray(
     """Largest radius r with (r cos, r sin, r(cos+sin)) inside the quantile region."""
     SecondOrderParams(n, eps)
     cvec, sigma = _quantile_region_setup(kind, pp, n, delta)
-    c, s = math.cos(theta), math.sin(theta)
-    direction = math.sqrt(n) * np.array([c, s, c + s])
     origin = math.sqrt(n) * cvec
-    return boundary_scale(eps, sigma, direction, samples=samples, seed=seed, origin=origin)
+    return boundary_scale(eps, sigma, _ray_direction(n, theta), samples=samples, seed=seed, origin=origin)
+
+
+def _ray_direction(n: int, theta: float) -> np.ndarray:
+    """sqrt(n) (cos, sin, cos + sin): the ray's step in the normalized (r1, r2, r1 + r2) space."""
+    c, s = math.cos(theta), math.sin(theta)
+    return math.sqrt(n) * np.array([c, s, c + s])
 
 
 def _quantile_boundary(
@@ -187,8 +185,7 @@ def _quantile_boundary(
     SecondOrderParams(n, eps)
     thetas = ray_angles(num_points)
     cvec, sigma = _quantile_region_setup(kind, pp, n, delta)
-    sqrt_n = math.sqrt(n)
-    origin = sqrt_n * cvec
+    origin = math.sqrt(n) * cvec
     # a rank-deficient covariance leaves a step in the conditioned integrand;
     # spend more points there to keep the sampled boundary smooth
     if np.linalg.eigvalsh(sigma).min() < 1e-8 * float(np.trace(sigma)):
@@ -196,11 +193,9 @@ def _quantile_boundary(
 
     # one shared point set across rays keeps the sampled boundary smooth
     def ray(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        direction = sqrt_n * np.array([c, s, c + s])
-        hint = 1.02 * pentagon_ray(theta, cvec[0], cvec[1], cvec[2]) + 0.1
+        hint = 1.02 * pentagon_ray(theta, *cvec) + 0.1
         return boundary_scale(
-            eps, sigma, direction, samples=samples, seed=seed, origin=origin, bracket_hint=hint
+            eps, sigma, _ray_direction(n, theta), samples=samples, seed=seed, origin=origin, bracket_hint=hint
         )
 
     radii = np.array(thread_map(ray, thetas))
@@ -255,36 +250,22 @@ def iid_gaussian_boundary(
 # ---------------------------------------------------------------------------
 
 
-def _clamped_penalty(level: float) -> float:
-    """Scalar quantile with no rate bonus for levels >= 1/2 (achievability only)."""
-    if level >= 1.0:
-        return math.inf
-    return max(q_inv_scalar(level), 0.0)
-
-
 def _splitting_bounds(n: int, eps: float, pp: PowerPair, resolution: int):
-    """Per-user and sum rate caps for every positive weight triple on the grid."""
+    """Per-user and sum rate caps (rows) for every positive weight triple on the grid."""
     if resolution < 4:
         raise DomainError("lambda grid resolution must be >= 4")
     i = np.arange(1, resolution - 1)
     pairs = [(a, b) for a in i for b in range(1, resolution - a)]
     lam = np.array([(a, b, resolution - a - b) for a, b in pairs], dtype=float) / resolution
-    v_sum = dispersion_matrix_shell(pp).entries[2, 2]
-    pen1, pen2, pen3 = (np.array([_clamped_penalty(l * eps) for l in col]) for col in lam.T)
-    b1 = np.maximum(capacity(pp.p1) - math.sqrt(dispersion(pp.p1) / n) * pen1, 0.0)
-    b2 = np.maximum(capacity(pp.p2) - math.sqrt(dispersion(pp.p2) / n) * pen2, 0.0)
-    b3 = np.maximum(capacity(pp.p_sum) - math.sqrt(v_sum / n) * pen3, 0.0)
-    return b1, b2, b3
+    v = np.diag(dispersion_matrix_shell(pp).entries)[:, None]
+    return _normal_rate(capacity_vector(pp).as_array()[:, None], v, n, _penalty(lam.T * eps))
 
 
 def splitting_ray(
     n: int, eps: float, pp: PowerPair, theta: float, resolution: int = 64
 ) -> float:
     """Ray radius of the union of split-budget pentagons."""
-    b1, b2, b3 = _splitting_bounds(n, eps, pp, resolution)
-    c, s = math.cos(theta), math.sin(theta)
-    r = np.minimum(np.minimum(b1 / c, b2 / s), b3 / (c + s))
-    return float(r.max())
+    return float(pentagon_ray(theta, *_splitting_bounds(n, eps, pp, resolution)).max())
 
 
 def outage_splitting_boundary(
@@ -296,15 +277,9 @@ def outage_splitting_boundary(
 ) -> RegionBoundary:
     """Union over the weight simplex of three scalar-quantile constraints."""
     SecondOrderParams(n, eps)
-    b1, b2, b3 = _splitting_bounds(n, eps, pp, lambda_grid_resolution)
+    bounds = _splitting_bounds(n, eps, pp, lambda_grid_resolution)[:, :, None]
     thetas = ray_angles(num_points)
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    r = np.minimum(
-        np.minimum(b1[:, None] / c[None, :], b2[:, None] / s[None, :]),
-        b3[:, None] / (c + s)[None, :],
-    )
-    radii = r.max(axis=0)
+    radii = pentagon_ray(thetas, *bounds).max(axis=0)
     params = {
         "n": n,
         "eps": eps,
@@ -389,13 +364,13 @@ def _gallager_budget(r1: float, r2: float, gp: GallagerParams, pp: PowerPair) ->
     return a * n * math.exp(-n * e1) + a * n * math.exp(-n * e2) + a * n * n * math.exp(-n * e3)
 
 
-def gallager_ray(gp: GallagerParams, pp: PowerPair, theta: float, tol: float = 1e-9) -> float:
+def gallager_ray(gp: GallagerParams, pp: PowerPair, theta: float) -> float:
     """Ray radius of the exponent-budget region; 0 if the origin is infeasible."""
     c, s = math.cos(theta), math.sin(theta)
     if _gallager_budget(0.0, 0.0, gp, pp) > gp.eps:
         return 0.0
     lo, hi = 0.0, 2.0 * (capacity(pp.p1) + capacity(pp.p2))
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if _gallager_budget(mid * c, mid * s, gp, pp) <= gp.eps:
             lo = mid
@@ -419,59 +394,45 @@ def gallager_boundary(gp: GallagerParams, pp: PowerPair, num_points: int = 256) 
 # ---------------------------------------------------------------------------
 
 
+#: the time shares and the error splits both TDMA curves range over
+_TDMA_GRID = np.linspace(1.0 / 200.0, 199.0 / 200.0, 199)
+
+
+def _tdma_rates(n, eps, pp: PowerPair, alpha, beta):
+    """(r1, r2) when user 1 sends a share alpha of the block with error budget beta eps; broadcasts."""
+    eps2 = (1.0 - beta) * eps / (1.0 - beta * eps)
+    rates = []
+    for share, p, level in ((alpha, pp.p1, beta * eps), (1.0 - alpha, pp.p2, eps2)):
+        q = p / share  # the power of a user silent outside its share
+        c = 0.5 * np.log1p(q)
+        v = 0.5 * q * (q + 2.0) / (1.0 + q) ** 2
+        rates.append(_normal_rate(share * c, share * v, n, _penalty(level)))
+    return rates
+
+
 def tdma_point(n: int, eps: float, pp: PowerPair, alpha: float, beta: float) -> tuple[float, float]:
     """Rates of one time-sharing configuration; degenerate shares clamped."""
     alpha = min(max(alpha, 1e-9), 1.0 - 1e-9)
     beta = min(max(beta, 1e-12), 1.0 - 1e-12)
-    abar = 1.0 - alpha
-    eps2 = (1.0 - beta) * eps / (1.0 - beta * eps)
-    r1 = alpha * capacity(pp.p1 / alpha) - math.sqrt(
-        alpha * dispersion(pp.p1 / alpha) / n
-    ) * q_inv_scalar(beta * eps)
-    r2 = abar * capacity(pp.p2 / abar) - math.sqrt(
-        abar * dispersion(pp.p2 / abar) / n
-    ) * q_inv_scalar(eps2)
-    return max(r1, 0.0), max(r2, 0.0)
+    r1, r2 = _tdma_rates(n, eps, pp, alpha, beta)
+    return float(r1), float(r2)
 
 
-def _tdma_grid_points(n, eps, pp, alpha_grid, beta_grid) -> np.ndarray:
-    alphas = np.asarray(alpha_grid, dtype=float)
-    betas = np.asarray(beta_grid, dtype=float)
-    if ((alphas <= 0) | (alphas >= 1)).any() or ((betas <= 0) | (betas >= 1)).any():
-        raise DomainError("grids must lie strictly inside (0, 1)")
-    a = alphas[:, None]
-    b = betas[None, :]
-    abar = 1.0 - a
-    pen1 = np.maximum(-ndtri(b * eps), 0.0)
-    eps2 = (1.0 - b) * eps / (1.0 - b * eps)
-    pen2 = np.maximum(-ndtri(eps2), 0.0)
-    c1 = 0.5 * np.log1p(pp.p1 / a)
-    v1 = 0.5 * (pp.p1 / a) * (pp.p1 / a + 2.0) / (1.0 + pp.p1 / a) ** 2
-    c2 = 0.5 * np.log1p(pp.p2 / abar)
-    v2 = 0.5 * (pp.p2 / abar) * (pp.p2 / abar + 2.0) / (1.0 + pp.p2 / abar) ** 2
-    r1 = np.maximum(a * c1 - np.sqrt(a * v1 / n) * pen1, 0.0)
-    r2 = np.maximum(abar * c2 - np.sqrt(abar * v2 / n) * pen2, 0.0)
+def _tdma_grid_points(n, eps, pp) -> np.ndarray:
+    r1, r2 = _tdma_rates(n, eps, pp, _TDMA_GRID[:, None], _TDMA_GRID[None, :])
     return np.stack([r1.ravel(), r2.ravel()], axis=1)
 
 
-def tdma_ray(n: int, eps: float, pp: PowerPair, theta: float, grid_size: int = 199) -> float:
+def tdma_ray(n: int, eps: float, pp: PowerPair, theta: float) -> float:
     """Ray radius of the union of rectangles dominated by grid points."""
-    grid = np.linspace(1.0 / (grid_size + 1), grid_size / (grid_size + 1), grid_size)
-    pts = _tdma_grid_points(n, eps, pp, grid, grid)
-    c, s = math.cos(theta), math.sin(theta)
-    return float(np.minimum(pts[:, 0] / c, pts[:, 1] / s).max())
+    pts = _tdma_grid_points(n, eps, pp)
+    return float(pentagon_ray(theta, pts[:, 0], pts[:, 1], math.inf).max())
 
 
-def tdma_boundary(
-    n: int, eps: float, pp: PowerPair, alpha_grid=None, beta_grid=None
-) -> RegionBoundary:
+def tdma_boundary(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
     """Pareto envelope over the time-share and error-split grids."""
     SecondOrderParams(n, eps)
-    if alpha_grid is None:
-        alpha_grid = np.linspace(1.0 / 200.0, 199.0 / 200.0, 199)
-    if beta_grid is None:
-        beta_grid = np.linspace(1.0 / 200.0, 199.0 / 200.0, 199)
-    pts = _tdma_grid_points(n, eps, pp, alpha_grid, beta_grid)
+    pts = _tdma_grid_points(n, eps, pp)
     order = np.argsort(-pts[:, 0], kind="stable")
     pts = pts[order]
     best = np.maximum.accumulate(pts[:, 1])
@@ -480,7 +441,7 @@ def tdma_boundary(
     # drop points dominated in r2 as r1 decreases duplicate-wise
     _, first = np.unique(frontier[:, 0], return_index=True)
     frontier = frontier[first]
-    params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2, "grid": len(alpha_grid)}
+    params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2, "grid": _TDMA_GRID.size}
     return RegionBoundary("tdma", params, frontier)
 
 
@@ -508,9 +469,10 @@ def _pentagon_polyline(b1: float, b2: float, bs: float) -> np.ndarray:
     return np.array(uniq)
 
 
-def pentagon_ray(theta: float, b1: float, b2: float, bs: float) -> float:
-    c, s = math.cos(theta), math.sin(theta)
-    return min(b1 / c, b2 / s, bs / (c + s))
+def pentagon_ray(theta, b1, b2, bs):
+    """Radius along (cos theta, sin theta) of {r1 <= b1, r2 <= b2, r1 + r2 <= bs}; broadcasts."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.minimum(np.minimum(b1 / c, b2 / s), bs / (c + s))
 
 
 def su_outer_box(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
@@ -526,9 +488,7 @@ def su_outer_box(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
 def conjectured_sum_outer_boundary(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
     """Scalar sum-rate cap intersected with the single-user box; conjecture only."""
     SecondOrderParams(n, eps)
-    b1 = p2p_second_order_rate(n, eps, pp.p1)
-    b2 = p2p_second_order_rate(n, eps, pp.p2)
-    bs = max(capacity(pp.p_sum) - math.sqrt(dispersion(pp.p_sum) / n) * q_inv_scalar(eps), 0.0)
+    b1, b2, bs = (p2p_second_order_rate(n, eps, p) for p in (pp.p1, pp.p2, pp.p_sum))
     params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2, "conjecture": True}
     return RegionBoundary("conjectured-sum-outer", params, _pentagon_polyline(b1, b2, bs))
 

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from ._rng import chunk_sizes, substream, thread_map
-from .core import DomainError, PowerPair, capacity, capacity_vector, dispersion
+from .core import DomainError, PowerPair, _require_finite_positive, capacity, capacity_vector, dispersion
 from .gaussquad import ProbEstimate
 
 _CHUNK = 1 << 16
@@ -368,8 +368,8 @@ def clt_function_check(
     reports the worst KS distance over the three margins together with the
     relative Frobenius error of the empirical covariance.
     """
-    if n < 16:
-        raise DomainError("need n >= 16")
+    if n < 16 or trials < 2:
+        raise DomainError("need n >= 16 and trials >= 2")
     if case == "p2p":
         # [p (n - ||z||^2) + 2 <x, z>] / n, recovered from the density draws
         vals = (p2p_density_samples(n, p, trials, seed, method) - n * capacity(p)) * (2.0 * (1.0 + p) / n)
@@ -409,21 +409,32 @@ def rn_bound_function_p2p(t: float, p: float) -> float:
     )
 
 
+def _hollow_sphere(p1: float, p2: float) -> tuple[float, float]:
+    """(lo, hi): the open interval of ||x1 + x2||^2 / n for shell inputs, (sqrt(p1) -+ sqrt(p2))^2."""
+    return (math.sqrt(p1) - math.sqrt(p2)) ** 2, (math.sqrt(p1) + math.sqrt(p2)) ** 2
+
+
+def _log_sin_sq(t: float, p1: float, p2: float) -> float:
+    """ln(1 - cos^2 theta0), theta0 the angle of x1 to x1 + x2 at ||x1 + x2||^2 = n t.
+
+    -inf off the open support of :func:`_hollow_sphere`.
+    """
+    lo, hi = _hollow_sphere(p1, p2)
+    if not (lo < t < hi):
+        return -math.inf
+    cos0_sq = (t + p1 - p2) ** 2 / (4.0 * p1 * t)
+    return math.log1p(-cos0_sq) if cos0_sq < 1.0 else -math.inf
+
+
 def rn_bound_function_mac(t: float, p1: float, p2: float) -> float:
     """Log divergence-bound profile for the superimposed-input law.
 
     Defined on the open interval ((sqrt(p1)-sqrt(p2))^2, (sqrt(p1)+sqrt(p2))^2);
     -inf outside.
     """
-    lo = (math.sqrt(p1) - math.sqrt(p2)) ** 2
-    hi = (math.sqrt(p1) + math.sqrt(p2)) ** 2
-    if not (lo < t < hi):
-        return -math.inf
     ps = p1 + p2
-    cos0_sq = (t + p1 - p2) ** 2 / (4.0 * p1 * t)
-    if cos0_sq >= 1.0:
-        return -math.inf
-    return math.log(ps / (math.e * p2)) + t / ps + math.log1p(-cos0_sq)
+    log_sin_sq = _log_sin_sq(t, p1, p2)
+    return log_sin_sq if log_sin_sq == -math.inf else math.log(ps / (math.e * p2)) + t / ps + log_sin_sq
 
 
 def _golden_max(fn, grid: np.ndarray, tol: float) -> tuple[float, float]:
@@ -447,17 +458,22 @@ def _golden_max(fn, grid: np.ndarray, tol: float) -> tuple[float, float]:
     return fn(x), x
 
 
-def rn_bound_p2p_check(p: float, t_grid_resolution: int = 4096) -> ExtremeReport:
+#: grid points the divergence-bound maxima are scanned on before golden-section refinement
+_T_GRID = 4096
+
+
+def rn_bound_p2p_check(p: float) -> ExtremeReport:
     """Maximize the p2p divergence-bound profile over (0, 20(1+p)].
 
     Reports the realized uniform constants alongside: the large-n constant
     uses c_gamma = ln sqrt(2 pi) (giving a bound <= 1), the finite-n variant
     uses c_gamma = 2.
     """
-    if p <= 0:
-        raise DomainError("p must be positive")
+    p = _require_finite_positive("p", p)
     hi = 20.0 * (1.0 + p)
-    grid = np.linspace(hi / t_grid_resolution, hi, t_grid_resolution)
+    if not math.isfinite(4.0 * p * hi):  # the profile's sqrt(1 + 4 p t) must stay finite
+        raise DomainError(f"p = {p!r} is too large: the search interval (0, 20(1+p)] overflows")
+    grid = np.linspace(hi / _T_GRID, hi, _T_GRID)
     fmax, argmax = _golden_max(lambda t: rn_bound_function_p2p(t, p), grid, 1e-9 * (1.0 + p))
     c_asym = math.log(0.5) + math.log(math.sqrt(2.0 * math.pi)) + math.log(math.sqrt(math.pi / 8.0))
     c_fin = math.log(0.5) + 2.0 + math.log(math.sqrt(math.pi / 8.0))
@@ -468,7 +484,7 @@ def rn_bound_p2p_check(p: float, t_grid_resolution: int = 4096) -> ExtremeReport
     return ExtremeReport(fmax, argmax, constants)
 
 
-def rn_bound_mac_check(pp: PowerPair, t_grid_resolution: int = 4096) -> ExtremeReport:
+def rn_bound_mac_check(pp: PowerPair) -> ExtremeReport:
     """Maximize the MAC divergence-bound profile over its open interval.
 
     Also reports the sum-density uniform constant K3 = e^{c_gamma} p2 /
@@ -476,11 +492,10 @@ def rn_bound_mac_check(pp: PowerPair, t_grid_resolution: int = 4096) -> ExtremeR
     choice c_gamma = ln sqrt(2 pi).
     """
     p1, p2 = pp.p1, pp.p2
-    lo = (math.sqrt(p1) - math.sqrt(p2)) ** 2
-    hi = (math.sqrt(p1) + math.sqrt(p2)) ** 2
+    lo, hi = _hollow_sphere(p1, p2)
     width = hi - lo
     inset = 1e-9 * width
-    grid = np.linspace(lo + inset, hi - inset, t_grid_resolution)
+    grid = np.linspace(lo + inset, hi - inset, _T_GRID)
     fmax, argmax = _golden_max(lambda t: rn_bound_function_mac(t, p1, p2), grid, 1e-9 * width)
     constants = {
         "k3_finite_n": math.exp(2.0) * p2 / math.sqrt(2.0 * math.pi * p1),
@@ -538,8 +553,8 @@ def log_bessel_i(k: float, z: float) -> float:
     """ln I_k(z) for real order k >= 0 and z >= 0, safe at any magnitude."""
     k = float(k)
     z = float(z)
-    if k < 0 or z < 0 or math.isnan(k) or math.isnan(z):
-        raise DomainError("need k >= 0 and z >= 0")
+    if not (0.0 <= k < math.inf and 0.0 <= z < math.inf):
+        raise DomainError(f"need finite k >= 0 and z >= 0, got k={k!r}, z={z!r}")
     if z == 0.0:
         return 0.0 if k == 0.0 else -math.inf
     if k >= 16.0:
@@ -551,8 +566,7 @@ def log_bessel_i(k: float, z: float) -> float:
 
 def bessel_ratio_bound_check(k: float, z: float) -> BesselBoundReport:
     """Check z^{-k} I_k(z) <= sqrt(pi/8) (k^2+z^2)^{-1/4} (k+sqrt(k^2+z^2))^{-k} e^{sqrt(k^2+z^2)}."""
-    if z <= 0:
-        raise DomainError("z must be positive")
+    z = _require_finite_positive("z", z)
     log_lhs = log_bessel_i(k, z) - k * math.log(z)
     root = math.hypot(k, z)
     log_rhs = (
@@ -607,12 +621,8 @@ def sum_density(t: float, n: int, pp: PowerPair) -> float:
     if n < 4:
         raise DomainError("need n >= 4")
     p1, p2 = pp.p1, pp.p2
-    lo = (math.sqrt(p1) - math.sqrt(p2)) ** 2
-    hi = (math.sqrt(p1) + math.sqrt(p2)) ** 2
-    if not (lo < t < hi):
-        return -math.inf
-    cos0_sq = (t + p1 - p2) ** 2 / (4.0 * p1 * t)
-    if cos0_sq >= 1.0:
+    log_sin_sq = _log_sin_sq(t, p1, p2)
+    if log_sin_sq == -math.inf:
         return -math.inf
     return (
         0.5 * math.log(p2 / (math.pi * p1))
@@ -622,12 +632,14 @@ def sum_density(t: float, n: int, pp: PowerPair) -> float:
         - 0.5 * n * math.log(math.pi)
         - 0.5 * (n - 1) * math.log(n * p2)
         - 0.5 * math.log(n * t)
-        + 0.5 * (n - 3) * math.log1p(-cos0_sq)
+        + 0.5 * (n - 3) * log_sin_sq
     )
 
 
 def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0) -> np.ndarray:
     """Draws of ||x1 + x2||^2 / n for independent shell inputs."""
+    if n < 2:
+        raise DomainError("need n >= 2")
 
     def draw(m, rng):
         g2 = rng.standard_normal(m)

@@ -3,8 +3,9 @@
 Each trial draws a fresh codebook (the quantity being estimated is the
 ensemble-average error probability), a uniform message, and Gaussian noise.
 The decoder accepts the first codeword (lexicographically first pair for the
-MAC) whose modified information density, computed as an explicit density
-ratio against the capacity-achieving reference law, exceeds its threshold.
+MAC) whose modified information density exceeds its threshold; the densities
+are those of ``shellmc``, fed each candidate's residual r = y - x (for the
+MAC, y - x1 - x2) through ||r||^2 and <x, r>.
 A trial draws the Gram matrix of its k = m1 + m2 + 1 codeword and noise
 vectors, which is all the decoder reads: by Bartlett's decomposition of the
 Wishart law, k i.i.d. N(0, I_n) vectors are, in a basis of their span, the
@@ -18,9 +19,8 @@ upper bounds on the ensemble-average error: an outage term under the channel
 law plus confusion terms under the reference measures.  Confusion
 probabilities are estimated by importance sampling from the channel measure
 with weight e^{-i}, which resolves reference-tail probabilities near 1/gamma
-at any blocklength; the uniform density-ratio constants enter as
-multiplicative knobs (k1 = k2 = 1, k3 from the hollow-sphere divergence
-bound with c_gamma = 2).
+at any blocklength.  The MAC bound weighs its confusion terms with the
+uniform density-ratio constants of :func:`shell_rn_constants`.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import chunk_sizes, substream, thread_map
-from .core import DomainError, PowerPair
-from .shellmc import _wilson_ci, importance_weights, merge_moments, moments
+from .core import DomainError, PowerPair, _require_finite_positive
+from .shellmc import _mac_densities, _density, _wilson_ci, importance_weights, merge_moments, moments
 from .shellmc import mac_density_samples, p2p_density_samples
 
 #: scalars per simulation chunk; a trial holds its k x min(n, k) Bartlett rows and
@@ -55,8 +55,9 @@ class CodebookSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m1 < 1 or self.m2 < 1:
             raise DomainError("need n >= 1 and codebook sizes >= 1")
-        if self.p1 <= 0 or (self.m2 > 1 and self.p2 <= 0):
-            raise DomainError("powers must be positive")
+        _require_finite_positive("p1", self.p1)
+        if self.m2 > 1:
+            _require_finite_positive("p2", self.p2)
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def _log_half(x: float) -> float:
 
 def default_thresholds(spec: CodebookSpec, k1: float, k2: float, k3: float) -> Thresholds:
     """Rate-optimal thresholds ln(k (M-1)/2); -inf when a codebook is trivial."""
-    if min(k1, k2, k3) <= 0:
-        raise DomainError("threshold constants must be positive")
+    k1, k2, k3 = (_require_finite_positive(name, k) for name, k in (("k1", k1), ("k2", k2), ("k3", k3)))
     return Thresholds(
         _log_half(k1 * (spec.m1 - 1)),
         _log_half(k2 * (spec.m2 - 1)),
@@ -110,9 +110,9 @@ def default_thresholds(spec: CodebookSpec, k1: float, k2: float, k3: float) -> T
     )
 
 
-def shell_rn_constants(pp: PowerPair, c_gamma: float = 2.0) -> tuple[float, float, float]:
-    """(k1, k2, k3): per-user ratios are bounded by 1; k3 from the sum density."""
-    k3 = math.exp(c_gamma) * pp.p2 / math.sqrt(2.0 * math.pi * pp.p1)
+def shell_rn_constants(pp: PowerPair) -> tuple[float, float, float]:
+    """(k1, k2, k3): per-user ratios are bounded by 1; k3 from the sum density with c_gamma = 2."""
+    k3 = math.exp(2.0) * pp.p2 / math.sqrt(2.0 * math.pi * pp.p1)
     return 1.0, 1.0, k3
 
 
@@ -153,7 +153,7 @@ def _count_errors(run, seed, trials: int, chunk: int) -> SimResult:
     return SimResult(trials, errors, errors / trials, lo, hi)
 
 
-def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> SimResult:
+def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
     """Ensemble-average error of the first-past-threshold decoder."""
     n, m, p = spec.n, spec.m1, spec.p1
 
@@ -162,27 +162,20 @@ def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> 
         x, z = w[:, :m], w[:, m]
         msg = rng.integers(0, m, b)
         y = x[np.arange(b), msg] + z
-        ysq = np.einsum("bn,bn->b", y, y)
+        ysq = np.einsum("bn,bn->b", y, y)[:, None]
         dot = np.einsum("bn,bmn->bm", y, x)
-        # density ratio vs the N(0, (1+p) I) reference
-        it = (
-            0.5 * n * math.log1p(p)
-            + (ysq / (2.0 * (1.0 + p)))[:, None]
-            - 0.5 * (ysq[:, None] - 2.0 * dot + n * p)
-        )
-        passing = it > th.log_gamma1
+        passing = _density(n, p, ysq - 2.0 * dot + n * p, dot - n * p) > th.log_gamma1
         first = passing.argmax(axis=1)
         ok = passing.any(axis=1) & (first == msg)
         return int(b - np.count_nonzero(ok))
 
-    return _count_errors(run, spec.seed if seed is None else seed, trials, _sim_chunk(n, m))
+    return _count_errors(run, spec.seed, trials, _sim_chunk(n, m))
 
 
-def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> SimResult:
+def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
     """Ensemble-average error of the first jointly-typical pair decoder."""
     n, m1, m2 = spec.n, spec.m1, spec.m2
     p1, p2 = spec.p1, spec.p2
-    ps = p1 + p2
 
     def run(rng, b):
         w = _span_rows(rng, b, n, np.repeat([p1, p2], [m1, m2]))
@@ -194,52 +187,38 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int, seed=None) -> 
         d1 = np.einsum("bn,bmn->bm", y, x1)[:, :, None]
         d2 = np.einsum("bn,bmn->bm", y, x2)[:, None, :]
         d12 = np.einsum("bim,bjm->bij", x1, x2)
-        # ||y - x1 - x2||^2 and the conditional residuals, all pairs
-        res12 = ysq - 2.0 * d1 - 2.0 * d2 + n * p1 + n * p2 + 2.0 * d12
-        res2 = ysq - 2.0 * d2 + n * p2  # ||y - x2||^2
-        res1 = ysq - 2.0 * d1 + n * p1  # ||y - x1||^2
-        it1 = 0.5 * n * math.log1p(p1) + res2 / (2.0 * (1.0 + p1)) - 0.5 * res12
-        it2 = 0.5 * n * math.log1p(p2) + res1 / (2.0 * (1.0 + p2)) - 0.5 * res12
-        it3 = 0.5 * n * math.log1p(ps) + ysq / (2.0 * (1.0 + ps)) - 0.5 * res12
+        # the residual r = y - x1 - x2 of every pair: ||r||^2, <x1, r>, <x2, r>
+        rsq = ysq - 2.0 * d1 - 2.0 * d2 + n * p1 + n * p2 + 2.0 * d12
+        it1, it2, it3 = _mac_densities(n, p1, p2, rsq, d1 - n * p1 - d12, d2 - n * p2 - d12, d12)
         passing = (it1 > th.log_gamma1) & (it2 > th.log_gamma2) & (it3 > th.log_gamma3)
         flat = passing.reshape(b, m1 * m2)
         first = flat.argmax(axis=1)
         ok = flat.any(axis=1) & (first == j * m2 + k)
         return int(b - np.count_nonzero(ok))
 
-    return _count_errors(run, spec.seed if seed is None else seed, trials, _sim_chunk(n, m1, m2))
+    return _count_errors(run, spec.seed, trials, _sim_chunk(n, m1, m2))
 
 
-def p2p_achievability_bound(
-    spec: CodebookSpec, th: Thresholds, trials: int, seed=None, k: float = 1.0
-) -> BoundEstimate:
-    """Outage plus k (M-1)/2 times the reference-tail confusion estimate.
+def p2p_achievability_bound(spec: CodebookSpec, th: Thresholds, trials: int) -> BoundEstimate:
+    """Outage plus (M-1)/2 times the reference-tail confusion estimate.
 
     The cost-violation term is identically zero for shell codebooks.
     """
     if trials < 1000:
         raise DomainError("need trials >= 1000")
-    seed = spec.seed if seed is None else seed
-    weight = k * (spec.m1 - 1) / 2.0
+    weight = (spec.m1 - 1) / 2.0
 
     def chunk_moments(it):
         outage = it <= th.log_gamma1
         return moments(np.stack([outage + weight * importance_weights(it, th.log_gamma1), outage]))
 
-    parts = p2p_density_samples(spec.n, spec.p1, trials, seed, reduce=chunk_moments)
+    parts = p2p_density_samples(spec.n, spec.p1, trials, spec.seed, reduce=chunk_moments)
     (value, outage), (se, _) = merge_moments(parts)
     return BoundEstimate(float(value), float(se), float(outage), float(value - outage), trials)
 
 
 def mac_achievability_bound(
-    spec: CodebookSpec,
-    th: Thresholds,
-    trials: int,
-    seed=None,
-    mode: str = "joint",
-    k1: float = 1.0,
-    k2: float = 1.0,
-    k3: float | None = None,
+    spec: CodebookSpec, th: Thresholds, trials: int, mode: str = "joint"
 ) -> BoundEstimate:
     """Joint-outage or outage-splitting bound with three confusion terms.
 
@@ -250,10 +229,8 @@ def mac_achievability_bound(
         raise DomainError("need trials >= 1000")
     if mode not in ("joint", "splitting"):
         raise DomainError(f"unknown mode {mode!r}")
-    seed = spec.seed if seed is None else seed
     pp = PowerPair(spec.p1, spec.p2)
-    if k3 is None:
-        k3 = shell_rn_constants(pp)[2]
+    k1, k2, k3 = shell_rn_constants(pp)
     gammas = (th.log_gamma1, th.log_gamma2, th.log_gamma3)
     weights = (k1 * (spec.m1 - 1) / 2.0, k2 * (spec.m2 - 1) / 2.0,
                k3 * (spec.m1 - 1) * (spec.m2 - 1) / 2.0)
@@ -265,6 +242,6 @@ def mac_achievability_bound(
         return moments(np.stack([outage + conf, outage, conf]))
 
     (value, outage, conf), (se, _, _) = merge_moments(
-        mac_density_samples(spec.n, pp, trials, seed, reduce=chunk_moments)
+        mac_density_samples(spec.n, pp, trials, spec.seed, reduce=chunk_moments)
     )
     return BoundEstimate(float(value), float(se), float(outage), float(conf), trials)

@@ -179,7 +179,7 @@ def test_simulate_json(capsys):
     assert 0.0 <= payload["eps_hat"] <= 1.0
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
     assert run_cli(["region", "--kind", "bogus"], capsys)[0] == 2
     assert run_cli(["nonsense"], capsys)[0] == 2
     # one draw has no standard error: refused, not a NaN payload
@@ -209,6 +209,47 @@ def test_usage_errors_exit_2(capsys):
     )
     assert code == 2
     assert "invalid" in err
+    # NaN and +-inf never pass a positivity check
+    point = ["--n", "500", "--eps", "1e-3", "--p1-db", "0", "--p2-db", "0", "--points", "8"]
+    mac = ["simulate", "mac", "--n", "20", "--m1", "4", "--m2", "4", "--p1-db", "0", "--p2-db", "0"]
+    mac += ["--trials", "10"]
+    refused = [
+        ["simulate", "p2p", "--n", "20", "--m1", "4", "--p1-db", "nan", "--trials", "10"],
+        ["simulate", "p2p", "--n", "20", "--m1", "4", "--p1-db", "inf", "--trials", "10"],
+        mac + ["--k3", "nan"],
+        mac + ["--k1", "inf"],
+        ["region", "--kind", "gallager", *point, "--gallager-a", "nan"],
+        ["region", "--kind", "gallager", *point, "--gallager-a", "inf"],
+        ["verify", "rn-p2p", "--p", "nan"],
+        ["verify", "rn-p2p", "--p", "inf"],
+        ["verify", "rn-p2p", "--p", "1e308"],
+        ["verify", "bessel", "--k", "inf", "--z", "1"],
+        ["verify", "bessel", "--k", "2", "--z", "inf"],
+        ["verify", "bessel", "--k", "nan", "--z", "1"],
+        # a negative seed on every seeded command
+        ["region", "--kind", "joint", *point, "--seed", "-1"],
+        ["simulate", "p2p", "--n", "20", "--m1", "4", "--p1-db", "0", "--trials", "10", "--seed", "-1"],
+        ["verify", "bessel", "--grid", "2", "--seed", "-1"],
+        ["verify", "clt", "--n", "64", "--trials", "100", "--seed", "-1"],
+        ["verify", "inner-product", "--pairs", "100", "--seed", "-1"],
+        ["verify", "confusion-scaling", "--trials", "100", "--seed", "-1"],
+        ["verify", "bounds", "--mode", "p2p", "--n", "20", "--m1", "4", "--p1-db", "0", "--seed", "-1"],
+        ["figure1", "--points", "8", "--seed", "-1", "--out-dir", str(tmp_path / "f1")],
+        # a sample statistic needs enough draws: no zero-size array, no NaN payload
+        ["verify", "clt", "--n", "64", "--trials", "0"],
+        ["verify", "clt", "--case", "mac-joint", "--n", "64", "--trials", "1"],
+        ["verify", "inner-product", "--n", "1", "--pairs", "100"],
+    ]
+    for argv in refused:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "invalid" in err, argv
+    assert not (tmp_path / "f1").exists()
+    monkeypatch.setenv("FBMAC_SEED", "abc")
+    code, _, err = run_cli(["verify", "inner-product", "--pairs", "100"], capsys)
+    assert code == 2 and "FBMAC_SEED" in err
+    monkeypatch.setenv("FBMAC_SEED", "-1")
+    assert run_cli(["verify", "inner-product", "--pairs", "100"], capsys)[0] == 2
 
 
 def test_figure1_bundle(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fbmac.core import (
     CapacityVector,
@@ -20,7 +22,9 @@ from fbmac.core import (
     dispersion_matrix_sumshell,
     nats_to_bits,
 )
+from fbmac.regions import GallagerParams
 from fbmac.shellmc import p2p_density_samples
+from fbmac.simlink import CodebookSpec, default_thresholds
 
 POWER_GRID = [0.01, 0.1, 1.0, 10.0, 100.0]
 
@@ -107,6 +111,45 @@ def test_capacity_vector_type_invariants():
         CapacityVector(0.3, 0.3, 0.7)  # c3 > c1 + c2
     with pytest.raises(DomainError):
         CapacityVector(0.3, 0.3, 0.2)  # c3 < max
+
+
+def _positive_slots(v):
+    """Every domain check with ``v`` put in one slot that takes a finite positive number."""
+    spec = CodebookSpec(n=10, m1=4, m2=4, p1=1.0, p2=1.0)
+    return {
+        "PowerPair.p1": lambda: PowerPair(v, 1.0),
+        "PowerPair.p2": lambda: PowerPair(1.0, v),
+        "SecondOrderParams.n": lambda: SecondOrderParams(v, 1e-3),
+        "SecondOrderParams.eps": lambda: SecondOrderParams(500, v),
+        "CodebookSpec.p1": lambda: CodebookSpec(n=10, m1=4, p1=v),
+        "CodebookSpec.p2": lambda: CodebookSpec(n=10, m1=4, m2=4, p1=1.0, p2=v),
+        "GallagerParams.a": lambda: GallagerParams(v, 500, 1e-3),
+        "GallagerParams.eps": lambda: GallagerParams(1.0, 500, v),
+        "default_thresholds.k1": lambda: default_thresholds(spec, v, 1.0, 1.0),
+        "default_thresholds.k2": lambda: default_thresholds(spec, 1.0, v, 1.0),
+        "default_thresholds.k3": lambda: default_thresholds(spec, 1.0, 1.0, v),
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(-0.0)
+@example(-1.0)
+@example(1e308)
+def test_domain_checks_refuse_nonfinite_and_nonpositive(v):
+    for name, build in _positive_slots(v).items():
+        if not math.isfinite(v) or v <= 0.0:
+            with pytest.raises(DomainError):
+                build()
+            continue
+        try:  # a finite positive value may still be out of domain (n = 0.5, eps = 2), never another error
+            build()
+        except DomainError:
+            pass
 
 
 def test_shell_matrix_values():

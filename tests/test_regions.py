@@ -19,7 +19,6 @@ from fbmac.gaussquad import q_inv_scalar, quantile_set_member
 from fbmac.regions import (
     GallagerParams,
     RegionBoundary,
-    SplitWeights,
     conjectured_sum_outer_boundary,
     cover_wyner_pentagon,
     gallager_boundary,
@@ -184,14 +183,6 @@ def test_quantile_boundary_memory_bounded(boundary, threads, monkeypatch):
 # ---------------------------------------------------------------------------
 # outage splitting
 # ---------------------------------------------------------------------------
-
-
-def test_split_weights_validation():
-    SplitWeights(0.2, 0.3, 0.5)
-    with pytest.raises(DomainError):
-        SplitWeights(0.2, 0.3, 0.6)
-    with pytest.raises(DomainError):
-        SplitWeights(-0.1, 0.6, 0.5)
 
 
 def test_splitting_equal_weights_constraints():
@@ -397,11 +388,6 @@ def test_tdma_below_joint_sum_rate():
     assert tdma_ray(theta=math.pi / 4, pp=PP, **FIG1) * math.sqrt(2.0) == pytest.approx(
         best_sum, rel=0.02
     )
-
-
-def test_tdma_grid_validation():
-    with pytest.raises(DomainError):
-        tdma_boundary(500, 1e-3, PP, alpha_grid=np.array([0.0, 0.5]), beta_grid=np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
