@@ -40,6 +40,9 @@ EIG_FLOOR = 1e-12
 _GEN_1D = np.array([0.6180339887498949])
 _GEN_2D = np.array([0.7548776662466927, 0.5698402909980532])
 
+#: randomly shifted lattice replicates per estimate; their spread is the standard error
+_RANDOMIZATIONS = 8
+
 _TINY = 1e-300
 _ONE_MINUS = 1.0 - 1e-16
 
@@ -112,12 +115,11 @@ class _OrthantIntegrator:
     active block is permuted so the largest variance is conditioned first.
     """
 
-    def __init__(self, sigma: np.ndarray, active: np.ndarray, samples: int, seed, randomizations: int):
+    def __init__(self, sigma: np.ndarray, active: np.ndarray, samples: int, seed):
         if samples < 1000:
             raise DomainError("samples must be >= 1000")
         self.active = active
         self.samples = int(samples)
-        self.randomizations = int(randomizations)
         self.dim = int(active.sum())
         if self.dim == 0:
             return
@@ -127,7 +129,7 @@ class _OrthantIntegrator:
         if self.dim == 1:
             return
         gen = _GEN_1D if self.dim == 2 else _GEN_2D
-        shifts = substream(seed).random((self.randomizations, self.dim - 1))
+        shifts = substream(seed).random((_RANDOMIZATIONS, self.dim - 1))
         idx = np.arange(1, self.samples + 1, dtype=float)
         # tent-periodized shifted lattice, one replicate per randomization, built in place
         x = np.remainder(idx[None, :, None] * gen[None, None, :] + shifts[:, None, :], 1.0)
@@ -142,9 +144,9 @@ class _OrthantIntegrator:
             return float(ndtr(zz[0] / chol[0, 0])), 0.0
         e0 = float(ndtr(zz[0] / chol[0, 0]))
         # all randomization replicates in one (R, N) block, updated in place
-        prob = np.full((self.randomizations, self.samples), e0)
+        prob = np.full((_RANDOMIZATIONS, self.samples), e0)
         e_prev = prob
-        y = np.empty((self.dim - 1, self.randomizations, self.samples))
+        y = np.empty((self.dim - 1, _RANDOMIZATIONS, self.samples))
         shift = np.empty_like(prob)  # once e_prev is read, its block holds the next shift
         for i in range(1, self.dim):
             yi = np.multiply(self.x[:, :, i - 1], e_prev, out=y[i - 1])
@@ -154,17 +156,10 @@ class _OrthantIntegrator:
             prob *= e_prev
         means = prob.mean(axis=1)
         value = float(np.clip(means.mean(), 0.0, 1.0))
-        if self.randomizations < 2:
-            return value, 0.0
-        return value, float(means.std(ddof=1) / math.sqrt(self.randomizations))
+        return value, float(means.std(ddof=1) / math.sqrt(_RANDOMIZATIONS))
 
 
-def lower_orthant_prob(
-    q: OrthantQuery,
-    samples: int = 1 << 17,
-    seed=0,
-    randomizations: int = 8,
-) -> ProbEstimate:
+def lower_orthant_prob(q: OrthantQuery, samples: int = 1 << 17, seed=0) -> ProbEstimate:
     """Estimate ``Pr[N(0, sigma) <= z]`` element-wise.
 
     ``samples`` lattice points are used per randomization.  Coordinates with
@@ -173,11 +168,11 @@ def lower_orthant_prob(
     standard error (including the diagonal-covariance factorization, whose
     conditioned integrand is constant).
     """
-    total = int(samples) * int(randomizations)
+    total = int(samples) * _RANDOMIZATIONS
     if np.isneginf(q.z).any():
         return ProbEstimate(0.0, 0.0, total)
     active = ~np.isposinf(q.z)
-    value, std_err = _OrthantIntegrator(q.sigma, active, samples, seed, randomizations)(q.z)
+    value, std_err = _OrthantIntegrator(q.sigma, active, samples, seed)(q.z)
     return ProbEstimate(value, std_err, total)
 
 
@@ -195,32 +190,26 @@ def quantile_set_member(
     return est.value >= 1.0 - eps
 
 
-def _gap(t: float, integ: _OrthantIntegrator, origin: np.ndarray | None, d: np.ndarray, target: float) -> float:
+def _gap(t: float, integ: _OrthantIntegrator, origin: np.ndarray, d: np.ndarray, target: float) -> float:
     """Orthant probability at scale ``t`` on the ray, minus ``target``."""
-    return integ(t * d if origin is None else origin - t * d)[0] - target
+    return integ(origin - t * d)[0] - target
 
 
 def boundary_scale(
     eps: float,
     sigma: np.ndarray,
     direction: np.ndarray,
+    origin: np.ndarray,
+    bracket: float,
     samples: int = 1 << 14,
     seed=0,
-    origin: np.ndarray | None = None,
-    tol: float = 1e-6,
-    bracket_hint: float | None = None,
 ) -> float:
-    """Scale at which a ray crosses the boundary of ``Qinv(eps; sigma)``.
+    """Largest scale ``t`` at which ``z(t) = origin - t * direction`` is still in ``Qinv(eps; sigma)``.
 
-    Without ``origin`` the ray is ``z(t) = t * direction`` with zero entries
-    of ``direction`` treated as unconstrained (+inf); the orthant probability
-    grows with ``t`` and the smallest scale reaching ``1 - eps`` is returned
-    (the scalar quantile ``Qinv(eps)`` in the degenerate one-axis case,
-    negative when ``eps > 1/2``).
-
-    With ``origin`` the ray is ``z(t) = origin - t * direction``; the
-    probability shrinks with ``t`` and the largest scale still at or above
-    ``1 - eps`` is returned (0.0 when the origin itself is already outside).
+    The orthant probability shrinks along the ray; 0.0 is returned when the
+    origin itself is already outside.  The search brackets the crossing by
+    doubling the first bracket end ``bracket`` until the ray leaves the set,
+    then root-finds to 1e-6 in ``t``.
 
     The ray's integrator reaches ``brentq`` through ``args``, never a closure:
     brentq's NaN-check wrapper refers to itself, so a closure passed to it
@@ -234,39 +223,11 @@ def boundary_scale(
         raise DomainError("direction must be a nonzero, nonnegative 3-vector")
     sigma = np.asarray(sigma, dtype=float)
     OrthantQuery(sigma, np.zeros(3))  # validates the covariance
-    target = 1.0 - eps
-    scale = 20.0 * math.sqrt(max(float(np.diag(sigma).max()), EIG_FLOOR))
-
-    if origin is None:
-        args = (_OrthantIntegrator(sigma, d > 0, samples, seed, 8), None, d, target)
-        lo, hi = 0.0, scale
-        if _gap(lo, *args) >= 0.0:
-            hi = lo
-            lo = -scale
-            for _ in range(64):
-                if _gap(lo, *args) < 0.0:
-                    break
-                hi = lo
-                lo *= 2.0
-            else:
-                raise BracketError("no non-member found while expanding downward")
-        else:
-            for _ in range(64):
-                if _gap(hi, *args) >= 0.0:
-                    break
-                lo = hi
-                hi *= 2.0
-            else:
-                raise BracketError("no member found while expanding upward")
-        if _gap(hi, *args) == 0.0:
-            return hi
-        return float(brentq(_gap, lo, hi, args=args, xtol=tol, maxiter=200))
-
-    origin = np.asarray(origin, dtype=float)
-    args = (_OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed, 8), origin, d, target)
+    integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed)
+    args = (integ, np.asarray(origin, dtype=float), d, 1.0 - eps)
     if _gap(0.0, *args) < 0.0:
         return 0.0
-    lo, hi = 0.0, bracket_hint if bracket_hint else scale
+    lo, hi = 0.0, bracket
     for _ in range(64):
         if _gap(hi, *args) < 0.0:
             break
@@ -274,4 +235,4 @@ def boundary_scale(
         hi *= 2.0
     else:
         raise BracketError("no non-member found while expanding the ray")
-    return float(brentq(_gap, lo, hi, args=args, xtol=tol, maxiter=200))
+    return float(brentq(_gap, lo, hi, args=args, xtol=1e-6, maxiter=200))

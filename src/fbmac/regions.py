@@ -127,17 +127,24 @@ def p2p_second_order_rate(n: int, eps: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quantile_region_setup(kind: str, pp: PowerPair, n: int, delta: float):
+def _quantile_region_setup(kind: str, pp: PowerPair, delta: float, samples: int):
+    """(capacity vector, covariance, lattice size) of the quantile set that ray ``kind`` is solved against."""
     if kind == "shell":
-        return capacity_vector(pp).as_array(), dispersion_matrix_shell(pp).entries
-    if kind == "sumshell":
-        return capacity_vector(pp).as_array(), dispersion_matrix_sumshell(pp).entries
-    if kind == "iid":
+        cvec, sigma = capacity_vector(pp).as_array(), dispersion_matrix_shell(pp).entries
+    elif kind == "sumshell":
+        cvec, sigma = capacity_vector(pp).as_array(), dispersion_matrix_sumshell(pp).entries
+    elif kind == "iid":
         if delta >= 1.0:
             raise DomainError("power back-off delta must be < 1")
         ppb = PowerPair(pp.p1 * (1.0 - delta), pp.p2 * (1.0 - delta))
-        return capacity_vector(ppb).as_array(), dispersion_matrix_iid(ppb).entries
-    raise DomainError(f"unknown quantile-region kind {kind!r}")
+        cvec, sigma = capacity_vector(ppb).as_array(), dispersion_matrix_iid(ppb).entries
+    else:
+        raise DomainError(f"unknown quantile-region kind {kind!r}")
+    # a rank-deficient covariance leaves a step in the conditioned integrand;
+    # spend more points there to keep the sampled boundary smooth
+    if np.linalg.eigvalsh(sigma).min() < 1e-8 * float(np.trace(sigma)):
+        samples = 2 * samples
+    return cvec, sigma, samples
 
 
 def resolve_delta(delta_rule, n: int) -> float:
@@ -165,46 +172,32 @@ def second_order_ray(
     seed=0,
     delta: float = 0.0,
 ) -> float:
-    """Largest radius r with (r cos, r sin, r(cos+sin)) inside the quantile region."""
+    """Largest radius r with (r cos, r sin, r(cos+sin)) inside the quantile region.
+
+    The only solver of a quantile-set ray: every curve and check built on one
+    goes through here.  For eps < 1/2 the crossing lies inside the capacity
+    pentagon, so the search's first bracket end is just past its radius.
+    """
     SecondOrderParams(n, eps)
-    cvec, sigma = _quantile_region_setup(kind, pp, n, delta)
-    origin = math.sqrt(n) * cvec
-    return boundary_scale(eps, sigma, _ray_direction(n, theta), samples=samples, seed=seed, origin=origin)
-
-
-def _ray_direction(n: int, theta: float) -> np.ndarray:
-    """sqrt(n) (cos, sin, cos + sin): the ray's step in the normalized (r1, r2, r1 + r2) space."""
+    cvec, sigma, samples = _quantile_region_setup(kind, pp, delta, samples)
     c, s = math.cos(theta), math.sin(theta)
-    return math.sqrt(n) * np.array([c, s, c + s])
+    direction = math.sqrt(n) * np.array([c, s, c + s])  # the ray's step in (r1, r2, r1 + r2), normalized
+    bracket = 1.02 * pentagon_ray(theta, *cvec) + 0.1
+    return boundary_scale(eps, sigma, direction, math.sqrt(n) * cvec, bracket, samples, seed)
 
 
 def _quantile_boundary(
     name: str, kind: str, n, eps, pp, num_points, samples, seed, delta=0.0, extra_params=None
 ) -> RegionBoundary:
-    """Region ``name`` solved ray by ray against the quantile set of ray ``kind``."""
-    SecondOrderParams(n, eps)
+    """Region ``name``: :func:`second_order_ray` of ray ``kind`` at every angle, one seed for all."""
     thetas = ray_angles(num_points)
-    cvec, sigma = _quantile_region_setup(kind, pp, n, delta)
-    origin = math.sqrt(n) * cvec
-    # a rank-deficient covariance leaves a step in the conditioned integrand;
-    # spend more points there to keep the sampled boundary smooth
-    if np.linalg.eigvalsh(sigma).min() < 1e-8 * float(np.trace(sigma)):
-        samples = 2 * samples
-
-    # one shared point set across rays keeps the sampled boundary smooth
-    def ray(theta):
-        hint = 1.02 * pentagon_ray(theta, *cvec) + 0.1
-        return boundary_scale(
-            eps, sigma, _ray_direction(n, theta), samples=samples, seed=seed, origin=origin, bracket_hint=hint
-        )
-
-    radii = np.array(thread_map(ray, thetas))
+    radii = np.array(thread_map(lambda t: second_order_ray(n, eps, pp, t, kind, samples, seed, delta), thetas))
     params = {
         "n": n,
         "eps": eps,
         "p1": pp.p1,
         "p2": pp.p2,
-        "samples": samples,
+        "samples": _quantile_region_setup(kind, pp, delta, samples)[2],
         "seed": seed,
     }
     if extra_params:

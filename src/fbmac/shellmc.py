@@ -493,6 +493,8 @@ def rn_bound_mac_check(pp: PowerPair) -> ExtremeReport:
     """
     p1, p2 = pp.p1, pp.p2
     lo, hi = _hollow_sphere(p1, p2)
+    if not math.isfinite(4.0 * hi * (hi + pp.p_sum)):  # bounds (t + p1 - p2)^2 and 4 p1 t on the interval
+        raise DomainError(f"p1 + p2 = {pp.p_sum!r} is too large: the profile's (t + p1 - p2)^2 overflows")
     width = hi - lo
     inset = 1e-9 * width
     grid = np.linspace(lo + inset, hi - inset, _T_GRID)
@@ -546,7 +548,9 @@ def _log_bessel_large_z(k: float, z: float) -> float:
         total += term
         if abs(term) < 1e-17 * abs(total):
             break
-    return z - 0.5 * math.log(2.0 * math.pi * z) + math.log(total)
+    two_pi_z = 2.0 * math.pi * z  # overflows above about 2.9e307: then split the log
+    log_2pi_z = math.log(two_pi_z) if two_pi_z < math.inf else math.log(2.0 * math.pi) + math.log(z)
+    return z - 0.5 * log_2pi_z + math.log(total)
 
 
 def log_bessel_i(k: float, z: float) -> float:

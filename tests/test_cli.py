@@ -130,6 +130,10 @@ def test_verify_bessel(capsys):
     code, out, _ = run_cli(["verify", "bessel", "--grid", "6", "--seed", "3"], capsys)
     verdict = json.loads(out)
     assert code == 0 and verdict["pass"] is True
+    # a verdict at the largest z rests on finite logs, not on an overflow to -inf
+    code, out, _ = run_cli(["verify", "bessel", "--k", "0", "--z", "1e308"], capsys)
+    verdict = json.loads(out)
+    assert code == 0 and math.isfinite(verdict["log_lhs"]) and math.isfinite(verdict["log_rhs"])
 
 
 def test_verify_bessel_grid_over_budget_exits_2(capsys):
@@ -223,6 +227,7 @@ def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
         ["verify", "rn-p2p", "--p", "nan"],
         ["verify", "rn-p2p", "--p", "inf"],
         ["verify", "rn-p2p", "--p", "1e308"],
+        ["verify", "rn-mac", "--p1", "1e300", "--p2", "1e300"],
         ["verify", "bessel", "--k", "inf", "--z", "1"],
         ["verify", "bessel", "--k", "2", "--z", "inf"],
         ["verify", "bessel", "--k", "nan", "--z", "1"],

@@ -93,11 +93,12 @@ def test_orthant_matches_scipy_on_random_correlated():
 
 
 def test_boundary_scale_mixed_zero_direction():
-    # two active coordinates, one unconstrained: solves Phi(t)^2 = 1 - eps
+    # two constrained coordinates, one unconstrained: solves Phi(10 - t)^2 = 1 - eps
     from scipy.special import ndtri
 
-    t = boundary_scale(1e-2, np.eye(3), np.array([1.0, 0.0, 1.0]), samples=1 << 13, seed=0)
-    assert t == pytest.approx(float(ndtri(math.sqrt(1.0 - 1e-2))), abs=5e-5)
+    origin = np.array([10.0, np.inf, 10.0])
+    t = boundary_scale(1e-2, np.eye(3), np.array([1.0, 0.0, 1.0]), origin, 1.0, samples=1 << 13, seed=0)
+    assert t == pytest.approx(10.0 - float(ndtri(math.sqrt(1.0 - 1e-2))), abs=5e-5)
 
 
 def test_orthant_monotone_in_z():
@@ -167,39 +168,43 @@ def test_quantile_membership_monotone():
 
 
 def test_boundary_scale_degenerate_axis():
-    t = boundary_scale(0.5, np.eye(3), np.array([1.0, 0.0, 0.0]), samples=1 << 12, seed=0)
-    assert abs(t) <= 2e-6
-    t = boundary_scale(1e-3, np.eye(3), np.array([1.0, 0.0, 0.0]), samples=1 << 12, seed=0)
-    assert t == pytest.approx(3.090232, abs=5e-6)
+    # one constrained coordinate: the crossing is 4 - Qinv(eps)
+    origin = np.array([4.0, np.inf, np.inf])
+    t = boundary_scale(0.5, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, 1.0, samples=1 << 12, seed=0)
+    assert abs(t - 4.0) <= 2e-6
+    t = boundary_scale(1e-3, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, 1.0, samples=1 << 12, seed=0)
+    assert t == pytest.approx(4.0 - 3.090232, abs=5e-6)
 
 
 def test_boundary_scale_monotone_in_eps():
     sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0)).entries
     d = np.array([1.0, 1.0, 2.0])
+    origin = np.array([4.0, 4.0, 8.0])
     ts = [
-        boundary_scale(eps, sigma, d, samples=1 << 12, seed=1)
+        boundary_scale(eps, sigma, d, origin, 1.0, samples=1 << 12, seed=1)
         for eps in (0.05, 0.01, 1e-3)
     ]
-    assert ts[0] < ts[1] < ts[2]  # smaller eps -> larger scale
+    assert ts[0] > ts[1] > ts[2]  # smaller eps -> the ray leaves the set sooner
 
 
 def test_boundary_scale_origin_mode():
     # with an origin far inside, the crossing matches the scalar quantile
     sigma = np.eye(3)
     origin = np.array([10.0, np.inf, np.inf])
-    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), samples=1 << 12, seed=0, origin=origin)
+    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), origin, 1.0, samples=1 << 12, seed=0)
     assert t == pytest.approx(10.0 - 3.090232, abs=5e-6)
     # origin outside the set clamps at zero
-    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), samples=1 << 12, seed=0,
-                       origin=np.array([-10.0, np.inf, np.inf]))
+    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), np.array([-10.0, np.inf, np.inf]), 1.0,
+                       samples=1 << 12, seed=0)
     assert t == 0.0
 
 
 def test_boundary_scale_rejects_bad_direction():
+    origin = np.full(3, 10.0)
     with pytest.raises(DomainError):
-        boundary_scale(0.1, np.eye(3), np.array([0.0, 0.0, 0.0]))
+        boundary_scale(0.1, np.eye(3), np.array([0.0, 0.0, 0.0]), origin, 1.0)
     with pytest.raises(DomainError):
-        boundary_scale(0.1, np.eye(3), np.array([1.0, -1.0, 0.0]))
+        boundary_scale(0.1, np.eye(3), np.array([1.0, -1.0, 0.0]), origin, 1.0)
 
 
 def test_boundary_scale_frees_its_integrator():
@@ -210,8 +215,7 @@ def test_boundary_scale_frees_its_integrator():
     gc.collect()
     gc.disable()
     try:
-        boundary_scale(1e-3, sigma, d, samples=1 << 12, seed=0)
-        boundary_scale(1e-3, sigma, d, samples=1 << 12, seed=0, origin=np.full(3, 10.0))
+        boundary_scale(1e-3, sigma, d, np.full(3, 10.0), 1.0, samples=1 << 12, seed=0)
         second_order_ray(500, 1e-3, pp, 0.7, "sumshell")
         left = sum(isinstance(o, _OrthantIntegrator) for o in gc.get_objects())
     finally:

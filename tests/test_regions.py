@@ -17,8 +17,10 @@ from fbmac.core import (
 )
 from fbmac.gaussquad import q_inv_scalar, quantile_set_member
 from fbmac.regions import (
+    REGIONS,
     GallagerParams,
     RegionBoundary,
+    RegionOptions,
     conjectured_sum_outer_boundary,
     cover_wyner_pentagon,
     gallager_boundary,
@@ -178,6 +180,18 @@ def test_quantile_boundary_memory_bounded(boundary, threads, monkeypatch):
     assert rb.points.shape == (64, 2)
     assert kept < 1 << 20
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("kind, ray_kind", [("joint", "shell"), ("iid", "iid"), ("sumshell", "sumshell")])
+def test_curve_rays_are_second_order_rays(kind, ray_kind):
+    # a curve and a nesting check solve a ray the same way: same lattice size, bracket and root
+    n, eps, pp = 500, 1e-3, PowerPair(2.0, 1.0)
+    rb = REGIONS[kind][1](n, eps, pp, RegionOptions(points=8, seed=3, delta_rule="n^-1/4"))
+    thetas = ray_angles(8)
+    j = 2
+    r = second_order_ray(n, eps, pp, thetas[j], ray_kind, 1 << 12, 3, rb.params.get("delta", 0.0))
+    # the curve lists its points in r1-ascending order, that is by descending angle
+    assert rb.points[-1 - j].tolist() == [r * np.cos(thetas)[j], r * np.sin(thetas)[j]]
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,9 @@ def test_log_bessel_edge_cases():
     assert log_bessel_i(2.0, 0.0) == -math.inf
     with pytest.raises(DomainError):
         log_bessel_i(-1.0, 1.0)
+    # 2 pi z overflows above about 2.9e307, yet ln I_k(z) = z - ln(2 pi z)/2 + ... stays finite
+    for k in (0.0, 3.5):
+        assert log_bessel_i(k, 1e308) == pytest.approx(1e308, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
