@@ -8,7 +8,10 @@ is explored through two primitives: :func:`lower_orthant_prob`, which
 estimates ``Pr[N(0, Sigma) <= z]`` by quasi-Monte Carlo integration of the
 Genz separation-of-variables representation, and :func:`boundary_scale`,
 which solves along a ray for the scale at which the ray crosses the
-quantile-set boundary.
+quantile-set boundary: it brackets the crossing by doubling, then runs a port
+of scipy's Brent solver (:func:`_brent_root`) seeded with the two bracket
+values the search already computed, so the module needs no
+``scipy.optimize``.
 
 The integrand after Cholesky conditioning lives on the unit square (or unit
 interval for effectively bivariate queries); it is sampled with a rank-1
@@ -190,9 +193,52 @@ def quantile_set_member(
     return est.value >= 1.0 - eps
 
 
-def _gap(t: float, integ: _OrthantIntegrator, origin: np.ndarray, d: np.ndarray, target: float) -> float:
-    """Orthant probability at scale ``t`` on the ray, minus ``target``."""
-    return integ(origin - t * d)[0] - target
+#: Brent's relative tolerance, scipy's default (4 machine epsilons)
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
+    """Root of ``f`` in the bracket ``[xpre, xcur]``, given its end values ``fpre``, ``fcur`` of opposite sign.
+
+    Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4), statement for statement as scipy's ``brentq.c`` runs it with
+    ``rtol = 4 eps`` and at most 200 iterations, so for the same bracket it
+    evaluates ``f`` at the same points and returns the same float; only the two
+    end evaluations are taken from the caller.
+    """
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 200 iterations")
 
 
 def boundary_scale(
@@ -209,13 +255,10 @@ def boundary_scale(
     The orthant probability shrinks along the ray; 0.0 is returned when the
     origin itself is already outside.  The search brackets the crossing by
     doubling the first bracket end ``bracket`` until the ray leaves the set,
-    then root-finds to 1e-6 in ``t``.
-
-    The ray's integrator reaches ``brentq`` through ``args``, never a closure:
-    brentq's NaN-check wrapper refers to itself, so a closure passed to it
-    would keep the lattice alive in a reference cycle after the call returns.
+    then runs Brent's method (:func:`_brent_root`) to 1e-6 in ``t`` on the
+    last member and first non-member scales, seeded with the probability gaps
+    the bracket search already computed there.
     """
-    from scipy.optimize import brentq  # here, not at import: Monte Carlo users never solve
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     d = np.asarray(direction, dtype=float)
@@ -224,15 +267,23 @@ def boundary_scale(
     sigma = np.asarray(sigma, dtype=float)
     OrthantQuery(sigma, np.zeros(3))  # validates the covariance
     integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed)
-    args = (integ, np.asarray(origin, dtype=float), d, 1.0 - eps)
-    if _gap(0.0, *args) < 0.0:
+    origin = np.asarray(origin, dtype=float)
+    target = 1.0 - eps
+
+    def gap(t: float) -> float:
+        """Orthant probability at scale ``t`` on the ray, minus the target."""
+        return integ(origin - t * d)[0] - target
+
+    g_lo = gap(0.0)
+    if g_lo < 0.0:
         return 0.0
-    lo, hi = 0.0, bracket
+    lo, hi = 0.0, float(bracket)
     for _ in range(64):
-        if _gap(hi, *args) < 0.0:
+        g_hi = gap(hi)
+        if g_hi < 0.0:
             break
-        lo = hi
+        lo, g_lo = hi, g_hi
         hi *= 2.0
     else:
         raise BracketError("no non-member found while expanding the ray")
-    return float(brentq(_gap, lo, hi, args=args, xtol=1e-6, maxiter=200))
+    return _brent_root(gap, lo, hi, g_lo, g_hi, xtol=1e-6)

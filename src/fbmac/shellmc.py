@@ -21,7 +21,11 @@ two methods agree in distribution.
 Memory: a sampler holds one chunk of draws per worker.  The estimators pass
 a per-chunk ``reduce`` and keep only per-chunk moments (count, mean, sum of
 squared deviations), combined in chunk order, so their memory does not grow
-with the number of trials; only the KS check keeps every draw, to sort them.
+with the number of trials.  Only the CLT check keeps every draw, to sort
+them: the sampler writes each chunk into one preallocated array, and the
+check takes its covariance from blocks of centred columns, sorts each row in
+place and scans it for the KS distance block by block, so it holds that one
+copy of the draws and a few chunk-sized blocks.
 """
 
 from __future__ import annotations
@@ -182,19 +186,21 @@ def _p2p_stats_direct(n: int, p: float, m: int, rng: np.random.Generator):
     return np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", x, z)
 
 
-def _stream(n, trials, seed, method, width, draw, reduce, empty):
-    """Chunked draws: ``draw(m, rng)`` per chunk, optionally reduced as drawn."""
+def _stream(n, trials, seed, method, width, draw, reduce, rows=()):
+    """Chunked draws: ``draw(m, rng)`` per chunk, reduced as drawn into a list, or with
+    ``reduce=None`` written chunk by chunk into one preallocated ``(*rows, trials)`` array."""
     chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (width * n))
+    out = np.empty(rows + (max(trials, 0),)) if reduce is None else None
 
     def run(item):
         idx, m = item
-        out = draw(m, substream(seed, idx))
-        return out if reduce is None else reduce(out)
+        draws = draw(m, substream(seed, idx))
+        if out is None:
+            return reduce(draws)
+        out[..., idx * chunk : idx * chunk + m] = draws
 
     parts = thread_map(run, enumerate(chunk_sizes(trials, chunk)))
-    if reduce is not None:
-        return parts
-    return np.concatenate(parts, axis=-1) if parts else empty
+    return parts if out is None else out
 
 
 def p2p_density_samples(n: int, p: float, trials: int, seed=0, method: str = "reduced", reduce=None):
@@ -207,7 +213,7 @@ def p2p_density_samples(n: int, p: float, trials: int, seed=0, method: str = "re
     def draw(m, rng):
         return _density(n, p, *stats(n, p, m, rng))
 
-    return _stream(n, trials, seed, method, 2, draw, reduce, np.empty(0))
+    return _stream(n, trials, seed, method, 2, draw, reduce)
 
 
 def _mac_stats_reduced(n: int, p1: float, p2: float, m: int, rng: np.random.Generator):
@@ -250,7 +256,7 @@ def mac_density_samples(
     def draw(m, rng):
         return np.stack(_mac_densities(n, pp.p1, pp.p2, *stats(n, pp.p1, pp.p2, m, rng)))
 
-    return _stream(n, trials, seed, method, 3, draw, reduce, np.empty((3, 0)))
+    return _stream(n, trials, seed, method, 3, draw, reduce, (3,))
 
 
 def moments(x: np.ndarray) -> tuple:
@@ -345,11 +351,26 @@ def clt_target_cov_mac(n: int, pp: PowerPair) -> np.ndarray:
 
 
 def _ks_distance(samples: np.ndarray, sigma: float) -> float:
-    xs = np.sort(samples)
-    cdf = ndtr(xs / sigma)
-    k = xs.size
-    grid = np.arange(1, k + 1) / k
-    return float(max((grid - cdf).max(), (cdf - grid + 1.0 / k).max()))
+    """KS distance of ``samples`` to N(0, sigma^2); sorts them in place, then scans them by blocks."""
+    samples.sort()
+    k = samples.size
+    dist = -math.inf
+    for start in range(0, k, _CHUNK):
+        xs = samples[start : start + _CHUNK]
+        cdf = ndtr(xs / sigma)
+        grid = np.arange(start + 1, start + xs.size + 1) / k
+        dist = max(dist, (grid - cdf).max(), (cdf - grid + 1.0 / k).max())
+    return float(dist)
+
+
+def _row_cov(x: np.ndarray) -> np.ndarray:
+    """``np.cov(x)``, summed over blocks of centred columns instead of one centred copy."""
+    mean = x.mean(axis=1)
+    acc = np.zeros((x.shape[0], x.shape[0]))
+    for start in range(0, x.shape[1], _CHUNK):
+        dev = x[:, start : start + _CHUNK] - mean[:, None]
+        acc += dev @ dev.T
+    return acc / (x.shape[1] - 1)
 
 
 def clt_function_check(
@@ -372,7 +393,9 @@ def clt_function_check(
         raise DomainError("need n >= 16 and trials >= 2")
     if case == "p2p":
         # [p (n - ||z||^2) + 2 <x, z>] / n, recovered from the density draws
-        vals = (p2p_density_samples(n, p, trials, seed, method) - n * capacity(p)) * (2.0 * (1.0 + p) / n)
+        vals = p2p_density_samples(n, p, trials, seed, method)
+        vals -= n * capacity(p)
+        vals *= 2.0 * (1.0 + p) / n
         var = clt_target_cov_p2p(n, p)
         ks = _ks_distance(vals, math.sqrt(var))
         return KsReport(n, trials, ks, np.zeros(1), np.array([[var]]))
@@ -382,8 +405,8 @@ def clt_function_check(
         vals -= n * capacity_vector(pp).as_array()[:, None]
         vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
         target = clt_target_cov_mac(n, pp)
+        emp = _row_cov(vals)  # before the rows are sorted apart
         ks = max(_ks_distance(vals[i], math.sqrt(target[i, i])) for i in range(3))
-        emp = np.cov(vals)
         rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target))
         return KsReport(n, trials, ks, np.zeros(3), target, rel)
     raise DomainError(f"unknown case {case!r}")
@@ -537,7 +560,9 @@ def _log_bessel_uniform(k: float, z: float) -> float:
     u2 = t2 * (81.0 - 462.0 * t2 + 385.0 * t2 * t2) / 1152.0
     u3 = t * t2 * (30375.0 - 369603.0 * t2 + 765765.0 * t2 * t2 - 425425.0 * t2 * t2 * t2) / 414720.0
     corr = 1.0 + u1 / k + u2 / (k * k) + u3 / (k * k * k)
-    return k * eta - 0.5 * math.log(2.0 * math.pi * k) - 0.25 * math.log1p(x * x) + math.log(corr)
+    x_sq = x * x  # overflows above about 1.3e154: then 0.25 ln(1 + x^2) = 0.5 ln s
+    quarter_log = 0.25 * math.log1p(x_sq) if x_sq < math.inf else 0.5 * math.log(s)
+    return k * eta - 0.5 * math.log(2.0 * math.pi * k) - quarter_log + math.log(corr)
 
 
 def _log_bessel_large_z(k: float, z: float) -> float:
@@ -651,7 +676,7 @@ def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0) -> np.
         x12 = n * math.sqrt(pp.p1 * pp.p2) * g2 / np.sqrt(g2 * g2 + h2)
         return pp.p1 + pp.p2 + 2.0 * x12 / n
 
-    return _stream(n, trials, seed, "reduced", 1, draw, None, np.empty(0))
+    return _stream(n, trials, seed, "reduced", 1, draw, None)
 
 
 def inner_product_variance_ratio(n: int, pp: PowerPair, pairs: int, seed=0) -> float:
@@ -708,7 +733,7 @@ def p2p_confusion_direct(n: int, p: float, log_gamma: float, trials: int, seed=0
     def above(it):
         return int(np.count_nonzero(it > log_gamma))
 
-    hits = sum(_stream(n, trials, seed, "reduced", 1, draw, above, None))
+    hits = sum(_stream(n, trials, seed, "reduced", 1, draw, above))
     phat = hits / trials
     return ProbEstimate(phat, math.sqrt(max(phat * (1 - phat), 1e-300) / trials), trials)
 

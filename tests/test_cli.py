@@ -131,9 +131,10 @@ def test_verify_bessel(capsys):
     verdict = json.loads(out)
     assert code == 0 and verdict["pass"] is True
     # a verdict at the largest z rests on finite logs, not on an overflow to -inf
-    code, out, _ = run_cli(["verify", "bessel", "--k", "0", "--z", "1e308"], capsys)
-    verdict = json.loads(out)
-    assert code == 0 and math.isfinite(verdict["log_lhs"]) and math.isfinite(verdict["log_rhs"])
+    for k, z in (("0", "1e308"), ("20", "1e160"), ("20", "1e308")):
+        code, out, _ = run_cli(["verify", "bessel", "--k", k, "--z", z], capsys)
+        verdict = json.loads(out)
+        assert code == 0 and math.isfinite(verdict["log_lhs"]) and math.isfinite(verdict["log_rhs"])
 
 
 def test_verify_bessel_grid_over_budget_exits_2(capsys):

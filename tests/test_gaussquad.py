@@ -1,5 +1,7 @@
 import gc
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from fbmac.gaussquad import (
     q_scalar,
     quantile_set_member,
 )
-from fbmac.regions import second_order_ray
+from fbmac import regions
+from fbmac.regions import resolve_delta, second_order_ray
 from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv
 
 
@@ -208,7 +211,8 @@ def test_boundary_scale_rejects_bad_direction():
 
 
 def test_boundary_scale_frees_its_integrator():
-    # brentq keeps its objective in a reference cycle; the lattice must not hang off it
+    # the root finder reaches the ray's integrator through a closure; no reference cycle may keep
+    # the lattice alive once the solve returns
     pp = PowerPair(1.0, 1.0)
     sigma = dispersion_matrix_shell(pp).entries
     d = np.array([1.0, 1.0, 2.0])
@@ -221,3 +225,61 @@ def test_boundary_scale_frees_its_integrator():
     finally:
         gc.enable()
     assert left == 0
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+@pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
+def test_boundary_scale_matches_scipy_brentq(kind, eps, monkeypatch):
+    # the ported Brent solver returns the very float scipy's brentq returns on the same bracket,
+    # and skips only brentq's two evaluations of the bracket ends, which the search already made
+    from scipy.optimize import brentq
+
+    real_call = _OrthantIntegrator.__call__
+    calls = []
+    seen = []
+
+    def counted(self, z):
+        calls.append(1)
+        return real_call(self, z)
+
+    def solve(*args):
+        before = len(calls)
+        t = boundary_scale(*args)
+        seen.append((args, t, len(calls) - before))
+        return t
+
+    monkeypatch.setattr(_OrthantIntegrator, "__call__", counted)
+    monkeypatch.setattr(regions, "boundary_scale", solve)
+    delta = resolve_delta("n^-1/4", 500) if kind == "iid" else 0.0
+    for theta in (0.05, 0.6, math.pi / 4, 1.5):
+        second_order_ray(500, eps, PowerPair(1.0, 2.0), theta, kind, 1 << 12, 0, delta)
+    for (eps_, sigma, d, origin, bracket, samples, seed), t, evals in seen:
+        integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed)
+
+        def gap(s):
+            return real_call(integ, origin - s * d)[0] - (1.0 - eps_)
+
+        # the bracket search as boundary_scale makes it: scale 0, then doubling from the bracket end
+        searched, lo, hi = 1, 0.0, bracket
+        assert gap(0.0) >= 0.0
+        while True:
+            searched += 1
+            if gap(hi) < 0.0:
+                break
+            lo, hi = hi, 2.0 * hi
+        ref, res = brentq(gap, lo, hi, xtol=1e-6, full_output=True)
+        assert t == ref
+        assert evals == searched + res.function_calls - 2
+
+
+def test_quantile_boundary_leaves_scipy_optimize_unimported():
+    # scipy.optimize costs about 21 MB of resident memory; the ray solver must not pull it in
+    code = (
+        "import sys\n"
+        "from fbmac.core import PowerPair\n"
+        "from fbmac.regions import joint_outage_boundary\n"
+        "joint_outage_boundary(500, 1e-3, PowerPair(1.0, 1.0), 8)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -262,6 +262,39 @@ def test_clt_mac_case_large_n():
     assert rep.cov_rel_err <= 0.02
 
 
+def test_clt_mac_check_keeps_one_copy_of_its_draws(monkeypatch):
+    # 10^6 draws of the 3-vector are 24 MB: the check may hold them once, plus chunk-sized blocks
+    import tracemalloc
+
+    from scipy.special import ndtr
+
+    from fbmac.shellmc import clt_target_cov_mac
+
+    monkeypatch.setenv("FBMAC_THREADS", "1")  # one chunk in flight
+    n, trials, pp = 1024, 10**6, PowerPair(1.0, 1.0)
+    clt_function_check("mac-joint", n, 1000, pp=pp)  # lazy imports are not the check's memory
+    tracemalloc.start()
+    try:
+        rep = clt_function_check("mac-joint", n, trials, seed=0, pp=pp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 3 * trials * 8
+    # references on the same draws: a sorted copy of each margin, and np.cov
+    vals = mac_density_samples(n, pp, trials, 0)
+    vals -= n * capacity_vector(pp).as_array()[:, None]
+    vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
+    target = clt_target_cov_mac(n, pp)
+    grid = np.arange(1, trials + 1) / trials
+    ks = []
+    for i in range(3):
+        cdf = ndtr(np.sort(vals[i]) / math.sqrt(target[i, i]))
+        ks.append(max((grid - cdf).max(), (cdf - grid + 1.0 / trials).max()))
+    assert rep.ks_distance == max(ks)
+    rel = np.linalg.norm(np.cov(vals) - target) / np.linalg.norm(target)
+    assert rep.cov_rel_err == pytest.approx(rel, rel=1e-12)
+
+
 def test_clt_ks_nonincreasing_in_n():
     med = []
     for n in (64, 256, 1024, 4096):
@@ -439,6 +472,9 @@ def test_log_bessel_edge_cases():
     # 2 pi z overflows above about 2.9e307, yet ln I_k(z) = z - ln(2 pi z)/2 + ... stays finite
     for k in (0.0, 3.5):
         assert log_bessel_i(k, 1e308) == pytest.approx(1e308, rel=1e-12)
+    # the large-order branch squares z/k, which overflows above about 1.3e154
+    for z in (1e160, 1e308):
+        assert log_bessel_i(20.0, z) == pytest.approx(z, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
