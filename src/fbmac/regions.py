@@ -403,14 +403,6 @@ def _tdma_rates(n, eps, pp: PowerPair, alpha, beta):
     return rates
 
 
-def tdma_point(n: int, eps: float, pp: PowerPair, alpha: float, beta: float) -> tuple[float, float]:
-    """Rates of one time-sharing configuration; degenerate shares clamped."""
-    alpha = min(max(alpha, 1e-9), 1.0 - 1e-9)
-    beta = min(max(beta, 1e-12), 1.0 - 1e-12)
-    r1, r2 = _tdma_rates(n, eps, pp, alpha, beta)
-    return float(r1), float(r2)
-
-
 def _tdma_grid_points(n, eps, pp) -> np.ndarray:
     r1, r2 = _tdma_rates(n, eps, pp, _TDMA_GRID[:, None], _TDMA_GRID[None, :])
     return np.stack([r1.ravel(), r2.ravel()], axis=1)

@@ -11,12 +11,12 @@ to quadratic forms in a handful of inner products:
           i3 = n C(ps) + [ps (n - ||z||^2) + 2 <x1, x2> + 2 <x1, z>
                           + 2 <x2, z>] / (2 (1 + ps)),   ps = p1 + p2.
 
-Two samplers produce these densities under the channel law.  The ``direct``
-method materializes the Gaussian vectors and serves as the oracle; the
-``reduced`` method draws the joint law of the required inner products exactly
-(by rotational invariance they depend on a few chi-square and normal scalars
-only), which makes 1e7-trial runs cheap at any blocklength.  Tests verify the
-two methods agree in distribution.
+The samplers draw these densities under the channel law from the exact joint
+law of the required inner products: by rotational invariance they depend on a
+few chi-square and normal scalars only, which makes 1e7-trial runs cheap at
+any blocklength.  The tests check them in distribution against samplers that
+materialize the Gaussian vectors and evaluate each density as a log-ratio of
+Gaussian densities.
 
 Memory: a sampler holds one chunk of draws per worker.  The estimators pass
 a per-chunk ``reduce`` and keep only per-chunk moments (count, mean, sum of
@@ -42,41 +42,6 @@ from .core import DomainError, PowerPair, _require_finite_positive, capacity, ca
 from .gaussquad import ProbEstimate
 
 _CHUNK = 1 << 16
-_DIRECT_BUDGET = 1 << 25  # scalars per direct-method chunk
-
-
-@dataclass(frozen=True, eq=False)
-class ShellSample:
-    """A point on the power shell ||x||^2 = n p."""
-
-    n: int
-    p: float
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        if x.shape != (self.n,):
-            raise DomainError(f"expected a vector of length {self.n}")
-        target = self.n * self.p
-        if abs(float(x @ x) - target) > 1e-9 * target:
-            raise DomainError("sample violates the exact power constraint")
-        object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
-class InfoDensityVector:
-    """One draw of the three modified information densities (nats)."""
-
-    i1: float
-    i2: float
-    i3: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.i1, self.i2, self.i3))):
-            raise DomainError("information densities must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.i1, self.i2, self.i3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,39 +85,6 @@ class BesselBoundReport:
     log_rhs: float
 
 
-def sample_shell(n: int, p: float, rng: np.random.Generator) -> ShellSample:
-    """Uniform draw on the shell ||x||^2 = n p (normalized Gaussian vector)."""
-    if n < 1 or p <= 0:
-        raise DomainError("need n >= 1 and p > 0")
-    w = rng.standard_normal(n)
-    norm = float(np.linalg.norm(w))
-    while norm < 1e-300:  # probability-zero guard
-        w = rng.standard_normal(n)
-        norm = float(np.linalg.norm(w))
-    return ShellSample(n, p, math.sqrt(n * p) * w / norm)
-
-
-def info_density_p2p(x: ShellSample, z: np.ndarray) -> float:
-    """Modified information density of one (codeword, noise) draw, in nats."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (x.n,):
-        raise DomainError("noise vector dimension mismatch")
-    return _density(x.n, x.p, float(z @ z), float(x.x @ z))
-
-
-def info_density_vector_mac(
-    x1: ShellSample, x2: ShellSample, z: np.ndarray, pp: PowerPair | None = None
-) -> InfoDensityVector:
-    """The three modified information densities of one MAC draw, in nats."""
-    z = np.asarray(z, dtype=float)
-    if x1.n != x2.n or z.shape != (x1.n,):
-        raise DomainError("dimension mismatch between codewords and noise")
-    if pp is not None and (pp.p1 != x1.p or pp.p2 != x2.p):
-        raise DomainError("PowerPair disagrees with the shell samples")
-    zsq, x1z, x2z, x12 = float(z @ z), float(x1.x @ z), float(x2.x @ z), float(x1.x @ x2.x)
-    return InfoDensityVector(*_mac_densities(x1.n, x1.p, x2.p, zsq, x1z, x2z, x12))
-
-
 def _density(n, p, zsq, xz):
     """n C(p) + [p (n - ||z||^2) + 2 <x, z>] / (2 (1 + p)): the one density formula."""
     return n * capacity(p) + (p * (n - zsq) + 2.0 * xz) / (2.0 * (1.0 + p))
@@ -179,17 +111,9 @@ def _p2p_stats_reduced(n: int, p: float, m: int, rng: np.random.Generator):
     return g * g + h, math.sqrt(n * p) * g
 
 
-def _p2p_stats_direct(n: int, p: float, m: int, rng: np.random.Generator):
-    w = rng.standard_normal((m, n))
-    z = rng.standard_normal((m, n))
-    x = math.sqrt(n * p) * w / np.linalg.norm(w, axis=1, keepdims=True)
-    return np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", x, z)
-
-
-def _stream(n, trials, seed, method, width, draw, reduce, rows=()):
+def _stream(trials, seed, draw, reduce, rows=()):
     """Chunked draws: ``draw(m, rng)`` per chunk, reduced as drawn into a list, or with
     ``reduce=None`` written chunk by chunk into one preallocated ``(*rows, trials)`` array."""
-    chunk = _CHUNK if method == "reduced" else max(1, _DIRECT_BUDGET // (width * n))
     out = np.empty(rows + (max(trials, 0),)) if reduce is None else None
 
     def run(item):
@@ -197,23 +121,22 @@ def _stream(n, trials, seed, method, width, draw, reduce, rows=()):
         draws = draw(m, substream(seed, idx))
         if out is None:
             return reduce(draws)
-        out[..., idx * chunk : idx * chunk + m] = draws
+        out[..., idx * _CHUNK : idx * _CHUNK + m] = draws
 
-    parts = thread_map(run, enumerate(chunk_sizes(trials, chunk)))
+    parts = thread_map(run, enumerate(chunk_sizes(trials, _CHUNK)))
     return parts if out is None else out
 
 
-def p2p_density_samples(n: int, p: float, trials: int, seed=0, method: str = "reduced", reduce=None):
+def p2p_density_samples(n: int, p: float, trials: int, seed=0, reduce=None):
     """Draws of the p2p modified information density under the channel law, or with
     ``reduce`` the list of ``reduce(chunk)`` over the chunks of draws, in chunk order."""
     if n < 2:
         raise DomainError("need n >= 2")
-    stats = _p2p_stats_reduced if method == "reduced" else _p2p_stats_direct
 
     def draw(m, rng):
-        return _density(n, p, *stats(n, p, m, rng))
+        return _density(n, p, *_p2p_stats_reduced(n, p, m, rng))
 
-    return _stream(n, trials, seed, method, 2, draw, reduce)
+    return _stream(trials, seed, draw, reduce)
 
 
 def _mac_stats_reduced(n: int, p1: float, p2: float, m: int, rng: np.random.Generator):
@@ -235,28 +158,16 @@ def _mac_stats_reduced(n: int, p1: float, p2: float, m: int, rng: np.random.Gene
     return zsq, x1z, x2z, x12
 
 
-def _mac_stats_direct(n: int, p1: float, p2: float, m: int, rng: np.random.Generator):
-    w1 = rng.standard_normal((m, n))
-    w2 = rng.standard_normal((m, n))
-    z = rng.standard_normal((m, n))
-    x1 = math.sqrt(n * p1) * w1 / np.linalg.norm(w1, axis=1, keepdims=True)
-    x2 = math.sqrt(n * p2) * w2 / np.linalg.norm(w2, axis=1, keepdims=True)
-    return tuple(np.einsum("ij,ij->i", a, b) for a, b in ((z, z), (x1, z), (x2, z), (x1, x2)))
-
-
-def mac_density_samples(
-    n: int, pp: PowerPair, trials: int, seed=0, method: str = "reduced", reduce=None
-):
+def mac_density_samples(n: int, pp: PowerPair, trials: int, seed=0, reduce=None):
     """(3, trials) draws of the MAC density vector under the channel law; ``reduce``
     as in :func:`p2p_density_samples`, applied to (3, m) chunks."""
     if n < 3:
         raise DomainError("need n >= 3")
-    stats = _mac_stats_reduced if method == "reduced" else _mac_stats_direct
 
     def draw(m, rng):
-        return np.stack(_mac_densities(n, pp.p1, pp.p2, *stats(n, pp.p1, pp.p2, m, rng)))
+        return np.stack(_mac_densities(n, pp.p1, pp.p2, *_mac_stats_reduced(n, pp.p1, pp.p2, m, rng)))
 
-    return _stream(n, trials, seed, method, 3, draw, reduce, (3,))
+    return _stream(trials, seed, draw, reduce, (3,))
 
 
 def moments(x: np.ndarray) -> tuple:
@@ -289,9 +200,7 @@ def _wilson_ci(k: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def empirical_outage_p2p(
-    n: int, p: float, log_threshold: float, trials: int, seed=0, method: str = "reduced"
-) -> OutageEstimate:
+def empirical_outage_p2p(n: int, p: float, log_threshold: float, trials: int, seed=0) -> OutageEstimate:
     """Fraction of density draws at or below the threshold, with Wilson CI."""
     if trials < 1000:
         raise DomainError("trials must be >= 1000")
@@ -301,7 +210,7 @@ def empirical_outage_p2p(
     def below(it):
         return int(np.count_nonzero(it <= log_threshold))
 
-    hits = sum(p2p_density_samples(n, p, trials, seed, method, reduce=below))
+    hits = sum(p2p_density_samples(n, p, trials, seed, reduce=below))
     phat = hits / trials
     lo, hi = _wilson_ci(hits, trials)
     return OutageEstimate(phat, math.sqrt(max(phat * (1 - phat), 1e-300) / trials), trials, lo, hi)
@@ -380,7 +289,6 @@ def clt_function_check(
     seed=0,
     p: float = 1.0,
     pp: PowerPair | None = None,
-    method: str = "reduced",
 ) -> KsReport:
     """Compare the normalized-sum functional against its Gaussian limit.
 
@@ -389,11 +297,11 @@ def clt_function_check(
     reports the worst KS distance over the three margins together with the
     relative Frobenius error of the empirical covariance.
     """
-    if n < 16 or trials < 2:
-        raise DomainError("need n >= 16 and trials >= 2")
+    if n < 16 or trials < 1000:
+        raise DomainError("need n >= 16 and trials >= 1000")
     if case == "p2p":
         # [p (n - ||z||^2) + 2 <x, z>] / n, recovered from the density draws
-        vals = p2p_density_samples(n, p, trials, seed, method)
+        vals = p2p_density_samples(n, p, trials, seed)
         vals -= n * capacity(p)
         vals *= 2.0 * (1.0 + p) / n
         var = clt_target_cov_p2p(n, p)
@@ -401,7 +309,7 @@ def clt_function_check(
         return KsReport(n, trials, ks, np.zeros(1), np.array([[var]]))
     if case == "mac-joint":
         pp = pp if pp is not None else PowerPair(1.0, 1.0)
-        vals = mac_density_samples(n, pp, trials, seed, method)
+        vals = mac_density_samples(n, pp, trials, seed)
         vals -= n * capacity_vector(pp).as_array()[:, None]
         vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
         target = clt_target_cov_mac(n, pp)
@@ -676,7 +584,7 @@ def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0) -> np.
         x12 = n * math.sqrt(pp.p1 * pp.p2) * g2 / np.sqrt(g2 * g2 + h2)
         return pp.p1 + pp.p2 + 2.0 * x12 / n
 
-    return _stream(n, trials, seed, "reduced", 1, draw, None)
+    return _stream(trials, seed, draw, None)
 
 
 def inner_product_variance_ratio(n: int, pp: PowerPair, pairs: int, seed=0) -> float:
@@ -720,22 +628,6 @@ def p2p_confusion_importance(
 
     mean, se = merge_moments(p2p_density_samples(n, p, trials, seed, reduce=weights))
     return ProbEstimate(min(float(mean), 1.0), float(se), trials)
-
-
-def p2p_confusion_direct(n: int, p: float, log_gamma: float, trials: int, seed=0) -> ProbEstimate:
-    """Reference-measure tail by sampling y from the reference law directly."""
-
-    def draw(m, rng):
-        g = rng.standard_normal(m)
-        h = rng.chisquare(n - 1, m)
-        return n * capacity(p) - 0.5 * p * (g * g + h) + math.sqrt(n * p * (1.0 + p)) * g - 0.5 * n * p
-
-    def above(it):
-        return int(np.count_nonzero(it > log_gamma))
-
-    hits = sum(_stream(n, trials, seed, "reduced", 1, draw, above))
-    phat = hits / trials
-    return ProbEstimate(phat, math.sqrt(max(phat * (1 - phat), 1e-300) / trials), trials)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own code paths: quantiles
 come from bisecting an mpmath erfc, tail probabilities from mpmath directly,
-Bessel values from mpmath's arbitrary-precision implementation, and the exact
-point-to-point outage from an mpmath quadrature over the regularized
-incomplete gamma function.
+Bessel values from mpmath's arbitrary-precision implementation, the exact
+point-to-point outage and confusion probabilities from mpmath quadratures over
+the regularized incomplete gamma function, and the direct density samplers
+from materialized Gaussian vectors and explicit squared distances.
 """
 
 import math
@@ -56,6 +57,55 @@ def exact_outage_p2p(n: int, p: float, log_threshold: float) -> float:
         return mp.npdf(g) * tail
 
     return float(mp.quad(integrand, [-mp.inf, -8, -4, 0, 4, 8, mp.inf]))
+
+
+def exact_confusion_p2p(n: int, p: float, log_gamma: float) -> float:
+    """Pr_Q[i(X; Y) > log_gamma] for a power-shell input and Y ~ N(0, (1+p) I), by quadrature.
+
+    Write Y = sqrt(1+p) U and split U into g ~ N(0, 1) along x and an
+    independent chi-square h with n - 1 degrees of freedom; then
+    i = n ln(1+p)/2 - p (g^2 + h)/2 + sqrt(n p (1+p)) g - n p/2, and the
+    probability is E_g[Pr(h < h_q(g))] with h_q(g) = c + 2 b g - g^2,
+    b = sqrt(n (1+p)/p) and c = (n ln(1+p) - n p - 2 log_gamma)/p.
+    The integrand vanishes outside the roots of h_q and, deep in the tail, is
+    a narrow spike between them: the quadrature is split at the roots, at the
+    peak of the (concave) log-integrand and at multiples of its curvature
+    width, or mpmath misses the mass.
+    """
+    n_mp, p_mp = mp.mpf(n), mp.mpf(p)
+    b = mp.sqrt(n_mp * (1 + p_mp) / p_mp)
+    c = (n_mp * mp.log1p(p_mp) - n_mp * p_mp - 2 * mp.mpf(log_gamma)) / p_mp
+    if b * b + c <= 0:
+        return 0.0
+    lo, hi = b - mp.sqrt(b * b + c), b + mp.sqrt(b * b + c)
+    half_dof = (n_mp - 1) / 2
+
+    def log_integrand(g):
+        hq = c + 2 * b * g - g * g
+        return -g * g / 2 + mp.log(mp.gammainc(half_dof, 0, hq / 2, regularized=True)) if hq > 0 else -mp.inf
+
+    # golden-section search for the peak
+    a, z = lo, hi
+    invphi = (mp.sqrt(5) - 1) / 2
+    u, v = z - invphi * (z - a), a + invphi * (z - a)
+    fu, fv = log_integrand(u), log_integrand(v)
+    while z - a > mp.mpf(10) ** -9 * (hi - lo):
+        if fu > fv:
+            z, v, fv = v, u, fu
+            u = z - invphi * (z - a)
+            fu = log_integrand(u)
+        else:
+            a, u, fu = u, v, fv
+            v = a + invphi * (z - a)
+            fv = log_integrand(v)
+    peak = (a + z) / 2
+    top = log_integrand(peak)
+    d = mp.mpf(10) ** -5 * (hi - lo)
+    width = d / mp.sqrt(2 * top - log_integrand(peak + d) - log_integrand(peak - d))
+    steps = [peak + s * k * width for s in (-1, 1) for k in (1, 2, 4, 8, 16, 32, 64)]
+    pts = sorted({lo, peak, hi, *(t for t in steps if lo < t < hi)})
+    scaled = mp.quad(lambda g: mp.exp(log_integrand(g) - top), pts, method="gauss-legendre")
+    return float(mp.exp(top) * scaled / mp.sqrt(2 * mp.pi))
 
 
 def bivariate_lower_prob_trapezoid(z1: float, z2: float, rho: float, cells: int = 2000) -> float:
@@ -138,3 +188,53 @@ def materialized_error_rate(
         decided = np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
         errors += int(np.count_nonzero(decided != j * m2 + k))
     return errors / trials
+
+
+def sample_shell(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw on the shell ||x||^2 = n p: an N(0, I_n) vector scaled onto it."""
+    w = rng.standard_normal(n)
+    return math.sqrt(n * p) * w / float(np.linalg.norm(w))
+
+
+#: Gaussian scalars per chunk of the direct samplers
+DIRECT_BUDGET = 1 << 25
+
+
+def direct_densities(n: int, powers: tuple, trials: int, seed: int) -> np.ndarray:
+    """Information densities under the channel law, from materialized Gaussian vectors.
+
+    ``powers`` holds one entry per user: one for point-to-point (one row of
+    densities), two for the MAC (rows i1, i2, i3).  Chunk ``idx`` holds
+    DIRECT_BUDGET // ((users + 1) n) trials and draws from
+    Philox(SeedSequence(entropy=seed, spawn_key=(idx,))): one (rows, n)
+    N(0, I) array per user, scaled row by row onto its shell, then the noise.
+    Each density is ln N(y; x1 + x2, I) - ln N(y; m, (1 + P) I), where the
+    reference mean m is the sum of the codewords not being decoded and P the
+    sum of the powers that are, evaluated from explicit squared distances
+    over blocks of 1024 trials.
+    """
+    users = len(powers)
+    decoded = [(0,)] if users == 1 else [(0,), (1,), (0, 1)]
+    chunk = max(1, DIRECT_BUDGET // ((users + 1) * n))
+    out = np.empty((len(decoded), trials))
+
+    def sq(v):
+        return np.einsum("ij,ij->i", v, v)
+
+    for idx, start in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - start)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
+        xs = [rng.standard_normal((m, n)) for _ in powers]
+        z = rng.standard_normal((m, n))
+        for x, p in zip(xs, powers):
+            x *= math.sqrt(n * p) / np.linalg.norm(x, axis=1, keepdims=True)
+        for b in range(0, m, 1024):
+            rows = slice(b, b + 1024)
+            y = sum(x[rows] for x in xs) + z[rows]
+            chan = sq(y - sum(x[rows] for x in xs))
+            for k, sel in enumerate(decoded):
+                ref = y - sum(xs[u][rows] for u in range(users) if u not in sel)
+                q = sum(powers[u] for u in sel)
+                dens = 0.5 * n * math.log1p(q) - 0.5 * chan + sq(ref) / (2.0 * (1.0 + q))
+                out[k, start + b : start + b + dens.size] = dens
+    return out

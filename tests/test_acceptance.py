@@ -46,7 +46,6 @@ from fbmac.regions import (
 from fbmac.shellmc import (
     clt_function_check,
     empirical_outage_p2p,
-    mac_density_samples,
     rn_bound_mac_check,
     rn_bound_p2p_check,
     rn_bound_passes,
@@ -60,7 +59,7 @@ from fbmac.simlink import (
     p2p_achievability_bound,
     mac_achievability_bound,
 )
-from oracles import bivariate_lower_prob_trapezoid, exact_outage_p2p
+from oracles import bivariate_lower_prob_trapezoid, direct_densities, exact_outage_p2p
 
 PP = PowerPair(1.0, 1.0)
 N_FIG, EPS_FIG = 500, 1e-3
@@ -146,7 +145,7 @@ def test_criterion_2_halfway_property(symmetric_rates):
 def test_criterion_3_dispersion_oracle():
     start = time.monotonic()
     trials = 100_000
-    iv = mac_density_samples(1000, PP, trials, seed=777, method="direct")
+    iv = direct_densities(1000, (PP.p1, PP.p2), trials, seed=777)
     emp = np.cov(iv) / 1000.0
     target = dispersion_matrix_shell(PP).entries
     rel = np.abs(emp / target - 1.0)

@@ -236,7 +236,7 @@ def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
         ["region", "--kind", "joint", *point, "--seed", "-1"],
         ["simulate", "p2p", "--n", "20", "--m1", "4", "--p1-db", "0", "--trials", "10", "--seed", "-1"],
         ["verify", "bessel", "--grid", "2", "--seed", "-1"],
-        ["verify", "clt", "--n", "64", "--trials", "100", "--seed", "-1"],
+        ["verify", "clt", "--n", "64", "--trials", "1000", "--seed", "-1"],
         ["verify", "inner-product", "--pairs", "100", "--seed", "-1"],
         ["verify", "confusion-scaling", "--trials", "100", "--seed", "-1"],
         ["verify", "bounds", "--mode", "p2p", "--n", "20", "--m1", "4", "--p1-db", "0", "--seed", "-1"],
@@ -244,6 +244,8 @@ def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
         # a sample statistic needs enough draws: no zero-size array, no NaN payload
         ["verify", "clt", "--n", "64", "--trials", "0"],
         ["verify", "clt", "--case", "mac-joint", "--n", "64", "--trials", "1"],
+        ["verify", "clt", "--n", "16", "--trials", "2"],
+        ["verify", "clt", "--case", "mac-joint", "--n", "16", "--trials", "2"],
         ["verify", "inner-product", "--n", "1", "--pairs", "100"],
     ]
     for argv in refused:

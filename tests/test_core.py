@@ -23,8 +23,8 @@ from fbmac.core import (
     nats_to_bits,
 )
 from fbmac.regions import GallagerParams
-from fbmac.shellmc import p2p_density_samples
 from fbmac.simlink import CodebookSpec, default_thresholds
+from oracles import direct_densities
 
 POWER_GRID = [0.01, 0.1, 1.0, 10.0, 100.0]
 
@@ -57,7 +57,7 @@ def test_dispersion_values():
 def test_dispersion_monte_carlo_oracle():
     # variance of the single-draw density / n, direct shell construction
     n, trials = 100, 1_000_000
-    it = p2p_density_samples(n, 1.0, trials, seed=20, method="direct")
+    it = direct_densities(n, (1.0,), trials, seed=20)[0]
     assert it.var(ddof=1) / n == pytest.approx(dispersion(1.0), rel=0.01)
 
 

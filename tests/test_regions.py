@@ -21,6 +21,7 @@ from fbmac.regions import (
     GallagerParams,
     RegionBoundary,
     RegionOptions,
+    _tdma_rates,
     conjectured_sum_outer_boundary,
     cover_wyner_pentagon,
     gallager_boundary,
@@ -39,7 +40,6 @@ from fbmac.regions import (
     su_outer_box,
     sumshell_hypothetical_boundary,
     tdma_boundary,
-    tdma_point,
     tdma_ray,
 )
 from oracles import q_tail_inv
@@ -379,7 +379,7 @@ def test_gallager_params_validation():
 def test_tdma_full_share_recovers_single_user():
     n, eps = 500, 1e-3
     beta = 0.7
-    r1, r2 = tdma_point(n, eps, PP, 1.0, beta)
+    r1, r2 = _tdma_rates(n, eps, PP, 1.0 - 1e-9, beta)
     expect = capacity(1.0) - math.sqrt(dispersion(1.0) / n) * q_inv_scalar(beta * eps)
     assert r1 == pytest.approx(expect, rel=1e-6)
     assert r2 == pytest.approx(0.0, abs=1e-9)
@@ -389,7 +389,7 @@ def test_tdma_symmetric_point():
     # beta solving beta*eps = (1-beta)eps/(1-beta*eps) balances the two users
     eps = 1e-3
     beta = (1.0 - math.sqrt(1.0 - eps)) / eps
-    r1, r2 = tdma_point(500, eps, PP, 0.5, beta)
+    r1, r2 = _tdma_rates(500, eps, PP, 0.5, beta)
     assert r1 == pytest.approx(r2, rel=1e-9)
 
 

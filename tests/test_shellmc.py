@@ -4,27 +4,28 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import betainc, gammaln
+from scipy.stats import kstest
 
 from fbmac._rng import substream
 from fbmac.core import DomainError, PowerPair, capacity, capacity_vector, dispersion
 from fbmac.shellmc import (
+    _density,
+    _mac_densities,
     bessel_ratio_bound_check,
     ConfusionScalePoint,
     ExtremeReport,
     KsReport,
     clt_function_check,
     clt_passes,
+    clt_target_cov_p2p,
     confusion_scaling_check,
     confusion_scaling_verdict,
     inner_product_variance_ratio,
     empirical_outage_p2p,
     f_mac,
     f_p2p,
-    info_density_p2p,
-    info_density_vector_mac,
     log_bessel_i,
     mac_density_samples,
-    p2p_confusion_direct,
     p2p_confusion_importance,
     p2p_density_samples,
     rn_bound_function_mac,
@@ -32,13 +33,19 @@ from fbmac.shellmc import (
     rn_bound_mac_check,
     rn_bound_p2p_check,
     rn_bound_passes,
-    sample_shell,
     shell_output_logpdf,
     sum_density,
     sum_inner_product_samples,
     variance_ratio_passes,
 )
-from oracles import gaussian_logpdf, log_bessel_i_mp, two_sample_ks
+from oracles import (
+    direct_densities,
+    exact_confusion_p2p,
+    gaussian_logpdf,
+    log_bessel_i_mp,
+    sample_shell,
+    two_sample_ks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +56,10 @@ from oracles import gaussian_logpdf, log_bessel_i_mp, two_sample_ks
 def test_sample_shell_norm_exact():
     rng = substream(0)
     s = sample_shell(3, 2.0, rng)
-    assert float(s.x @ s.x) == pytest.approx(6.0, rel=1e-9)
+    assert float(s @ s) == pytest.approx(6.0, rel=1e-9)
     for n, p in [(1, 0.5), (100, 3.0), (999, 0.01)]:
         s = sample_shell(n, p, rng)
-        assert float(s.x @ s.x) == pytest.approx(n * p, rel=1e-9)
+        assert float(s @ s) == pytest.approx(n * p, rel=1e-9)
 
 
 def test_sample_shell_mean_near_zero():
@@ -95,7 +102,8 @@ def test_shell_coordinate_marginal():
 
 def test_info_density_p2p_zero_noise():
     s = sample_shell(2, 1.0, substream(4))
-    val = info_density_p2p(s, np.zeros(2))
+    z = np.zeros(2)
+    val = _density(2, 1.0, float(z @ z), float(s @ z))
     assert val == pytest.approx(2.0 * capacity(1.0) + 2.0 * 1.0 / 4.0, abs=1e-12)
     assert val == pytest.approx(1.193147, abs=5e-7)
 
@@ -115,15 +123,9 @@ def test_info_density_p2p_density_ratio_oracle():
     for _ in range(100):
         s = sample_shell(n, p, rng)
         z = rng.standard_normal(n)
-        y = s.x + z
-        direct = gaussian_logpdf(y, s.x, 1.0) - gaussian_logpdf(y, np.zeros(n), 1.0 + p)
-        assert info_density_p2p(s, z) == pytest.approx(direct, rel=1e-10, abs=1e-9)
-
-
-def test_info_density_p2p_dimension_mismatch():
-    s = sample_shell(10, 1.0, substream(7))
-    with pytest.raises(DomainError):
-        info_density_p2p(s, np.zeros(11))
+        y = s + z
+        direct = gaussian_logpdf(y, s, 1.0) - gaussian_logpdf(y, np.zeros(n), 1.0 + p)
+        assert _density(n, p, float(z @ z), float(s @ z)) == pytest.approx(direct, rel=1e-10, abs=1e-9)
 
 
 def test_info_density_mac_orthogonal_zero_noise():
@@ -131,13 +133,10 @@ def test_info_density_mac_orthogonal_zero_noise():
     n = 4
     x1 = np.array([1.0, 1.0, 1.0, 1.0])  # ||x1||^2 = 4 = n * 1
     x2 = np.array([1.0, -1.0, 1.0, -1.0])
-    from fbmac.shellmc import ShellSample
-
-    s1 = ShellSample(n, 1.0, x1)
-    s2 = ShellSample(n, 1.0, x2)
-    iv = info_density_vector_mac(s1, s2, np.zeros(n))
+    z = np.zeros(n)
+    _, _, i3 = _mac_densities(n, 1.0, 1.0, float(z @ z), float(x1 @ z), float(x2 @ z), float(x1 @ x2))
     ps = 2.0
-    assert iv.i3 == pytest.approx(n * capacity(ps) + ps * n / (2.0 * (1.0 + ps)), abs=1e-12)
+    assert i3 == pytest.approx(n * capacity(ps) + ps * n / (2.0 * (1.0 + ps)), abs=1e-12)
 
 
 def test_info_density_mac_density_ratio_oracle():
@@ -147,15 +146,15 @@ def test_info_density_mac_density_ratio_oracle():
         s1 = sample_shell(n, p1, rng)
         s2 = sample_shell(n, p2, rng)
         z = rng.standard_normal(n)
-        y = s1.x + s2.x + z
-        iv = info_density_vector_mac(s1, s2, z)
-        log_chan = gaussian_logpdf(y, s1.x + s2.x, 1.0)
-        d1 = log_chan - gaussian_logpdf(y, s2.x, 1.0 + p1)
-        d2 = log_chan - gaussian_logpdf(y, s1.x, 1.0 + p2)
+        y = s1 + s2 + z
+        i1, i2, i3 = _mac_densities(n, p1, p2, float(z @ z), float(s1 @ z), float(s2 @ z), float(s1 @ s2))
+        log_chan = gaussian_logpdf(y, s1 + s2, 1.0)
+        d1 = log_chan - gaussian_logpdf(y, s2, 1.0 + p1)
+        d2 = log_chan - gaussian_logpdf(y, s1, 1.0 + p2)
         d3 = log_chan - gaussian_logpdf(y, np.zeros(n), 1.0 + p1 + p2)
-        assert iv.i1 == pytest.approx(d1, rel=1e-10, abs=1e-9)
-        assert iv.i2 == pytest.approx(d2, rel=1e-10, abs=1e-9)
-        assert iv.i3 == pytest.approx(d3, rel=1e-10, abs=1e-9)
+        assert i1 == pytest.approx(d1, rel=1e-10, abs=1e-9)
+        assert i2 == pytest.approx(d2, rel=1e-10, abs=1e-9)
+        assert i3 == pytest.approx(d3, rel=1e-10, abs=1e-9)
 
 
 def test_mac_density_mean_vector():
@@ -169,14 +168,14 @@ def test_mac_density_mean_vector():
 
 def test_reduced_matches_direct_p2p():
     a = p2p_density_samples(64, 1.0, 40_000, seed=10)
-    b = p2p_density_samples(64, 1.0, 40_000, seed=11, method="direct")
+    b = direct_densities(64, (1.0,), 40_000, seed=11)[0]
     assert two_sample_ks(a, b) < 1.63 * math.sqrt(2.0 / 40_000) * 1.5
 
 
 def test_reduced_matches_direct_mac():
     pp = PowerPair(1.0, 2.0)
     a = mac_density_samples(64, pp, 40_000, seed=12)
-    b = mac_density_samples(64, pp, 40_000, seed=13, method="direct")
+    b = direct_densities(64, (pp.p1, pp.p2), 40_000, seed=13)
     for i in range(3):
         assert two_sample_ks(a[i], b[i]) < 1.63 * math.sqrt(2.0 / 40_000) * 1.5
 
@@ -189,16 +188,17 @@ def test_reduced_matches_direct_mac():
 def test_empirical_outage_trivial_thresholds():
     assert empirical_outage_p2p(100, 1.0, -math.inf, 2000, seed=14).value == 0.0
     assert empirical_outage_p2p(100, 1.0, math.inf, 2000, seed=14).value == 1.0
-    assert empirical_outage_p2p(100, 1.0, math.inf, 2000, seed=14, method="direct").value == 1.0
+    assert float(np.mean(direct_densities(100, (1.0,), 2000, seed=14)[0] <= math.inf)) == 1.0
 
 
 def test_empirical_outage_methods_agree():
     n, p = 80, 1.0
     thr = n * capacity(p) - 1.2 * math.sqrt(n * dispersion(p))
     a = empirical_outage_p2p(n, p, thr, 200_000, seed=15)
-    b = empirical_outage_p2p(n, p, thr, 200_000, seed=16, method="direct")
-    tol = 4.0 * math.hypot(a.std_err, b.std_err)
-    assert abs(a.value - b.value) <= tol
+    b = float(np.mean(direct_densities(n, (p,), 200_000, seed=16)[0] <= thr))
+    b_std_err = math.sqrt(b * (1.0 - b) / 200_000)
+    tol = 4.0 * math.hypot(a.std_err, b_std_err)
+    assert abs(a.value - b) <= tol
 
 
 def test_empirical_outage_ci_brackets_gaussian_prediction():
@@ -306,8 +306,9 @@ def test_clt_ks_nonincreasing_in_n():
 
 def test_clt_reduced_direct_agree():
     rep_r = clt_function_check("p2p", 64, 50_000, seed=19)
-    rep_d = clt_function_check("p2p", 64, 50_000, seed=19, method="direct")
-    assert abs(rep_r.ks_distance - rep_d.ks_distance) < 0.01
+    vals = (direct_densities(64, (1.0,), 50_000, seed=19)[0] - 64 * capacity(1.0)) * 2.0 * (1.0 + 1.0) / 64
+    ks_d = kstest(vals, "norm", args=(0.0, math.sqrt(clt_target_cov_p2p(64, 1.0)))).statistic
+    assert abs(rep_r.ks_distance - ks_d) < 0.01
 
 
 def test_clt_rejects_small_n():
@@ -533,14 +534,24 @@ def test_sum_density_matches_histogram():
 
 
 def test_confusion_importance_matches_direct():
-    # threshold deep enough that plain reference-measure sampling resolves it
+    # threshold deep enough that plain reference-measure sampling would resolve it
     n, p = 50, 1.0
     lg = n * capacity(p) - 3.0 * math.sqrt(n * dispersion(p))
     imp = p2p_confusion_importance(n, p, lg, 400_000, seed=24)
-    direct = p2p_confusion_direct(n, p, lg, 10_000_000, seed=25)
-    tol = 3.0 * math.hypot(imp.std_err, direct.std_err)
-    assert direct.value > 0
-    assert abs(imp.value - direct.value) <= tol
+    exact = exact_confusion_p2p(n, p, lg)
+    tol = 3.0 * imp.std_err
+    assert exact > 0
+    assert abs(imp.value - exact) <= tol
+
+
+@pytest.mark.parametrize("n, p, seed", [(100, 1.0, 40), (200, 0.3, 41), (500, 1.0, 42)])
+def test_confusion_importance_matches_exact_law(n, p, seed):
+    # at ln gamma = nC - sqrt(nV) the reference tail is 1e-14 to 1e-71: out of reach of direct sampling
+    lg = n * capacity(p) - math.sqrt(n * dispersion(p))
+    imp = p2p_confusion_importance(n, p, lg, 200_000, seed=seed)
+    exact = exact_confusion_p2p(n, p, lg)
+    assert exact > 0
+    assert abs(imp.value - exact) <= 4.0 * imp.std_err
 
 
 def test_confusion_scaling_ratio():

@@ -19,7 +19,7 @@ from fbmac.simlink import (
     p2p_achievability_bound,
     mac_achievability_bound,
 )
-from oracles import materialized_error_rate, two_sample_ks
+from oracles import exact_confusion_p2p, exact_outage_p2p, materialized_error_rate, two_sample_ks
 
 
 def calibrated_power(n: int, m: int, eps_target: float) -> float:
@@ -130,6 +130,16 @@ def test_p2p_achievability_bound_trivial_and_monotone():
         th = Thresholds(2.0)  # fixed threshold isolates the (m-1) factor
         vals.append(p2p_achievability_bound(spec, th, 2000).value)
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("n, m, p", [(100, 8, 0.2), (150, 16, 0.3), (60, 4, 0.1)])
+def test_p2p_achievability_bound_matches_exact_law(n, m, p):
+    # outage plus (M-1)/2 times the reference tail, both as 1-D integrals
+    spec = CodebookSpec(n=n, m1=m, p1=p, seed=0)
+    th = default_thresholds(spec, 1.0, 1.0, 1.0)
+    exact = exact_outage_p2p(n, p, th.log_gamma1) + (m - 1) / 2.0 * exact_confusion_p2p(n, p, th.log_gamma1)
+    est = p2p_achievability_bound(spec, th, 200_000)
+    assert abs(est.value - exact) <= 4.0 * est.std_err
 
 
 def test_mac_achievability_bound_trivial_and_ordering():
