@@ -13,10 +13,11 @@ of scipy's Brent solver (:func:`_brent_root`) seeded with the two bracket
 values the search already computed, so the module needs no
 ``scipy.optimize``.
 
-The integrand after Cholesky conditioning lives on the unit square (or unit
-interval for effectively bivariate queries); it is sampled with a rank-1
-Kronecker lattice under a tent periodization, repeated over a small number of
-randomly shifted replicates whose means give the reported standard error.
+The covariance is factored exactly at its rank r (Genz & Kwong, J. Stat.
+Comput. Simul. 68, 2000); the conditioned integrand lives on the unit cube of
+dimension r - 1 and is sampled with a rank-1 Kronecker lattice under a tent
+periodization, repeated over a small number of randomly shifted replicates
+whose means give the reported standard error.
 All membership tests inside one :func:`boundary_scale` call reuse one point
 set, so the profile being root-found is a smooth deterministic function of
 the scale.  For fixed ``(seed, samples)`` every estimate is bit-identical
@@ -33,10 +34,6 @@ from scipy.special import ndtr, ndtri
 
 from ._rng import substream
 from .core import DomainError
-
-#: eigenvalue floor, relative to trace, applied before Cholesky factorization;
-#: keeps rank-deficient covariances (the sum-shell matrix is rank 2) integrable
-EIG_FLOOR = 1e-12
 
 #: generating vectors of the Kronecker lattices (fractional parts of powers of
 #: the inverse golden ratio / plastic constant)
@@ -103,19 +100,12 @@ class ProbEstimate:
             raise DomainError("probability estimate out of range")
 
 
-def _floored_cholesky(sigma: np.ndarray) -> np.ndarray:
-    """Cholesky factor after symmetrizing and flooring eigenvalues."""
-    s = 0.5 * (sigma + sigma.T)
-    w, v = np.linalg.eigh(s)
-    w = np.maximum(w, EIG_FLOOR * max(1.0, float(np.trace(s))))
-    return np.linalg.cholesky((v * w) @ v.T)
-
-
 class _OrthantIntegrator:
     """Evaluator of z -> Pr[N(0, sigma_active) <= z_active], factored once.
 
     Coordinates where ``active`` is False are treated as unconstrained.  The
-    active block is permuted so the largest variance is conditioned first.
+    active block is permuted so the largest variance is conditioned first, then
+    written X = F Y on r = rank free normals: a Cholesky factor, rows past r solved onto it.
     """
 
     def __init__(self, sigma: np.ndarray, active: np.ndarray, samples: int, seed):
@@ -124,38 +114,51 @@ class _OrthantIntegrator:
         self.active = active
         self.samples = int(samples)
         self.dim = int(active.sum())
-        if self.dim == 0:
+        self.order = np.argsort(-np.diag(sigma)[active], kind="stable")
+        sub = sigma[np.ix_(active, active)][np.ix_(self.order, self.order)]
+        r = self.rank = int(np.linalg.matrix_rank(sub, hermitian=True))
+        try:
+            lead = np.linalg.cholesky(sub[:r, :r])
+        except np.linalg.LinAlgError:
+            raise DomainError("the covariance's largest-variance coordinates are collinear") from None
+        self.factor = np.vstack([lead, np.linalg.solve(lead, sub[:r, r:]).T])
+        if r <= 1:
             return
-        sub = sigma[np.ix_(active, active)]
-        self.order = np.argsort(-np.diag(sub), kind="stable")
-        self.chol = _floored_cholesky(sub[np.ix_(self.order, self.order)])
-        if self.dim == 1:
-            return
-        gen = _GEN_1D if self.dim == 2 else _GEN_2D
-        shifts = substream(seed).random((_RANDOMIZATIONS, self.dim - 1))
+        gen = _GEN_1D if r == 2 else _GEN_2D
+        shifts = substream(seed).random((_RANDOMIZATIONS, r - 1))
         idx = np.arange(1, self.samples + 1, dtype=float)
         # tent-periodized shifted lattice, one replicate per randomization, built in place
         x = np.remainder(idx[None, :, None] * gen[None, None, :] + shifts[:, None, :], 1.0)
         self.x = np.abs(np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x), out=x)
 
+    def _last(self, zz: np.ndarray, hi, y: np.ndarray):
+        """Pr of the last free coordinate's interval.  Its own row puts it below ``hi``; a row past the rank
+        reads c Y_last <= t, t net of the earlier free coordinates ``y``: a bound from above if c > 0, from
+        below if c < 0, and the indicator of t >= 0 if c = 0."""
+        r, lo = self.rank, -np.inf
+        for j in range(r, self.dim):
+            c, t = self.factor[j, r - 1], zz[j] - np.einsum("j,j...->...", self.factor[j, : r - 1], y)
+            bound = t / c if c else np.where(t >= 0.0, np.inf, -np.inf)
+            hi, lo = (np.minimum(hi, bound), lo) if c >= 0.0 else (hi, np.maximum(lo, bound))
+        return np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+
     def __call__(self, z: np.ndarray) -> tuple[float, float]:
-        if self.dim == 0:
-            return 1.0, 0.0
         zz = z[self.active][self.order]
-        chol = self.chol
-        if self.dim == 1:
-            return float(ndtr(zz[0] / chol[0, 0])), 0.0
-        e0 = float(ndtr(zz[0] / chol[0, 0]))
+        f, r = self.factor, self.rank
+        if r <= 1:  # closed form: no free coordinate, or one that every row bounds
+            return float(self._last(zz, zz[0] / f[0, 0], np.empty(0)) if r else (zz >= 0.0).all()), 0.0
+        e0 = float(ndtr(zz[0] / f[0, 0]))
         # all randomization replicates in one (R, N) block, updated in place
         prob = np.full((_RANDOMIZATIONS, self.samples), e0)
         e_prev = prob
-        y = np.empty((self.dim - 1, _RANDOMIZATIONS, self.samples))
+        y = np.empty((r - 1, _RANDOMIZATIONS, self.samples))
         shift = np.empty_like(prob)  # once e_prev is read, its block holds the next shift
-        for i in range(1, self.dim):
+        for i in range(1, r):
             yi = np.multiply(self.x[:, :, i - 1], e_prev, out=y[i - 1])
             ndtri(np.clip(yi, _TINY, _ONE_MINUS, out=yi), out=yi)
-            np.einsum("j,jrn->rn", chol[i, :i], y[:i], out=shift)
-            e_prev = ndtr(np.divide(np.subtract(zz[i], shift, out=shift), chol[i, i], out=shift), out=shift)
+            np.einsum("j,jrn->rn", f[i, :i], y[:i], out=shift)
+            hi = np.divide(np.subtract(zz[i], shift, out=shift), f[i, i], out=shift)
+            e_prev = ndtr(hi, out=shift) if i < r - 1 or r == self.dim else self._last(zz, hi, y)
             prob *= e_prev
         means = prob.mean(axis=1)
         value = float(np.clip(means.mean(), 0.0, 1.0))
@@ -167,8 +170,8 @@ def lower_orthant_prob(q: OrthantQuery, samples: int = 1 << 17, seed=0) -> ProbE
 
     ``samples`` lattice points are used per randomization.  Coordinates with
     ``z = +inf`` do not constrain and are dropped; any ``z = -inf`` gives 0.
-    Effective dimensions 0 and 1 are evaluated in closed form with zero
-    standard error (including the diagonal-covariance factorization, whose
+    Constrained blocks of rank 0 and 1 are evaluated in closed form with zero
+    standard error (as is the diagonal-covariance factorization, whose
     conditioned integrand is constant).
     """
     total = int(samples) * _RANDOMIZATIONS

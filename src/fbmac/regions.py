@@ -47,7 +47,7 @@ class RegionBoundary:
     empty: bool = False
 
     #: monotone-repair budget; covers root-finder jitter plus the residual
-    #: lattice error of rank-deficient quantile sets, far below the 1e-3
+    #: lattice error of the quantile-set rays, far below the 1e-3
     #: resolution the boundaries are consumed at
     _REPAIR_TOL = 5e-4
 
@@ -127,8 +127,8 @@ def p2p_second_order_rate(n: int, eps: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quantile_region_setup(kind: str, pp: PowerPair, delta: float, samples: int):
-    """(capacity vector, covariance, lattice size) of the quantile set that ray ``kind`` is solved against."""
+def _quantile_region_setup(kind: str, pp: PowerPair, delta: float):
+    """(capacity vector, covariance) of the quantile set that ray ``kind`` is solved against."""
     if kind == "shell":
         cvec, sigma = capacity_vector(pp).as_array(), dispersion_matrix_shell(pp).entries
     elif kind == "sumshell":
@@ -140,11 +140,7 @@ def _quantile_region_setup(kind: str, pp: PowerPair, delta: float, samples: int)
         cvec, sigma = capacity_vector(ppb).as_array(), dispersion_matrix_iid(ppb).entries
     else:
         raise DomainError(f"unknown quantile-region kind {kind!r}")
-    # a rank-deficient covariance leaves a step in the conditioned integrand;
-    # spend more points there to keep the sampled boundary smooth
-    if np.linalg.eigvalsh(sigma).min() < 1e-8 * float(np.trace(sigma)):
-        samples = 2 * samples
-    return cvec, sigma, samples
+    return cvec, sigma
 
 
 def resolve_delta(delta_rule, n: int) -> float:
@@ -179,7 +175,7 @@ def second_order_ray(
     pentagon, so the search's first bracket end is just past its radius.
     """
     SecondOrderParams(n, eps)
-    cvec, sigma, samples = _quantile_region_setup(kind, pp, delta, samples)
+    cvec, sigma = _quantile_region_setup(kind, pp, delta)
     c, s = math.cos(theta), math.sin(theta)
     direction = math.sqrt(n) * np.array([c, s, c + s])  # the ray's step in (r1, r2, r1 + r2), normalized
     bracket = 1.02 * pentagon_ray(theta, *cvec) + 0.1
@@ -197,7 +193,7 @@ def _quantile_boundary(
         "eps": eps,
         "p1": pp.p1,
         "p2": pp.p2,
-        "samples": _quantile_region_setup(kind, pp, delta, samples)[2],
+        "samples": samples,
         "seed": seed,
     }
     if extra_params:
@@ -378,7 +374,7 @@ def gallager_boundary(gp: GallagerParams, pp: PowerPair, num_points: int = 256) 
     if _gallager_budget(0.0, 0.0, gp, pp) > gp.eps:
         return RegionBoundary("gallager", params, np.empty((0, 2)), empty=True)
     thetas = ray_angles(num_points)
-    radii = np.array(thread_map(lambda t: gallager_ray(gp, pp, t), thetas))
+    radii = np.array([gallager_ray(gp, pp, t) for t in thetas])
     return RegionBoundary("gallager", params, _ray_points(radii, thetas))
 
 

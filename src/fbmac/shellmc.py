@@ -415,6 +415,11 @@ def rn_bound_p2p_check(p: float) -> ExtremeReport:
     return ExtremeReport(fmax, argmax, constants)
 
 
+def shell_rn_constants(pp: PowerPair) -> tuple[float, float, float]:
+    """(k1, k2, k3): per-user ratios are bounded by 1; k3 from the sum density with c_gamma = 2."""
+    return 1.0, 1.0, math.exp(2.0) * pp.p2 / math.sqrt(2.0 * math.pi * pp.p1)
+
+
 def rn_bound_mac_check(pp: PowerPair) -> ExtremeReport:
     """Maximize the MAC divergence-bound profile over its open interval.
 
@@ -431,7 +436,7 @@ def rn_bound_mac_check(pp: PowerPair) -> ExtremeReport:
     grid = np.linspace(lo + inset, hi - inset, _T_GRID)
     fmax, argmax = _golden_max(lambda t: rn_bound_function_mac(t, p1, p2), grid, 1e-9 * width)
     constants = {
-        "k3_finite_n": math.exp(2.0) * p2 / math.sqrt(2.0 * math.pi * p1),
+        "k3_finite_n": shell_rn_constants(pp)[2],
         "k3_asymptotic": p2 / math.sqrt(p1),
     }
     return ExtremeReport(fmax, argmax, constants)
@@ -517,7 +522,7 @@ def bessel_ratio_bound_check(k: float, z: float) -> BesselBoundReport:
 
 def bessel_ratio_bound_grid(size: int, seed=0) -> bool:
     """Whether the bound holds on a random size x size grid of (k, z) in (0, 300) x (0, 600)."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = substream(seed)
     ks = rng.uniform(0.0, 300.0, size)
     zs = rng.uniform(1e-6, 600.0, size)
     return all(bessel_ratio_bound_check(k, z).holds for k in ks for z in zs)

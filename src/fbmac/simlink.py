@@ -33,7 +33,7 @@ import numpy as np
 from ._rng import chunk_sizes, substream, thread_map
 from .core import DomainError, PowerPair, _require_finite_positive
 from .shellmc import _mac_densities, _density, _wilson_ci, importance_weights, merge_moments, moments
-from .shellmc import mac_density_samples, p2p_density_samples
+from .shellmc import mac_density_samples, p2p_density_samples, shell_rn_constants
 
 #: scalars per simulation chunk; a trial holds its k x min(n, k) Bartlett rows and
 #: its (m1, m2) pair arrays or m dot products, so its cost stops growing at n = k.
@@ -108,12 +108,6 @@ def default_thresholds(spec: CodebookSpec, k1: float, k2: float, k3: float) -> T
         _log_half(k2 * (spec.m2 - 1)),
         _log_half(k3 * (spec.m1 - 1) * (spec.m2 - 1)),
     )
-
-
-def shell_rn_constants(pp: PowerPair) -> tuple[float, float, float]:
-    """(k1, k2, k3): per-user ratios are bounded by 1; k3 from the sum density with c_gamma = 2."""
-    k3 = math.exp(2.0) * pp.p2 / math.sqrt(2.0 * math.pi * pp.p1)
-    return 1.0, 1.0, k3
 
 
 def _sim_chunk(n: int, m1: int, m2: int = 0) -> int:

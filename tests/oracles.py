@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: quantiles
 come from bisecting an mpmath erfc, tail probabilities from mpmath directly,
 Bessel values from mpmath's arbitrary-precision implementation, the exact
 point-to-point outage and confusion probabilities from mpmath quadratures over
-the regularized incomplete gamma function, and the direct density samplers
+the regularized incomplete gamma function, the sum-shell orthant probability
+from a scipy quadrature over one coordinate, and the direct density samplers
 from materialized Gaussian vectors and explicit squared distances.
 """
 
@@ -12,6 +13,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 mp.mp.dps = 40
 
@@ -106,6 +109,35 @@ def exact_confusion_p2p(n: int, p: float, log_gamma: float) -> float:
     pts = sorted({lo, peak, hi, *(t for t in steps if lo < t < hi)})
     scaled = mp.quad(lambda g: mp.exp(log_integrand(g) - top), pts, method="gauss-legendre")
     return float(mp.exp(top) * scaled / mp.sqrt(2 * mp.pi))
+
+
+def sumshell_orthant(p1: float, p2: float, z) -> float:
+    """Pr[X <= z] for X ~ N(0, V) with V the rank-2 sum-shell dispersion matrix, by quadrature.
+
+    (X1, X2) has the per-user dispersions p (p + 2) / (2 (1 + p)^2) and the
+    cross term p1 p2 / (2 (1 + p1) (1 + p2)); the sum coordinate is exactly
+    X3 = a X1 + b X2 with a = (1 + p1) / (1 + p1 + p2), b = (1 + p2) / (1 + p1 + p2).
+    Given X1 = s1 u, X2 is normal and bounded by min(z2, (z3 - a s1 u) / b), so
+    the probability is the integral of phi(u) Phi(...) over u <= z1 / s1, split
+    at the kink of the min.
+    """
+    ps = p1 + p2
+    v1, v2 = (p * (p + 2.0) / (2.0 * (1.0 + p) ** 2) for p in (p1, p2))
+    v12 = p1 * p2 / (2.0 * (1.0 + p1) * (1.0 + p2))
+    a, b = (1.0 + p1) / (1.0 + ps), (1.0 + p2) / (1.0 + ps)
+    s1 = math.sqrt(v1)
+    slope = v12 / s1  # E[X2 | X1 = s1 u] = slope u
+    sd = math.sqrt(v2 - slope * slope)
+    z1, z2, z3 = (float(v) for v in z)
+
+    def integrand(u):
+        bound = min(z2, (z3 - a * s1 * u) / b)
+        return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi) * float(ndtr((bound - slope * u) / sd))
+
+    top = z1 / s1
+    kink = (z3 - b * z2) / (a * s1)
+    cuts = [-math.inf, *([kink] if kink < top else []), top]
+    return sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
 
 
 def bivariate_lower_prob_trapezoid(z1: float, z2: float, rho: float, cells: int = 2000) -> float:

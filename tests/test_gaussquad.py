@@ -19,7 +19,7 @@ from fbmac.gaussquad import (
 )
 from fbmac import regions
 from fbmac.regions import resolve_delta, second_order_ray
-from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv
+from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv, sumshell_orthant
 
 
 def test_q_scalar_values():
@@ -132,9 +132,65 @@ def test_orthant_deterministic():
 
 
 def test_orthant_rank_deficient_ok():
-    sigma = dispersion_matrix_sumshell(PowerPair(1.0, 1.0)).entries
-    est = lower_orthant_prob(OrthantQuery(sigma, np.array([0.1, 0.1, 0.15])), samples=1 << 13, seed=2)
-    assert 0.0 <= est.value <= 1.0
+    # the rank-2 sum-shell matrix against a quadrature that conditions on one user; at each point
+    # the sum constraint binds, and conditioning on the other user gives the same value
+    points = [
+        (1.0, 1.0, (0.5, 0.4, 0.3)),
+        (2.0, 0.5, (0.6, 0.2, 0.3)),
+        (10.0, 1.0, (0.4, 0.6, 0.2)),
+        (0.1, 3.0, (0.2, 0.5, 0.3)),
+        (0.01, 100.0, (-0.05, 0.3, 0.25)),
+    ]
+    for p1, p2, z in points:
+        ref = sumshell_orthant(p1, p2, z)
+        assert sumshell_orthant(p2, p1, (z[1], z[0], z[2])) == pytest.approx(ref, abs=1e-10)
+        sigma = dispersion_matrix_sumshell(PowerPair(p1, p2)).entries
+        for samples, tol in ((1 << 12, 1e-4), (1 << 16, 1e-5)):
+            est = lower_orthant_prob(OrthantQuery(sigma, np.array(z)), samples=samples, seed=2)
+            assert abs(est.value - ref) <= tol
+
+
+def test_orthant_degenerate_factors():
+    z = np.array([0.3, -0.2, 0.5])
+    # rank 1: every coordinate is the same normal
+    est = lower_orthant_prob(OrthantQuery(np.ones((3, 3)), z), samples=1 << 12)
+    assert est.value == pytest.approx(1.0 - q_scalar(-0.2), abs=1e-15) and est.std_err == 0.0
+    # a coordinate with no variance is the indicator of its threshold
+    est = lower_orthant_prob(OrthantQuery(np.diag([1.0, 1.0, 0.0]), z), samples=1 << 12)
+    assert est.value == pytest.approx((1.0 - q_scalar(0.3)) * (1.0 - q_scalar(-0.2)), abs=1e-15)
+    assert lower_orthant_prob(OrthantQuery(np.diag([1.0, 1.0, 0.0]), -z), samples=1 << 12).value == 0.0
+    assert lower_orthant_prob(OrthantQuery(np.zeros((3, 3)), np.abs(z)), samples=1 << 12).value == 1.0
+    assert lower_orthant_prob(OrthantQuery(np.zeros((3, 3)), z), samples=1 << 12).value == 0.0
+    # X3 = X1 / 2 puts no weight on the last free coordinate: the row is an indicator in X1
+    sigma = np.array([[4.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 1.0]])
+    est = lower_orthant_prob(OrthantQuery(sigma, z), samples=1 << 12)
+    expect = (1.0 - q_scalar(0.3 / 2.0)) * (1.0 - q_scalar(-0.2 / math.sqrt(2.0)))
+    assert est.value == pytest.approx(expect, abs=1e-12)
+
+
+def test_orthant_refuses_collinear_leading_coordinates():
+    # the two largest variances belong to one direction, so the leading block has no Cholesky factor;
+    # no region kind builds such a matrix
+    sigma = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    with pytest.raises(DomainError):
+        lower_orthant_prob(OrthantQuery(sigma, np.zeros(3)), samples=1 << 12)
+    with pytest.raises(DomainError):
+        boundary_scale(1e-3, sigma, np.ones(3), np.full(3, 10.0), 1.0, samples=1 << 12)
+
+
+def test_sumshell_ray_matches_oracle_root():
+    # the figure point's diagonal ray, against the root of the quadrature oracle
+    from scipy.optimize import brentq
+
+    n, eps, theta = 500, 1e-3, math.pi / 4
+    d = np.array([math.cos(theta), math.sin(theta), math.cos(theta) + math.sin(theta)])
+    origin = 0.5 * np.log1p([1.0, 1.0, 2.0])
+    root = brentq(
+        lambda t: sumshell_orthant(1.0, 1.0, math.sqrt(n) * (origin - t * d)) - (1.0 - eps), 0.2, 0.4, xtol=1e-12
+    )
+    assert root == pytest.approx(0.323254, abs=5e-7)
+    for seed in range(5):
+        assert abs(second_order_ray(n, eps, PowerPair(1.0, 1.0), theta, "sumshell", 1 << 12, seed) - root) <= 2e-6
 
 
 def test_orthant_rejects_bad_sigma():
