@@ -8,9 +8,10 @@ is explored through two primitives: :func:`lower_orthant_prob`, which
 estimates ``Pr[N(0, Sigma) <= z]`` by quasi-Monte Carlo integration of the
 Genz separation-of-variables representation, and :func:`boundary_scale`,
 which solves along a ray for the scale at which the ray crosses the
-quantile-set boundary: it brackets the crossing by doubling, then runs a port
-of scipy's Brent solver (:func:`_brent_root`) seeded with the two bracket
-values the search already computed, so the module needs no
+quantile-set boundary: it starts from the caller's (inner, outer) bracket,
+walks it inward or outward in doubling steps until it holds the crossing,
+then runs a port of scipy's Brent solver (:func:`_brent_root`) seeded with
+the two end values the walks already computed, so the module needs no
 ``scipy.optimize``.
 
 The covariance is factored exactly at its rank r (Genz & Kwong, J. Stat.
@@ -249,24 +250,28 @@ def boundary_scale(
     sigma: np.ndarray,
     direction: np.ndarray,
     origin: np.ndarray,
-    bracket: float,
+    bracket: tuple[float, float],
     samples: int = 1 << 14,
     seed=0,
 ) -> float:
     """Largest scale ``t`` at which ``z(t) = origin - t * direction`` is still in ``Qinv(eps; sigma)``.
 
     The orthant probability shrinks along the ray; 0.0 is returned when the
-    origin itself is already outside.  The search brackets the crossing by
-    doubling the first bracket end ``bracket`` until the ray leaves the set,
-    then runs Brent's method (:func:`_brent_root`) to 1e-6 in ``t`` on the
-    last member and first non-member scales, seeded with the probability gaps
-    the bracket search already computed there.
+    origin itself is already outside.  The search evaluates both ends of the
+    guess ``bracket = (inner, outer)``, ``0 <= inner < outer``.  It walks inward
+    in doubling steps, down to 0, while the inner end is outside the set, and
+    outward while the outer end is inside.  Then Brent's method
+    (:func:`_brent_root`) solves to 1e-6 in ``t`` between the last member and the
+    first non-member, seeded with the probability gaps the walks computed there.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or (d < 0).any() or not d.any():
         raise DomainError("direction must be a nonzero, nonnegative 3-vector")
+    lo, hi = (float(b) for b in bracket)
+    if not 0.0 <= lo < hi:
+        raise DomainError(f"bracket must satisfy 0 <= inner < outer, got {bracket!r}")
     sigma = np.asarray(sigma, dtype=float)
     OrthantQuery(sigma, np.zeros(3))  # validates the covariance
     integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed)
@@ -277,16 +282,17 @@ def boundary_scale(
         """Orthant probability at scale ``t`` on the ray, minus the target."""
         return integ(origin - t * d)[0] - target
 
-    g_lo = gap(0.0)
-    if g_lo < 0.0:
-        return 0.0
-    lo, hi = 0.0, float(bracket)
-    for _ in range(64):
-        g_hi = gap(hi)
+    step, g_lo, g_hi = hi - lo, gap(lo), gap(hi)
+    while g_lo < 0.0:  # the inner end is outside: walk inward
+        if lo == 0.0:
+            return 0.0
+        hi, g_hi, lo, step = lo, g_lo, max(lo - step, 0.0), 2.0 * step
+        g_lo = gap(lo)
+    for _ in range(64):  # walk outward while the outer end is still inside
         if g_hi < 0.0:
             break
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
+        lo, g_lo, hi, step = hi, g_hi, hi + step, 2.0 * step
+        g_hi = gap(hi)
     else:
         raise BracketError("no non-member found while expanding the ray")
     return _brent_root(gap, lo, hi, g_lo, g_hi, xtol=1e-6)

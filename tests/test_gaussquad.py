@@ -100,7 +100,7 @@ def test_boundary_scale_mixed_zero_direction():
     from scipy.special import ndtri
 
     origin = np.array([10.0, np.inf, 10.0])
-    t = boundary_scale(1e-2, np.eye(3), np.array([1.0, 0.0, 1.0]), origin, 1.0, samples=1 << 13, seed=0)
+    t = boundary_scale(1e-2, np.eye(3), np.array([1.0, 0.0, 1.0]), origin, (0.0, 1.0), samples=1 << 13, seed=0)
     assert t == pytest.approx(10.0 - float(ndtri(math.sqrt(1.0 - 1e-2))), abs=5e-5)
 
 
@@ -175,7 +175,7 @@ def test_orthant_refuses_collinear_leading_coordinates():
     with pytest.raises(DomainError):
         lower_orthant_prob(OrthantQuery(sigma, np.zeros(3)), samples=1 << 12)
     with pytest.raises(DomainError):
-        boundary_scale(1e-3, sigma, np.ones(3), np.full(3, 10.0), 1.0, samples=1 << 12)
+        boundary_scale(1e-3, sigma, np.ones(3), np.full(3, 10.0), (0.0, 1.0), samples=1 << 12)
 
 
 def test_sumshell_ray_matches_oracle_root():
@@ -229,9 +229,9 @@ def test_quantile_membership_monotone():
 def test_boundary_scale_degenerate_axis():
     # one constrained coordinate: the crossing is 4 - Qinv(eps)
     origin = np.array([4.0, np.inf, np.inf])
-    t = boundary_scale(0.5, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, 1.0, samples=1 << 12, seed=0)
+    t = boundary_scale(0.5, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, (0.0, 1.0), samples=1 << 12, seed=0)
     assert abs(t - 4.0) <= 2e-6
-    t = boundary_scale(1e-3, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, 1.0, samples=1 << 12, seed=0)
+    t = boundary_scale(1e-3, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, (0.0, 1.0), samples=1 << 12, seed=0)
     assert t == pytest.approx(4.0 - 3.090232, abs=5e-6)
 
 
@@ -240,7 +240,7 @@ def test_boundary_scale_monotone_in_eps():
     d = np.array([1.0, 1.0, 2.0])
     origin = np.array([4.0, 4.0, 8.0])
     ts = [
-        boundary_scale(eps, sigma, d, origin, 1.0, samples=1 << 12, seed=1)
+        boundary_scale(eps, sigma, d, origin, (0.0, 1.0), samples=1 << 12, seed=1)
         for eps in (0.05, 0.01, 1e-3)
     ]
     assert ts[0] > ts[1] > ts[2]  # smaller eps -> the ray leaves the set sooner
@@ -250,10 +250,10 @@ def test_boundary_scale_origin_mode():
     # with an origin far inside, the crossing matches the scalar quantile
     sigma = np.eye(3)
     origin = np.array([10.0, np.inf, np.inf])
-    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), origin, 1.0, samples=1 << 12, seed=0)
+    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), origin, (0.0, 1.0), samples=1 << 12, seed=0)
     assert t == pytest.approx(10.0 - 3.090232, abs=5e-6)
     # origin outside the set clamps at zero
-    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), np.array([-10.0, np.inf, np.inf]), 1.0,
+    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), np.array([-10.0, np.inf, np.inf]), (0.0, 1.0),
                        samples=1 << 12, seed=0)
     assert t == 0.0
 
@@ -261,9 +261,9 @@ def test_boundary_scale_origin_mode():
 def test_boundary_scale_rejects_bad_direction():
     origin = np.full(3, 10.0)
     with pytest.raises(DomainError):
-        boundary_scale(0.1, np.eye(3), np.array([0.0, 0.0, 0.0]), origin, 1.0)
+        boundary_scale(0.1, np.eye(3), np.array([0.0, 0.0, 0.0]), origin, (0.0, 1.0))
     with pytest.raises(DomainError):
-        boundary_scale(0.1, np.eye(3), np.array([1.0, -1.0, 0.0]), origin, 1.0)
+        boundary_scale(0.1, np.eye(3), np.array([1.0, -1.0, 0.0]), origin, (0.0, 1.0))
 
 
 def test_boundary_scale_frees_its_integrator():
@@ -275,7 +275,7 @@ def test_boundary_scale_frees_its_integrator():
     gc.collect()
     gc.disable()
     try:
-        boundary_scale(1e-3, sigma, d, np.full(3, 10.0), 1.0, samples=1 << 12, seed=0)
+        boundary_scale(1e-3, sigma, d, np.full(3, 10.0), (0.0, 1.0), samples=1 << 12, seed=0)
         second_order_ray(500, 1e-3, pp, 0.7, "sumshell")
         left = sum(isinstance(o, _OrthantIntegrator) for o in gc.get_objects())
     finally:
@@ -283,20 +283,49 @@ def test_boundary_scale_frees_its_integrator():
     assert left == 0
 
 
-@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
-@pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
-def test_boundary_scale_matches_scipy_brentq(kind, eps, monkeypatch):
-    # the ported Brent solver returns the very float scipy's brentq returns on the same bracket,
-    # and skips only brentq's two evaluations of the bracket ends, which the search already made
+_INTEGRATE = _OrthantIntegrator.__call__  # unpatched, for replaying a search
+
+
+def _replayed_search(eps, sigma, d, origin, bracket, samples, seed):
+    """boundary_scale's search replayed on a fresh integrator.
+
+    Returns scipy's brentq float on the bracket the walks end with (0.0 when the
+    origin is outside), the number of evaluations boundary_scale should make,
+    and that final bracket.
+    """
     from scipy.optimize import brentq
 
-    real_call = _OrthantIntegrator.__call__
-    calls = []
-    seen = []
+    integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed)
+
+    def gap(s):
+        return _INTEGRATE(integ, origin - s * d)[0] - (1.0 - eps)
+
+    (lo, hi), searched = bracket, 2  # both ends are evaluated first
+    step = hi - lo
+    if gap(lo) < 0.0:  # inward: shift the bracket down, doubling the step, until its low end is a member
+        while True:
+            if lo == 0.0:
+                return 0.0, searched, (0.0, hi)
+            lo, hi, step = max(lo - step, 0.0), lo, 2.0 * step
+            searched += 1
+            if gap(lo) >= 0.0:
+                break
+    else:  # outward: shift it up while its high end is a member
+        while gap(hi) >= 0.0:
+            lo, hi, step = hi, hi + step, 2.0 * step
+            searched += 1
+    ref, res = brentq(gap, lo, hi, xtol=1e-6, full_output=True)
+    # the ported solver skips only brentq's two evaluations of the bracket ends, which the search made
+    return ref, searched + res.function_calls - 2, (lo, hi)
+
+
+def _recorded_solves(monkeypatch):
+    """Patch in counters: each boundary_scale call that regions makes is logged as (args, result, evaluations)."""
+    calls, seen = [], []
 
     def counted(self, z):
         calls.append(1)
-        return real_call(self, z)
+        return _INTEGRATE(self, z)
 
     def solve(*args):
         before = len(calls)
@@ -306,26 +335,117 @@ def test_boundary_scale_matches_scipy_brentq(kind, eps, monkeypatch):
 
     monkeypatch.setattr(_OrthantIntegrator, "__call__", counted)
     monkeypatch.setattr(regions, "boundary_scale", solve)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+@pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
+def test_boundary_scale_matches_scipy_brentq(kind, eps, monkeypatch):
+    # the ported Brent solver returns the very float scipy's brentq returns on the bracket the walks
+    # end with, and evaluates the orthant probability exactly as often as the replayed search says
+    seen = _recorded_solves(monkeypatch)
     delta = resolve_delta("n^-1/4", 500) if kind == "iid" else 0.0
     for theta in (0.05, 0.6, math.pi / 4, 1.5):
         second_order_ray(500, eps, PowerPair(1.0, 2.0), theta, kind, 1 << 12, 0, delta)
-    for (eps_, sigma, d, origin, bracket, samples, seed), t, evals in seen:
-        integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed)
-
-        def gap(s):
-            return real_call(integ, origin - s * d)[0] - (1.0 - eps_)
-
-        # the bracket search as boundary_scale makes it: scale 0, then doubling from the bracket end
-        searched, lo, hi = 1, 0.0, bracket
-        assert gap(0.0) >= 0.0
-        while True:
-            searched += 1
-            if gap(hi) < 0.0:
-                break
-            lo, hi = hi, 2.0 * hi
-        ref, res = brentq(gap, lo, hi, xtol=1e-6, full_output=True)
+    assert len(seen) == 4
+    for args, t, evals in seen:
+        ref, expected_evals, _ = _replayed_search(*args)
         assert t == ref
-        assert evals == searched + res.function_calls - 2
+        assert evals == expected_evals
+
+
+def test_boundary_scale_walks_outward_past_the_single_constraint_radius(monkeypatch):
+    # at the first of 64 rays only user 1's constraint binds, and at seed 1 the lattice puts the
+    # sum-shell root 9.4e-5 nats past the single-constraint radius: the outer end is still a member
+    seen = _recorded_solves(monkeypatch)
+    theta = regions.ray_angles(64)[0]
+    t = second_order_ray(500, 1e-3, PowerPair(1.0, 1.0), theta, "sumshell", 1 << 12, 1)
+    (args, _, evals), = seen
+    inner, outer = args[4]
+    assert inner == pytest.approx(regions.p2p_second_order_rate(500, 1e-3 / 3, 1.0) / math.cos(theta), rel=1e-12)
+    assert outer == pytest.approx(regions.p2p_second_order_rate(500, 1e-3, 1.0) / math.cos(theta), rel=1e-12)
+    ref, expected_evals, (lo, hi) = _replayed_search(*args)
+    assert lo == outer and t > outer
+    assert (t, evals) == (ref, expected_evals)
+    # a guess far below the root doubles its step: from inner end 0 the outer end goes 1, 2, 4, 8
+    origin, d = np.array([10.0, np.inf, np.inf]), np.array([1.0, 0.0, 0.0])
+    args = (1e-3, np.eye(3), d, origin, (0.0, 1.0), 1 << 12, 0)
+    ref, _, (lo, hi) = _replayed_search(*args)
+    assert (lo, hi) == (4.0, 8.0)
+    assert boundary_scale(*args) == ref
+
+
+def test_boundary_scale_walks_inward_below_the_inner_guess():
+    # a guess above the root walks down to a member and solves the same crossing, 4 - Qinv(1e-3)
+    origin, d = np.array([4.0, np.inf, np.inf]), np.array([1.0, 0.0, 0.0])
+    t = boundary_scale(1e-3, np.eye(3), d, origin, (2.0, 3.0), samples=1 << 12, seed=0)
+    ref, _, (lo, hi) = _replayed_search(1e-3, np.eye(3), d, origin, (2.0, 3.0), 1 << 12, 0)
+    assert (lo, hi) == (0.0, 1.0)
+    assert t == ref
+    assert t == pytest.approx(4.0 - 3.090232, abs=5e-6)
+    sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0)).entries
+    args = (1e-3, sigma, np.array([1.0, 1.0, 2.0]), np.array([4.0, 4.0, 8.0]), (2.5, 2.6), 1 << 12, 0)
+    ref, _, (lo, _) = _replayed_search(*args)
+    assert lo < 2.5
+    assert boundary_scale(*args) == ref
+    # an origin outside the set walks all the way down and returns 0
+    assert boundary_scale(1e-3, np.eye(3), d, np.array([-10.0, np.inf, np.inf]), (0.5, 1.0), 1 << 12, 0) == 0.0
+
+
+def test_boundary_scale_rejects_bad_bracket():
+    for bracket in ((1.0, 1.0), (2.0, 1.0), (-0.5, 1.0), (0.0, math.nan)):
+        with pytest.raises(DomainError):
+            boundary_scale(1e-3, np.eye(3), np.ones(3), np.full(3, 10.0), bracket)
+
+
+@pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
+def test_quantile_bracket_is_a_theorem(kind, monkeypatch):
+    # the union-bound radius (each marginal outage eps/3) is inside the quantile set, and the
+    # single-constraint radius (one marginal outage eps) is not, by the exact orthant probability
+    from scipy.stats import multivariate_normal
+
+    seen = []
+    monkeypatch.setattr(regions, "boundary_scale", lambda *args: seen.append(args) or 0.0)
+    n = 500
+    delta = resolve_delta("n^-1/4", n) if kind == "iid" else 0.0
+    for p1 in (1.0, 10.0):
+        for eps in (1e-1, 1e-3, 1e-6):
+            # quad runs at epsabs 1e-14, epsrel 1e-12; scipy's quasi-Monte Carlo cdf is asked for eps / 100
+            tol = 1e-10 if kind == "sumshell" else 1e-2 * eps
+            for theta in regions.ray_angles(8):
+                seen.clear()
+                second_order_ray(n, eps, PowerPair(p1, 1.0), theta, kind, 1 << 12, 0, delta)
+                (_, sigma, d, origin, (inner, outer), _, _), = seen
+                assert 0.0 < inner < outer
+                if kind == "sumshell":
+                    at_inner, at_outer = (sumshell_orthant(p1, 1.0, origin - r * d) for r in (inner, outer))
+                else:
+                    at_inner, at_outer = (
+                        multivariate_normal.cdf(origin - r * d, cov=sigma, abseps=tol, releps=0.0, rng=0)
+                        for r in (inner, outer)
+                    )
+                assert at_inner >= 1.0 - eps - tol
+                assert at_outer <= 1.0 - eps + tol
+
+
+def test_quantile_ray_is_zero_where_a_marginal_fails_at_the_origin(monkeypatch):
+    # at n=5 the p2p rate is 0, so the single-constraint radius is 0 and no solve is made
+    seen = _recorded_solves(monkeypatch)
+    assert regions.p2p_second_order_rate(5, 1e-3, 1.0) == 0.0
+    for kind in ("shell", "iid", "sumshell"):
+        assert second_order_ray(5, 1e-3, PowerPair(1.0, 1.0), 0.8, kind) == 0.0
+    assert seen == []
+
+
+def test_quantile_rays_take_few_evaluations(monkeypatch):
+    # the theorem's bracket leaves Brent about 5.5 lattice evaluations per ray at the figure point
+    # (a bracket from scale 0 took 14.3 to 15.0); the count is deterministic
+    calls = []
+    monkeypatch.setattr(_OrthantIntegrator, "__call__", lambda self, z: calls.append(1) or _INTEGRATE(self, z))
+    for name in ("joint", "iid", "sumshell"):
+        calls.clear()
+        regions.REGIONS[name][1](500, 1e-3, PowerPair(1.0, 1.0), regions.RegionOptions(64, 1 << 12, 0))
+        assert len(calls) / 64 <= 7.0, name
 
 
 def test_quantile_boundary_leaves_scipy_optimize_unimported():
