@@ -51,10 +51,12 @@ def substream(seed, *path: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
+    """Pool size: ``FBMAC_THREADS`` (at least 1), or the number of logical cores."""
+    raw = os.environ.get(THREADS_ENV, "").strip() or str(os.cpu_count() or 1)
+    try:
         return max(1, int(raw))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise DomainError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
 def thread_map(fn: Callable[[T], U], items: Iterable[T]) -> list[U]:

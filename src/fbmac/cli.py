@@ -18,28 +18,30 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from ._rng import default_seed
 from .core import DomainError, PowerPair, db_to_linear, nats_to_bits
 from .gaussquad import BracketError
 from .regions import (
     REGIONS,
-    GallagerParams,
     RegionBoundary,
     RegionOptions,
-    gallager_ray,
     p2p_second_order_rate,
     pentagon_ray,
+    ray_angles,
     second_order_ray,
     splitting_ray,
     tdma_ray,
 )
 
-# unused here: perfbench/tracing.py wraps the builders as attributes of fbmac.cli
+# unused here: perfbench/tracing.py wraps the builders and gallager_ray as attributes of fbmac.cli
 from .regions import (  # noqa: F401
     conjectured_sum_outer_boundary,
     cover_wyner_pentagon,
     gallager_boundary,
+    gallager_ray,
     iid_gaussian_boundary,
     joint_outage_boundary,
     outage_splitting_boundary,
@@ -111,45 +113,39 @@ def _write_bytes(data: bytes, out) -> None:
         Path(out).write_bytes(data)
 
 
-def _nesting_checks(n, eps, pp, samples, seed) -> dict:
-    """Containment checks at 8 angles plus the symmetric-ray rate ordering.
+def _nesting_checks(curves: dict, n, eps, pp, opts: RegionOptions) -> dict:
+    """The inclusions judged on the curves the bundle ships, plus the symmetric-ray rate ordering.
 
-    The TDMA ordering is a symmetric-ray statement only: near the axes time
-    sharing hands one user the whole block and legitimately beats the joint
-    ensembles there.
+    ``curves`` maps each kind to its boundary in nats.  Each relation's slack is a difference of
+    polar radii at every curve ray; ``rays`` keeps the worst slack and its angle.  The TDMA
+    ordering is a symmetric-ray statement only: near the axes time sharing hands one user the
+    whole block and legitimately beats the joint ensembles there.
     """
-    thetas = [(i + 0.5) / 8 * math.pi / 2 for i in range(8)]
-    gp = GallagerParams(1.0, n, eps)
-    b1 = p2p_second_order_rate(n, eps, pp.p1)
-    b2 = p2p_second_order_rate(n, eps, pp.p2)
+    thetas = ray_angles(opts.points)
+    r = {k: np.hypot(*curves[k].points[::-1].T) for k in ("joint", "iid", "sumshell", "splitting", "gallager")}
+    if curves["gallager"].empty:  # the exponent budget already fails at the origin
+        r["gallager"] = np.zeros(thetas.size)
+    box = pentagon_ray(thetas, *curves["su-outer"].points.max(axis=0), math.inf)  # (b1, b2) is its corner
     tol = 2e-3
-    checks = []
-    for i, th in enumerate(thetas):
-        r_joint = second_order_ray(n, eps, pp, th, "shell", samples, (seed, 101, i))
-        r_iid = second_order_ray(n, eps, pp, th, "iid", samples, (seed, 102, i))
-        r_ss = second_order_ray(n, eps, pp, th, "sumshell", samples, (seed, 103, i))
-        r_split = splitting_ray(n, eps, pp, th)
-        r_gal = gallager_ray(gp, pp, th)
-        r_box = pentagon_ray(th, b1, b2, math.inf)
-        slack = {
-            "iid_le_joint": r_joint - r_iid,
-            "splitting_le_joint": r_joint - r_split,
-            "joint_lt_sumshell": r_ss - r_joint,
-            "gallager_le_joint": r_joint - r_gal,
-            "achievable_in_su_box": r_box - max(r_joint, r_split, r_iid),
-        }
-        row = {"theta": th}
-        for name, s in slack.items():
-            row.update({name: _holds(name, s, tol), f"{name}_slack": s})
-        checks.append(row)
+    ray_slack = {
+        "iid_le_joint": r["joint"] - r["iid"],
+        "splitting_le_joint": r["joint"] - r["splitting"],
+        "joint_lt_sumshell": r["sumshell"] - r["joint"],
+        "gallager_le_joint": r["joint"] - r["gallager"],
+        "achievable_in_su_box": box - np.max([r["joint"], r["splitting"], r["iid"]], axis=0),
+    }
+    rays = {}
+    for name, s in ray_slack.items():
+        i = int(np.argmin(s))
+        rays.update({name: _holds(name, s[i], tol), f"{name}_slack": float(s[i]), f"{name}_theta": float(thetas[i])})
     th = math.pi / 4.0
     sym = {
         "theta": th,
         "tdma": tdma_ray(n, eps, pp, th),
-        "iid": second_order_ray(n, eps, pp, th, "iid", samples, (seed, 104)),
+        "iid": second_order_ray(n, eps, pp, th, "iid", opts.samples, opts.seed),
         "splitting": splitting_ray(n, eps, pp, th),
-        "joint": second_order_ray(n, eps, pp, th, "shell", samples, (seed, 105)),
-        "sumshell": second_order_ray(n, eps, pp, th, "sumshell", samples, (seed, 106)),
+        "joint": second_order_ray(n, eps, pp, th, "shell", opts.samples, opts.seed),
+        "sumshell": second_order_ray(n, eps, pp, th, "sumshell", opts.samples, opts.seed),
     }
     slack = {
         "tdma_lt_iid": sym["iid"] - sym["tdma"],
@@ -159,8 +155,7 @@ def _nesting_checks(n, eps, pp, samples, seed) -> dict:
     }
     sym.update({f"{name}_slack": s for name, s in slack.items()})
     sym["ordering_ok"] = all(_holds(name, s, tol) for name, s in slack.items())
-    ok = all(v for row in checks for v in row.values() if isinstance(v, bool)) and sym["ordering_ok"]
-    return {"ok": ok, "rays": checks, "symmetric": sym}
+    return {"ok": all(rays[name] for name in ray_slack) and sym["ordering_ok"], "rays": rays, "symmetric": sym}
 
 
 def _holds(name: str, slack: float, tol: float) -> bool:
@@ -184,9 +179,10 @@ def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, sampl
         "units": "bits",
     }
     opts = RegionOptions(points, samples, seed)
-    files = []
+    files, curves = [], {}
     for kind, (fname, build) in REGIONS.items():
-        rb = build(n, eps, pp, opts).in_units("bits")
+        curves[kind] = build(n, eps, pp, opts)
+        rb = curves[kind].in_units("bits")
         data = emit_region(rb, "csv", {**config, "kind": kind, "file": fname})
         (out / fname).write_bytes(data)
         files.append({"name": fname, "kind": kind, "rows": int(rb.points.shape[0])})
@@ -195,7 +191,7 @@ def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, sampl
         "version": __version__,
         "config": config,
         "files": files,
-        "nesting": _nesting_checks(n, eps, pp, samples, seed),
+        "nesting": _nesting_checks(curves, n, eps, pp, opts),
     }
     (out / "manifest.json").write_bytes((json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode())
     return manifest

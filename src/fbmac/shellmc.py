@@ -578,8 +578,8 @@ def sum_density(t: float, n: int, pp: PowerPair) -> float:
     )
 
 
-def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0) -> np.ndarray:
-    """Draws of ||x1 + x2||^2 / n for independent shell inputs."""
+def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0, reduce=None):
+    """Draws of ||x1 + x2||^2 / n for independent shell inputs; ``reduce`` as in :func:`p2p_density_samples`."""
     if n < 2:
         raise DomainError("need n >= 2")
 
@@ -589,15 +589,16 @@ def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0) -> np.
         x12 = n * math.sqrt(pp.p1 * pp.p2) * g2 / np.sqrt(g2 * g2 + h2)
         return pp.p1 + pp.p2 + 2.0 * x12 / n
 
-    return _stream(trials, seed, draw, None)
+    return _stream(trials, seed, draw, reduce)
 
 
 def inner_product_variance_ratio(n: int, pp: PowerPair, pairs: int, seed=0) -> float:
     """Var <x1, x2> over n p1 p2, its value for independent shell inputs, from ``pairs`` draws."""
     if pairs < 2:
         raise DomainError("need at least 2 pairs for a variance")
-    inner = (sum_inner_product_samples(n, pp, pairs, seed) - pp.p1 - pp.p2) * n / 2.0
-    return float(inner.var(ddof=1) / (n * pp.p1 * pp.p2))
+    # <x1, x2> = (n/2)(t - p1 - p2) for the draws t, so Var <x1, x2> = (n/2)^2 Var t
+    _, se = merge_moments(sum_inner_product_samples(n, pp, pairs, seed, reduce=moments))
+    return float(se * se * pairs * n / (4.0 * pp.p1 * pp.p2))
 
 
 def variance_ratio_passes(ratio: float) -> bool:

@@ -258,6 +258,10 @@ def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
     assert code == 2 and "FBMAC_SEED" in err
     monkeypatch.setenv("FBMAC_SEED", "-1")
     assert run_cli(["verify", "inner-product", "--pairs", "100"], capsys)[0] == 2
+    monkeypatch.delenv("FBMAC_SEED")
+    monkeypatch.setenv("FBMAC_THREADS", "abc")
+    code, out, err = run_cli(["region", "--kind", "joint", *point], capsys)
+    assert (code, out) == (2, "") and "FBMAC_THREADS" in err
 
 
 def test_figure1_bundle(tmp_path, capsys):
@@ -285,19 +289,27 @@ def test_figure1_bundle(tmp_path, capsys):
 def bundle16(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("f1_16")
     figure1_bundle(500, 1e-3, PowerPair(1.0, 1.0), out_dir, points=16, samples=1024, seed=0)
+    return out_dir
+
+
+def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+_RAY_RELATIONS = ["achievable_in_su_box", "gallager_le_joint", "iid_le_joint", "joint_lt_sumshell", "splitting_le_joint"]
+
+
 def test_nesting_booleans_agree_with_slacks(bundle16):
-    nesting = bundle16["nesting"]
+    nesting = _manifest(bundle16)["nesting"]
     tol = 2e-3
-    for row in nesting["rays"]:
-        flags = {k: v for k, v in row.items() if isinstance(v, bool)}
-        assert len(flags) == 5
-        for name, flag in flags.items():
-            slack = row[f"{name}_slack"]
-            assert math.isfinite(slack)
-            assert flag is (slack > -tol if "_lt_" in name else slack >= -tol), name
+    rays = nesting["rays"]
+    flags = {k: v for k, v in rays.items() if isinstance(v, bool)}
+    assert sorted(flags) == _RAY_RELATIONS
+    for name, flag in flags.items():
+        slack = rays[f"{name}_slack"]
+        assert math.isfinite(slack)
+        assert 0.0 < rays[f"{name}_theta"] < math.pi / 2
+        assert flag is (slack > -tol if "_lt_" in name else slack >= -tol), name
     sym = nesting["symmetric"]
     slacks = {k[: -len("_slack")]: v for k, v in sym.items() if k.endswith("_slack")}
     assert sorted(slacks) == ["iid_lt_splitting", "joint_lt_sumshell", "splitting_le_joint", "tdma_lt_iid"]
@@ -305,9 +317,40 @@ def test_nesting_booleans_agree_with_slacks(bundle16):
     assert slacks["splitting_le_joint"] == sym["joint"] - sym["splitting"]
     expect = all(s > -tol if "_lt_" in name else s >= -tol for name, s in slacks.items())
     assert sym["ordering_ok"] is expect
-    # ok aggregates the booleans only: theta and the slacks are numbers
-    flags = [v for row in nesting["rays"] for v in row.values() if isinstance(v, bool)]
-    assert nesting["ok"] is (all(flags) and sym["ordering_ok"])
+    # ok aggregates the booleans only: the angles and the slacks are numbers
+    assert nesting["ok"] is (all(flags.values()) and sym["ordering_ok"])
+
+
+def test_manifest_judges_the_shipped_curves(bundle16):
+    # each relation's worst slack is the one the CSVs on disk show, at the angle the manifest names
+    rays = _manifest(bundle16)["nesting"]["rays"]
+
+    def curve(name):  # nats, in the r1-ascending order of the file
+        rows = (bundle16 / name).read_text().splitlines()[3:]
+        return np.array([ln.split(",") for ln in rows], dtype=float).reshape(-1, 2) * math.log(2.0)
+
+    thetas = (np.arange(16) + 0.5) / 16 * (math.pi / 2)
+    r = {}
+    for kind in ("joint", "iid", "sumshell", "splitting", "gallager"):
+        pts = curve(f"{kind}.csv")[::-1]
+        assert len(pts) in (0, 16)  # one point per ray, or none for an empty gallager region
+        r[kind] = np.hypot(pts[:, 0], pts[:, 1]) if len(pts) else np.zeros(16)
+    b1, b2 = curve("su_outer.csv")[1]
+    box = np.minimum(b1 / np.cos(thetas), b2 / np.sin(thetas))
+    slack = {
+        "iid_le_joint": r["joint"] - r["iid"],
+        "splitting_le_joint": r["joint"] - r["splitting"],
+        "joint_lt_sumshell": r["sumshell"] - r["joint"],
+        "gallager_le_joint": r["joint"] - r["gallager"],
+        "achievable_in_su_box": box - np.max([r["joint"], r["splitting"], r["iid"]], axis=0),
+    }
+    assert sorted(slack) == _RAY_RELATIONS
+    tol = 2e-6  # six decimals of bits on two radii
+    for name, s in slack.items():
+        at = int(np.argmin(np.abs(thetas - rays[f"{name}_theta"])))
+        assert thetas[at] == pytest.approx(rays[f"{name}_theta"], abs=1e-12), name
+        assert s[at] == pytest.approx(rays[f"{name}_slack"], abs=tol), name
+        assert s.min() >= rays[f"{name}_slack"] - tol, name
 
 
 def test_region_table_is_the_single_source(bundle16):
@@ -315,8 +358,9 @@ def test_region_table_is_the_single_source(bundle16):
     region = sub.choices["region"]
     kind_action = next(a for a in region._actions if a.dest == "kind")
     assert list(kind_action.choices) == list(REGIONS)
-    assert [f["kind"] for f in bundle16["files"]] == list(REGIONS)
-    assert [f["name"] for f in bundle16["files"]] == [fname for fname, _ in REGIONS.values()]
+    files = _manifest(bundle16)["files"]
+    assert [f["kind"] for f in files] == list(REGIONS)
+    assert [f["name"] for f in files] == [fname for fname, _ in REGIONS.values()]
     opts = RegionOptions(points=8, samples=1024, seed=0)
     for kind, (_, build) in REGIONS.items():
         rb = build(500, 1e-3, PowerPair(1.0, 1.0), opts)

@@ -184,7 +184,8 @@ def test_quantile_boundary_memory_bounded(boundary, threads, monkeypatch):
 
 @pytest.mark.parametrize("kind, ray_kind", [("joint", "shell"), ("iid", "iid"), ("sumshell", "sumshell")])
 def test_curve_rays_are_second_order_rays(kind, ray_kind):
-    # a curve and a nesting check solve a ray the same way: same lattice size, bracket and root
+    # a curve solves each ray as second_order_ray does at the curve's seed, as the figure1 symmetric
+    # nesting rays do at the run's seed: same lattice, bracket and root
     n, eps, pp = 500, 1e-3, PowerPair(2.0, 1.0)
     rb = REGIONS[kind][1](n, eps, pp, RegionOptions(points=8, seed=3, delta_rule="n^-1/4"))
     thetas = ray_angles(8)

@@ -651,3 +651,22 @@ def test_inner_product_variance_ratio():
             inner_product_variance_ratio(100, PowerPair(1.0, 1.0), pairs)
     ratio = inner_product_variance_ratio(100, PowerPair(1.0, 2.0), 40_000, seed=5)
     assert math.isfinite(ratio) and variance_ratio_passes(ratio)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_inner_product_variance_ratio_keeps_chunk_moments(threads, monkeypatch):
+    # 2^21 pairs are 16 MB of draws: the estimator keeps per-chunk moments, not the draws
+    import tracemalloc
+
+    monkeypatch.setenv("FBMAC_THREADS", threads)
+    n, pp, pairs = 100, PowerPair(1.0, 2.0), 1 << 21
+    inner_product_variance_ratio(n, pp, 1000)  # lazy imports are not the estimator's memory
+    tracemalloc.start()
+    try:
+        ratio = inner_product_variance_ratio(n, pp, pairs, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    inner = (sum_inner_product_samples(n, pp, pairs, 3) - pp.p1 - pp.p2) * n / 2.0
+    assert ratio == pytest.approx(inner.var(ddof=1) / (n * pp.p1 * pp.p2), rel=1e-12)
