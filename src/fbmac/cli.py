@@ -166,7 +166,6 @@ def _holds(name: str, slack: float, tol: float) -> bool:
 def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, samples=1 << 12, seed=0) -> dict:
     """Emit the eight comparison curves plus the pentagon and a manifest."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "figure1",
         "n": n,
@@ -179,9 +178,10 @@ def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, sampl
         "units": "bits",
     }
     opts = RegionOptions(points, samples, seed)
-    files, curves = [], {}
-    for kind, (fname, build) in REGIONS.items():
-        curves[kind] = build(n, eps, pp, opts)
+    curves = {kind: build(n, eps, pp, opts) for kind, (_, build) in REGIONS.items()}
+    out.mkdir(parents=True, exist_ok=True)  # only once every curve is built: a refused run writes nothing
+    files = []
+    for kind, (fname, _) in REGIONS.items():
         rb = curves[kind].in_units("bits")
         data = emit_region(rb, "csv", {**config, "kind": kind, "file": fname})
         (out / fname).write_bytes(data)
@@ -219,7 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--format", choices=["csv", "json"], default="csv")
     rp.add_argument("--delta-rule", default="zero", dest="delta_rule")
     rp.add_argument("--gallager-a", type=float, default=1.0, dest="gallager_a")
-    rp.add_argument("--lambda-grid", type=int, default=64, dest="lambda_grid")
+    rp.add_argument(
+        "--lambda-grid", type=int, default=64, dest="lambda_grid",
+        help="accepted and ignored: the splitting curve is solved exactly on each ray",
+    )
 
     pp_ = sub.add_parser("p2p", help="print the point-to-point second-order rate")
     pp_.add_argument("--n", type=int, required=True)

@@ -27,13 +27,14 @@ across runs and worker counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._rng import substream
+from ._rng import seed_path, substream
 from .core import DomainError
 
 #: generating vectors of the Kronecker lattices (fractional parts of powers of
@@ -43,6 +44,10 @@ _GEN_2D = np.array([0.7548776662466927, 0.5698402909980532])
 
 #: randomly shifted lattice replicates per estimate; their spread is the standard error
 _RANDOMIZATIONS = 8
+
+#: most lattice points per randomization: the lattice, its normals and the running product take
+#: about 400 bytes a point, some 50 MB at this size (criterion 8 runs at it)
+_MAX_SAMPLES = 1 << 17
 
 _TINY = 1e-300
 _ONE_MINUS = 1.0 - 1e-16
@@ -101,6 +106,23 @@ class ProbEstimate:
             raise DomainError("probability estimate out of range")
 
 
+@functools.lru_cache(maxsize=2)
+def _lattice(samples: int, seed: tuple, r: int) -> np.ndarray:
+    """The tent-periodized shifted lattice of the rank-r integrand, one replicate per randomization.
+
+    It depends on (samples, seed, rank) alone, so the rays of a curve, which share all three, read one
+    read-only copy; two are kept, as figure1's quantile curves need a rank-3 and a rank-2 one.  Built
+    per ray, it took about 7% of a figure1 round.
+    """
+    gen = _GEN_1D if r == 2 else _GEN_2D
+    shifts = substream(seed).random((_RANDOMIZATIONS, r - 1))
+    idx = np.arange(1, samples + 1, dtype=float)
+    x = np.remainder(idx[None, :, None] * gen[None, None, :] + shifts[:, None, :], 1.0)
+    x = np.abs(np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x), out=x)
+    x.flags.writeable = False
+    return x
+
+
 class _OrthantIntegrator:
     """Evaluator of z -> Pr[N(0, sigma_active) <= z_active], factored once.
 
@@ -110,8 +132,8 @@ class _OrthantIntegrator:
     """
 
     def __init__(self, sigma: np.ndarray, active: np.ndarray, samples: int, seed):
-        if samples < 1000:
-            raise DomainError("samples must be >= 1000")
+        if not 1000 <= samples <= _MAX_SAMPLES:
+            raise DomainError(f"samples must lie in [1000, {_MAX_SAMPLES}], got {samples}")
         self.active = active
         self.samples = int(samples)
         self.dim = int(active.sum())
@@ -125,12 +147,7 @@ class _OrthantIntegrator:
         self.factor = np.vstack([lead, np.linalg.solve(lead, sub[:r, r:]).T])
         if r <= 1:
             return
-        gen = _GEN_1D if r == 2 else _GEN_2D
-        shifts = substream(seed).random((_RANDOMIZATIONS, r - 1))
-        idx = np.arange(1, self.samples + 1, dtype=float)
-        # tent-periodized shifted lattice, one replicate per randomization, built in place
-        x = np.remainder(idx[None, :, None] * gen[None, None, :] + shifts[:, None, :], 1.0)
-        self.x = np.abs(np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x), out=x)
+        self.x = _lattice(self.samples, seed_path(seed), r)
 
     def _last(self, zz: np.ndarray, hi, y: np.ndarray):
         """Pr of the last free coordinate's interval.  Its own row puts it below ``hi``; a row past the rank

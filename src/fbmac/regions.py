@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from ._rng import thread_map
 from .core import (
@@ -35,6 +35,9 @@ from .core import (
     dispersion_matrix_sumshell,
 )
 from .gaussquad import boundary_scale, q_inv_scalar
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
 
 @dataclass(frozen=True, eq=False)
 class RegionBoundary:
@@ -94,9 +97,14 @@ class GallagerParams:
         SecondOrderParams(self.n, self.eps)
 
 
+#: most rays a curve is sampled on: a quantile-set ray is a lattice solve of about 12 ms, so this
+#: many take about 50 s per region at one worker
+_MAX_RAYS = 1 << 12
+
+
 def ray_angles(num_points: int) -> np.ndarray:
-    if num_points < 8:
-        raise DomainError("need at least 8 rays")
+    if not 8 <= num_points <= _MAX_RAYS:
+        raise DomainError(f"need 8 to {_MAX_RAYS} rays, got {num_points}")
     return (np.arange(num_points) + 0.5) / num_points * (math.pi / 2.0)
 
 
@@ -238,47 +246,86 @@ def iid_gaussian_boundary(
 
 
 # ---------------------------------------------------------------------------
-# outage splitting
+# outage splitting: the union-bound radius
 # ---------------------------------------------------------------------------
 
 
-def _splitting_bounds(n: int, eps: float, pp: PowerPair, resolution: int):
-    """Per-user and sum rate caps (rows) for every positive weight triple on the grid."""
-    if resolution < 4:
-        raise DomainError("lambda grid resolution must be >= 4")
-    i = np.arange(1, resolution - 1)
-    pairs = [(a, b) for a in i for b in range(1, resolution - a)]
-    lam = np.array([(a, b, resolution - a - b) for a, b in pairs], dtype=float) / resolution
-    v = np.diag(dispersion_matrix_shell(pp).entries)[:, None]
-    return _normal_rate(capacity_vector(pp).as_array()[:, None], v, n, _penalty(lam.T * eps))
+def _newton_roots(f, lo, hi, x, xtol: float = 1e-15):
+    """Roots of nondecreasing maps in the brackets ``[lo, hi]``, all elements at once.
+
+    ``f(x) -> (value, slope)`` elementwise, with value <= 0 at ``lo`` and >= 0 at ``hi``; the ends are
+    never evaluated.  Each element takes Newton steps from ``x`` and bisects its bracket wherever a
+    step would leave it, so every iterate stays bracketed; the solve stops once every step or bracket
+    is within ``xtol``, or after 100 steps.
+    """
+    x = np.asarray(x, dtype=float)
+    lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
+    for _ in range(100):
+        value, slope = f(x)
+        lo, hi = np.where(value <= 0.0, x, lo), np.where(value >= 0.0, x, hi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = x - value / slope
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        converged = ((np.abs(step - x) <= xtol) | (hi - lo <= xtol)).all()
+        x = step
+        if converged:
+            break
+    return x
 
 
-def splitting_ray(
-    n: int, eps: float, pp: PowerPair, theta: float, resolution: int = 64
-) -> float:
-    """Ray radius of the union of split-budget pentagons."""
-    return float(pentagon_ray(theta, *_splitting_bounds(n, eps, pp, resolution)).max())
+def union_bound_radius(cvec, vdiag, n: int, eps: float, thetas) -> np.ndarray:
+    """Largest r <= min_i C_i/d_i with sum_i Q(sqrt(n/V_ii)(C_i - r d_i)) <= eps, on each ray; broadcasts.
+
+    Here d = (cos, sin, cos + sin), ``cvec`` is a capacity vector and ``vdiag`` the diagonal of its
+    dispersion matrix (the shell, i.i.d. or sum-shell setup).  By Bonferroni every point where the
+    three marginal outages add up to at most eps lies in the joint quantile set, and these points are
+    exactly the union over weights lambda on the simplex of the pentagons
+    {r_i <= C_i - sqrt(V_ii/n) Qinv(lambda_i eps)}, the splitting region.  The sum rises with r and is
+    convex below the cap, so Newton's method from the single-constraint radius (where one term alone
+    is eps) falls onto the root.  Two cases have no root.  Where the sum already exceeds eps at the
+    origin the radius is 0.  Where it stays within eps up to the cap, which needs eps >= 1/2 since one
+    term is 1/2 there, the radius is the cap: for eps >= 1/2 the single-constraint radius is the cap
+    itself, so the solve starts and stops there.
+    """
+    cvec, vdiag = np.asarray(cvec, dtype=float)[:, None], np.asarray(vdiag, dtype=float)[:, None]
+    thetas = np.asarray(thetas, dtype=float)
+    c, s = np.cos(thetas).ravel(), np.sin(thetas).ravel()
+    d = np.stack([c, s, c + s])
+    scale = np.sqrt(n / vdiag)
+    cap = (cvec / d).min(axis=0)
+
+    def excess(r):
+        z = scale * (cvec - r * d)
+        return ndtr(-z).sum(axis=0) - eps, (scale * d * np.exp(-0.5 * z * z)).sum(axis=0) / _SQRT_2PI
+
+    start = pentagon_ray(thetas.ravel(), *_normal_rate(cvec, vdiag, n, _penalty(eps)))
+    r = np.where(excess(0.0)[0] > 0.0, 0.0, _newton_roots(excess, 0.0, cap, start))
+    return r.reshape(thetas.shape)
+
+
+def _splitting_radius(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
+    SecondOrderParams(n, eps)
+    cvec, sigma = _quantile_region_setup("shell", pp, 0.0)
+    return union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)
+
+
+def splitting_ray(n: int, eps: float, pp: PowerPair, theta: float) -> float:
+    """Ray radius of the outage-splitting region: the union-bound radius of the shell setup."""
+    return float(_splitting_radius(n, eps, pp, theta))
 
 
 def outage_splitting_boundary(
     n: int,
     eps: float,
     pp: PowerPair,
-    lambda_grid_resolution: int = 64,
+    lambda_grid_resolution=None,
     num_points: int = 256,
 ) -> RegionBoundary:
-    """Union over the weight simplex of three scalar-quantile constraints."""
-    SecondOrderParams(n, eps)
-    bounds = _splitting_bounds(n, eps, pp, lambda_grid_resolution)[:, :, None]
+    """Union over the weight simplex of three scalar-quantile constraints, solved exactly on each ray."""
+    # lambda_grid_resolution is accepted for old callers and ignored: no weight grid is sampled
     thetas = ray_angles(num_points)
-    radii = pentagon_ray(thetas, *bounds).max(axis=0)
-    params = {
-        "n": n,
-        "eps": eps,
-        "p1": pp.p1,
-        "p2": pp.p2,
-        "lambda_grid_resolution": lambda_grid_resolution,
-    }
+    radii = _splitting_radius(n, eps, pp, thetas)
+    params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2}
     return RegionBoundary("splitting", params, _ray_points(radii, thetas))
 
 
@@ -386,47 +433,98 @@ def gallager_boundary(gp: GallagerParams, pp: PowerPair, num_points: int = 256) 
 # ---------------------------------------------------------------------------
 
 
-#: the time shares and the error splits both TDMA curves range over
-_TDMA_GRID = np.linspace(1.0 / 200.0, 199.0 / 200.0, 199)
+#: the error-split logits searched: beta and 1 - beta down to e^-600, about 1e-261, so that both error
+#: levels stay normal doubles; where the best split lies further out, the radius no longer moves
+_TDMA_SPLIT = 600.0
+#: golden-section steps over the time share, which shrink its bracket (0, 1) below 1e-7
+_TDMA_STEPS = 36
 
 
-def _tdma_rates(n, eps, pp: PowerPair, alpha, beta):
-    """(r1, r2) when user 1 sends a share alpha of the block with error budget beta eps; broadcasts."""
-    eps2 = (1.0 - beta) * eps / (1.0 - beta * eps)
-    rates = []
-    for share, p, level in ((alpha, pp.p1, beta * eps), (1.0 - alpha, pp.p2, eps2)):
+def _tdma_shares(n, pp: PowerPair, alpha):
+    """Per user, (cap, scale) when user 1 sends a share alpha of the block: at error level e the user's rate
+    is cap + scale ndtri(e) = cap - scale Qinv(e), clipped to [0, cap]; broadcasts."""
+    shares = []
+    for share, p in ((alpha, pp.p1), (1.0 - alpha, pp.p2)):
         q = p / share  # the power of a user silent outside its share
-        c = 0.5 * np.log1p(q)
-        v = 0.5 * q * (q + 2.0) / (1.0 + q) ** 2
-        rates.append(_normal_rate(share * c, share * v, n, _penalty(level)))
-    return rates
+        shares.append((share * 0.5 * np.log1p(q), np.sqrt(share * 0.5 * q * (q + 2.0) / (1.0 + q) ** 2 / n)))
+    return shares
 
 
-def _tdma_grid_points(n, eps, pp) -> np.ndarray:
-    r1, r2 = _tdma_rates(n, eps, pp, _TDMA_GRID[:, None], _TDMA_GRID[None, :])
-    return np.stack([r1.ravel(), r2.ravel()], axis=1)
+def _tdma_levels(eps, split):
+    """Per user, (error level, its slope in the split) when user 1 has the budget beta eps, beta = 1/(1 + e^-split).
+
+    User 2 has the rest, (1 - beta) eps / (1 - beta eps).  Taking the logit of beta as the variable keeps
+    both levels exact as beta nears 0 or 1.
+    """
+    beta, rest = expit(split), expit(-split)
+    eps1, d_beta = beta * eps, beta * rest
+    return (eps1, eps * d_beta), (rest * eps / (1.0 - eps1), -eps * (1.0 - eps) / (1.0 - eps1) ** 2 * d_beta)
+
+
+def _tdma_rates(n, eps, pp: PowerPair, alpha, split):
+    """(r1, r2) at time share alpha and error split ``split`` (the logit of beta); broadcasts."""
+    users = zip(_tdma_shares(n, pp, alpha), _tdma_levels(eps, split))
+    return [np.clip(cap + scale * ndtri(level), 0.0, cap) for (cap, scale), (level, _) in users]
+
+
+def _tdma_radius(n, eps, pp: PowerPair, alpha, c, s, split):
+    """(ray radius, error split) at time share alpha on the ray (c, s); broadcasts, warm-started at ``split``.
+
+    r1 rises and r2 falls with the split, so the best rectangle sits where r1/c = r2/s.  Clipping both
+    rates to [0, cap] does not move that split, so it is solved on the unclipped rates, whose excess
+    is smooth and strictly increasing.
+    """
+    (cap1, k1), (cap2, k2) = _tdma_shares(n, pp, alpha)
+
+    def excess(x):
+        (e1, d1), (e2, d2) = _tdma_levels(eps, x)
+        z1, z2 = ndtri(e1), ndtri(e2)
+        with np.errstate(over="ignore", invalid="ignore"):  # d ndtri(e) / de = sqrt(2 pi) exp(ndtri(e)^2 / 2)
+            slope = _SQRT_2PI * (k1 * d1 * np.exp(0.5 * z1 * z1) / c - k2 * d2 * np.exp(0.5 * z2 * z2) / s)
+        return (cap1 + k1 * z1) / c - (cap2 + k2 * z2) / s, slope
+
+    shape = np.broadcast_shapes(np.shape(alpha), c.shape)
+    split = _newton_roots(excess, -_TDMA_SPLIT, _TDMA_SPLIT, np.broadcast_to(split, shape), xtol=1e-12)
+    r1, r2 = _tdma_rates(n, eps, pp, alpha, split)
+    return np.minimum(r1 / c, r2 / s), split
+
+
+def _tdma_radii(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
+    """Largest ray radius over the time share of the TDMA rectangles, on each ray.
+
+    A golden-section search over the share in (0, 1).  It relies on the radius rising, then falling in
+    the share, which held on every ray at 180 operating points (n from 20 to 1e6, eps from 1e-9 to 0.9,
+    each SNR from -20 to 20 dB; 2000 shares, 64 rays).
+    """
+    SecondOrderParams(n, eps)
+    thetas = np.asarray(thetas, dtype=float)
+    c, s = np.cos(thetas), np.sin(thetas)
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.zeros_like(thetas), np.ones_like(thetas)
+    x1, x2 = hi - g, lo + g
+    (f1, b1), (f2, b2) = _tdma_radius(n, eps, pp, x1, c, s, 0.0), _tdma_radius(n, eps, pp, x2, c, s, 0.0)
+    best = np.maximum(f1, f2)
+    for _ in range(_TDMA_STEPS):
+        left = f1 >= f2  # keep [lo, x2], whose inner golden point is x1, else [x1, hi]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        f, b = _tdma_radius(n, eps, pp, x, c, s, np.where(left, b1, b2))
+        x1, f1, b1, x2, f2, b2 = (np.where(left, u, v) for u, v in zip((x, f, b, x1, f1, b1), (x2, f2, b2, x, f, b)))
+        best = np.maximum(best, f)
+    return best
 
 
 def tdma_ray(n: int, eps: float, pp: PowerPair, theta: float) -> float:
-    """Ray radius of the union of rectangles dominated by grid points."""
-    pts = _tdma_grid_points(n, eps, pp)
-    return float(pentagon_ray(theta, pts[:, 0], pts[:, 1], math.inf).max())
+    """Ray radius of the TDMA region with power control."""
+    return float(_tdma_radii(n, eps, pp, np.array([theta]))[0])
 
 
-def tdma_boundary(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
-    """Pareto envelope over the time-share and error-split grids."""
-    SecondOrderParams(n, eps)
-    pts = _tdma_grid_points(n, eps, pp)
-    order = np.argsort(-pts[:, 0], kind="stable")
-    pts = pts[order]
-    best = np.maximum.accumulate(pts[:, 1])
-    keep = pts[:, 1] >= best  # points not dominated by a higher-r1 point
-    frontier = pts[keep][::-1]
-    # drop points dominated in r2 as r1 decreases duplicate-wise
-    _, first = np.unique(frontier[:, 0], return_index=True)
-    frontier = frontier[first]
-    params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2, "grid": _TDMA_GRID.size}
-    return RegionBoundary("tdma", params, frontier)
+def tdma_boundary(n: int, eps: float, pp: PowerPair, num_points: int = 256) -> RegionBoundary:
+    """Union over time shares and error splits of the TDMA rectangles, solved on each ray."""
+    thetas = ray_angles(num_points)
+    radii = _tdma_radii(n, eps, pp, thetas)
+    params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2}
+    return RegionBoundary("tdma", params, _ray_points(radii, thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +594,6 @@ class RegionOptions(NamedTuple):
     points: int = 256
     samples: int = 1 << 12
     seed: object = 0
-    lambda_grid: int = 64
     delta_rule: object = "zero"
     gallager_a: float = 1.0
 
@@ -510,7 +607,7 @@ REGIONS = {
     ),
     "splitting": (
         "splitting.csv",
-        lambda n, eps, pp, o: outage_splitting_boundary(n, eps, pp, o.lambda_grid, o.points),
+        lambda n, eps, pp, o: outage_splitting_boundary(n, eps, pp, num_points=o.points),
     ),
     "iid": (
         "iid.csv",
@@ -520,7 +617,7 @@ REGIONS = {
         "gallager.csv",
         lambda n, eps, pp, o: gallager_boundary(GallagerParams(o.gallager_a, n, eps), pp, o.points),
     ),
-    "tdma": ("tdma.csv", lambda n, eps, pp, o: tdma_boundary(n, eps, pp)),
+    "tdma": ("tdma.csv", lambda n, eps, pp, o: tdma_boundary(n, eps, pp, o.points)),
     "su-outer": ("su_outer.csv", lambda n, eps, pp, o: su_outer_box(n, eps, pp)),
     "sumshell": (
         "sumshell.csv",

@@ -42,6 +42,9 @@ from .core import DomainError, PowerPair, _require_finite_positive, capacity, ca
 from .gaussquad import ProbEstimate
 
 _CHUNK = 1 << 16
+#: most draws the CLT check takes: its KS distance keeps every draw, about 28 bytes each in the
+#: mac-joint case, so some 120 MB at this size
+_CLT_TRIALS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,8 +300,8 @@ def clt_function_check(
     reports the worst KS distance over the three margins together with the
     relative Frobenius error of the empirical covariance.
     """
-    if n < 16 or trials < 1000:
-        raise DomainError("need n >= 16 and trials >= 1000")
+    if n < 16 or not 1000 <= trials <= _CLT_TRIALS:
+        raise DomainError(f"need n >= 16 and 1000 <= trials <= {_CLT_TRIALS}")
     if case == "p2p":
         # [p (n - ||z||^2) + 2 <x, z>] / n, recovered from the density draws
         vals = p2p_density_samples(n, p, trials, seed)

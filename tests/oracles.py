@@ -14,7 +14,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 mp.mp.dps = 40
 
@@ -138,6 +138,83 @@ def sumshell_orthant(p1: float, p2: float, z) -> float:
     kink = (z3 - b * z2) / (a * s1)
     cuts = [-math.inf, *([kink] if kink < top else []), top]
     return sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
+
+
+def shell_setup(p1: float, p2: float):
+    """(capacity vector, dispersion matrix) of independent power-shell inputs, from their closed forms.
+
+    The per-user dispersions are p (p + 2) / (2 (1 + p)^2); the sum coordinate adds the inner-product
+    term p1 p2 / (1 + p1 + p2)^2 to the dispersion at p1 + p2.
+    """
+    ps = p1 + p2
+    v1, v2, vs = (p * (p + 2.0) / (2.0 * (1.0 + p) ** 2) for p in (p1, p2, ps))
+    v12 = p1 * p2 / (2.0 * (1.0 + p1) * (1.0 + p2))
+    v13, v23 = (pu * (2.0 + ps) / (2.0 * (1.0 + pu) * (1.0 + ps)) for pu in (p1, p2))
+    sigma = np.array([[v1, v12, v13], [v12, v2, v23], [v13, v23, vs + p1 * p2 / (1.0 + ps) ** 2]])
+    return np.array([0.5 * math.log1p(p) for p in (p1, p2, ps)]), sigma
+
+
+def union_bound_root(n: int, eps: float, cvec, vdiag, theta: float) -> float:
+    """Largest r <= min_i C_i/d_i with sum_i Q(sqrt(n/V_ii)(C_i - r d_i)) <= eps, d = (cos, sin, cos + sin).
+
+    Bisection of the mpmath tails at 40 digits; 0 if the origin already fails, the cap if the sum
+    stays within eps up to it.
+    """
+    c, s = mp.cos(mp.mpf(theta)), mp.sin(mp.mpf(theta))
+    d = (c, s, c + s)
+    caps = [mp.mpf(float(ci)) for ci in cvec]
+    scales = [mp.sqrt(mp.mpf(n) / mp.mpf(float(v))) for v in vdiag]
+
+    def excess(r):
+        return sum(mp.erfc(k * (ci - r * di) / mp.sqrt(2)) / 2 for k, ci, di in zip(scales, caps, d)) - eps
+
+    lo, hi = mp.mpf(0), min(ci / di for ci, di in zip(caps, d))
+    if excess(lo) > 0:
+        return 0.0
+    if excess(hi) <= 0:
+        return float(hi)
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) <= 0 else (lo, mid)
+    return float(lo)
+
+
+def splitting_grid_radius(n: int, eps: float, cvec, vdiag, theta: float, resolution: int) -> float:
+    """Ray radius of the union of the split-budget pentagons {r_i <= C_i - sqrt(V_ii/n) Qinv(lambda_i eps)}
+    over the positive weights lambda = (a, b, c)/resolution on the simplex; penalties and rates clamp at 0."""
+    a, b = np.meshgrid(np.arange(1, resolution), np.arange(1, resolution), indexing="ij")
+    keep = a + b < resolution
+    lam = np.stack([a[keep], b[keep], resolution - a[keep] - b[keep]]) / resolution
+    v = np.asarray(vdiag, dtype=float)[:, None]
+    caps = np.asarray(cvec, dtype=float)[:, None]
+    b1, b2, bs = np.maximum(caps - np.sqrt(v / n) * np.maximum(-ndtri(lam * eps), 0.0), 0.0)
+    c, s = math.cos(theta), math.sin(theta)
+    return float(np.minimum(np.minimum(b1 / c, b2 / s), bs / (c + s)).max())
+
+
+def tdma_grid_radius(n: int, eps: float, p1: float, p2: float, thetas, size: int = 1000) -> np.ndarray:
+    """Ray radii of the union of TDMA rectangles over a size x size grid of time shares and error splits.
+
+    User 1 sends a share a of the block at power p1/a with error level b eps, user 2 the rest at
+    p2/(1 - a) with level (1 - b) eps / (1 - b eps); each rate is the share's capacity term minus
+    sqrt(share V(power) / n) Qinv(level), clipped to [0, capacity term].  The rectangles are first
+    cut to their Pareto frontier.
+    """
+    grid = np.arange(1, size + 1) / (size + 1)
+    a, b = grid[:, None], grid[None, :]
+
+    def rate(share, p, level):
+        q = p / share
+        cap = share * 0.5 * np.log1p(q)
+        v = share * q * (q + 2.0) / (2.0 * (1.0 + q) ** 2)
+        return np.clip(cap + np.sqrt(v / n) * ndtri(level), 0.0, cap).ravel()
+
+    r1, r2 = rate(a, p1, b * eps), rate(1.0 - a, p2, (1.0 - b) * eps / (1.0 - b * eps))
+    order = np.argsort(-r1, kind="stable")
+    r1, r2 = r1[order], r2[order]
+    front = r2 >= np.maximum.accumulate(r2)  # no rectangle with a larger r1 has a larger r2
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    return np.minimum(r1[front] / np.cos(thetas), r2[front] / np.sin(thetas)).max(axis=1)
 
 
 def bivariate_lower_prob_trapezoid(z1: float, z2: float, rho: float, cells: int = 2000) -> float:

@@ -149,6 +149,35 @@ def test_verify_bessel_grid_over_budget_exits_2(capsys):
         assert code == 2 and f"at most {_BESSEL_GRID_CALLS}" in err
 
 
+def test_size_knobs_over_budget_exit_2_at_once(capsys, tmp_path):
+    # each knob is refused by its computed budget before any lattice, ray or draw is made; these
+    # ran for minutes or ended in an out-of-memory traceback (exit 1) before
+    import time
+
+    point = ["--n", "500", "--eps", "1e-3", "--p1-db", "0", "--p2-db", "0"]
+    for argv in (
+        ["region", "--kind", "gallager", *point, "--points", "10000000"],
+        ["region", "--kind", "tdma", *point, "--points", "10000000"],
+        ["region", "--kind", "joint", *point, "--samples", "100000000"],
+        ["figure1", "--points", "10000000", "--out-dir", str(tmp_path / "f1")],
+        ["figure1", "--samples", "100000000", "--out-dir", str(tmp_path / "f1")],
+        ["verify", "clt", "--n", "1024", "--trials", "1000000000"],
+        ["verify", "clt", "--case", "mac-joint", "--n", "1024", "--trials", "1000000000"],
+    ):
+        start = time.monotonic()
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and "invalid" in err, argv
+        assert time.monotonic() - start < 1.0, argv
+    assert not (tmp_path / "f1").exists()
+    # the lambda grid is accepted and ignored: a huge value runs and draws the same curve as a tiny one
+    rows = []
+    for grid in ("2", "20000"):
+        code, out, _ = run_cli(["region", "--kind", "splitting", *point, "--lambda-grid", grid], capsys)
+        assert code == 0
+        rows.append([ln for ln in out.splitlines() if not ln.startswith("#")])
+    assert rows[0] == rows[1]
+
+
 def test_verify_inner_product(capsys):
     code, out, _ = run_cli(
         ["verify", "inner-product", "--n", "100", "--pairs", "40000", "--seed", "1"], capsys

@@ -206,6 +206,22 @@ def test_orthant_requires_min_samples():
         lower_orthant_prob(OrthantQuery(np.eye(3), np.zeros(3)), samples=100)
 
 
+def test_lattice_is_shared_per_samples_seed_and_rank():
+    # the rays of a curve read one cached, read-only lattice; it depends on nothing but the sample
+    # count, the seed and the rank, and a change of any of the three gets its own
+    active = np.ones(3, dtype=bool)
+    shell, sumshell = (m(PowerPair(1.0, 1.0)).entries for m in (dispersion_matrix_shell, dispersion_matrix_sumshell))
+    x = _OrthantIntegrator(shell, active, 1 << 12, 5).x
+    assert _OrthantIntegrator(np.eye(3), active, 1 << 12, 5).x is x and not x.flags.writeable
+    assert _OrthantIntegrator(shell, active, 1 << 12, (5,)).x is x  # the same seed path
+    for other in (
+        _OrthantIntegrator(shell, active, 1 << 12, 6).x,
+        _OrthantIntegrator(shell, active, 1 << 13, 5).x,
+        _OrthantIntegrator(sumshell, active, 1 << 12, 5).x,
+    ):
+        assert other.shape != x.shape or not np.array_equal(other, x)
+
+
 def test_prob_estimate_invariants():
     with pytest.raises(DomainError):
         ProbEstimate(1.2, 0.0, 10)

@@ -5,12 +5,14 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import logit
 
 from fbmac.core import (
     DomainError,
     PowerPair,
     capacity,
     capacity_vector,
+    db_to_linear,
     dispersion,
     dispersion_matrix_shell,
     nats_to_bits,
@@ -21,6 +23,7 @@ from fbmac.regions import (
     GallagerParams,
     RegionBoundary,
     RegionOptions,
+    _tdma_radius,
     _tdma_rates,
     conjectured_sum_outer_boundary,
     cover_wyner_pentagon,
@@ -41,11 +44,14 @@ from fbmac.regions import (
     sumshell_hypothetical_boundary,
     tdma_boundary,
     tdma_ray,
+    union_bound_radius,
 )
-from oracles import q_tail_inv
+from oracles import q_tail_inv, shell_setup, splitting_grid_radius, tdma_grid_radius, union_bound_root
 
 PP = PowerPair(1.0, 1.0)
 FIG1 = dict(n=500, eps=1e-3)
+#: (n, eps, p1 dB, p2 dB) of the figure point and of the three benchmark sweep points
+OPERATING_POINTS = [(500, 1e-3, 0.0, 0.0), (500, 1e-6, 0.0, 0.0), (500, 1e-3, 10.0, 0.0), (10_000, 1e-1, -10.0, -10.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +211,8 @@ def test_splitting_equal_weights_constraints():
     v_sum = dispersion_matrix_shell(PP).entries[2, 2]
     assert v_sum == pytest.approx(0.555556, abs=5e-7)
     b3 = capacity(2.0) - math.sqrt(v_sum / n) * q_inv_scalar(eps / 3.0)
-    # the equal-split sum constraint is attained by the simplex-grid union
-    r_sym = splitting_ray(n, eps, PP, math.pi / 4, resolution=63)  # includes 21/63 = 1/3
+    # the equal-split sum constraint is attained by the union over the weight simplex
+    r_sym = splitting_ray(n, eps, PP, math.pi / 4)
     assert r_sym * math.sqrt(2.0) >= b3 - 1e-12
 
 
@@ -230,8 +236,54 @@ def test_joint_contains_splitting_at_eps_1e9():
 
 
 def test_splitting_resolution_validation():
+    # no weight grid is sampled: the old resolution argument is accepted and ignored, so neither a
+    # coarse nor a huge value changes the curve; the ray count and (n, eps) are still checked
+    curve = outage_splitting_boundary(500, 1e-3, PP, num_points=16).points
+    for resolution in (2, 64, 20_000):
+        assert np.array_equal(outage_splitting_boundary(500, 1e-3, PP, resolution, 16).points, curve)
     with pytest.raises(DomainError):
-        outage_splitting_boundary(500, 1e-3, PP, lambda_grid_resolution=2)
+        outage_splitting_boundary(500, 1e-3, PP, num_points=4)
+    with pytest.raises(DomainError):
+        outage_splitting_boundary(500, 0.0, PP)
+
+
+@pytest.mark.parametrize("p1_db", [0.0, 10.0])
+@pytest.mark.parametrize("n, eps", [(500, 1e-1), (500, 1e-3), (500, 1e-9), (500, 0.9), (5, 1e-3), (20, 1e-2)])
+def test_union_bound_radius_matches_mpmath_root(n, eps, p1_db):
+    # eps = 0.9 reaches the cap min_i C_i/d_i on some rays; at n = 5 one marginal alone fails at the
+    # origin, and at n = 20, eps = 1e-2, 0/0 dB each is within eps there but their sum is not (radius 0)
+    cvec, sigma = shell_setup(db_to_linear(p1_db), 1.0)
+    thetas = ray_angles(8)
+    ref = np.array([union_bound_root(n, eps, cvec, np.diag(sigma), t) for t in thetas])
+    u = union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)
+    assert np.abs(u - ref).max() <= 1e-12
+    assert (u[ref == 0.0] == 0.0).all()  # an origin outside gives exactly 0, not a bisected remainder
+    # the splitting curve is this root on the library's own shell setup
+    rb = outage_splitting_boundary(n, eps, PowerPair(db_to_linear(p1_db), 1.0), num_points=8)
+    assert np.abs(np.hypot(*rb.points[::-1].T) - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+def test_union_bound_radius_bounds_every_split_pentagon(eps):
+    # the exact union over the weight simplex contains every pentagon of a dense weight grid
+    for p1 in (1.0, 10.0):
+        cvec, sigma = shell_setup(p1, 1.0)
+        thetas = ray_angles(16)
+        grid = np.array([splitting_grid_radius(500, eps, cvec, np.diag(sigma), t, 400) for t in thetas])
+        assert (union_bound_radius(cvec, np.diag(sigma), 500, eps, thetas) >= grid - 1e-12).all()
+
+
+def test_joint_outage_at_union_bound_radius_is_at_most_eps():
+    # Bonferroni: where the three marginal outages add up to eps, the joint outage is at most eps
+    from scipy.stats import multivariate_normal
+
+    n, eps = FIG1["n"], FIG1["eps"]
+    cvec, sigma = shell_setup(1.0, 1.0)
+    thetas = ray_angles(8)
+    for theta, r in zip(thetas, union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)):
+        d = np.array([math.cos(theta), math.sin(theta), math.cos(theta) + math.sin(theta)])
+        inside = multivariate_normal.cdf(math.sqrt(n) * (cvec - r * d), cov=sigma, abseps=1e-10, releps=0.0, rng=0)
+        assert 1.0 - inside <= eps + 1e-10
 
 
 def test_splitting_penalty_clamped_at_half():
@@ -380,7 +432,7 @@ def test_gallager_params_validation():
 def test_tdma_full_share_recovers_single_user():
     n, eps = 500, 1e-3
     beta = 0.7
-    r1, r2 = _tdma_rates(n, eps, PP, 1.0 - 1e-9, beta)
+    r1, r2 = _tdma_rates(n, eps, PP, 1.0 - 1e-9, logit(beta))
     expect = capacity(1.0) - math.sqrt(dispersion(1.0) / n) * q_inv_scalar(beta * eps)
     assert r1 == pytest.approx(expect, rel=1e-6)
     assert r2 == pytest.approx(0.0, abs=1e-9)
@@ -390,8 +442,28 @@ def test_tdma_symmetric_point():
     # beta solving beta*eps = (1-beta)eps/(1-beta*eps) balances the two users
     eps = 1e-3
     beta = (1.0 - math.sqrt(1.0 - eps)) / eps
-    r1, r2 = _tdma_rates(500, eps, PP, 0.5, beta)
+    r1, r2 = _tdma_rates(500, eps, PP, 0.5, logit(beta))
     assert r1 == pytest.approx(r2, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    # the last point has near-axis rays whose balancing error split lies past any double; an error
+    # level allowed to underflow to 0 there zeroes the radius at some time shares
+    "n, eps, p1_db, p2_db", [*OPERATING_POINTS, (10_000, 1e-1, 0.0, 0.0)]
+)
+def test_tdma_rays_reach_the_dense_grid(n, eps, p1_db, p2_db):
+    pp = PowerPair(db_to_linear(p1_db), db_to_linear(p2_db))
+    thetas = ray_angles(256)
+    radii = np.hypot(*tdma_boundary(n, eps, pp).points[::-1].T)
+    assert (radii >= tdma_grid_radius(n, eps, pp.p1, pp.p2, thetas) - 1e-10).all()
+    # the golden-section search assumes the radius rises, then falls in the time share: at 1000
+    # shares, each solved exactly in the error split, no ray rises again once it has fallen (beyond
+    # 1e-12 nats)
+    shares = (np.arange(1000) + 0.5) / 1000
+    r, _ = _tdma_radius(n, eps, pp, shares[:, None], np.cos(thetas), np.sin(thetas), 0.0)
+    step = np.diff(r, axis=0)
+    fallen = np.cumsum(step < -1e-12, axis=0) > 0
+    assert not (fallen & (step > 1e-12)).any()
 
 
 def test_tdma_below_joint_sum_rate():
@@ -447,6 +519,16 @@ def test_cover_wyner_pentagon_corners():
     rb = cover_wyner_pentagon(PP)
     assert rb.points[:, 0].max() == pytest.approx(capacity(1.0), rel=1e-12)
     assert (rb.points[:, 0] + rb.points[:, 1]).max() == pytest.approx(capacity(2.0), rel=1e-12)
+
+
+def test_curved_kinds_ship_one_row_per_ray():
+    # only the polygon kinds keep their corners; an envelope of grid points would ship more rows
+    for kind, (_, build) in REGIONS.items():
+        rows = build(500, 1e-3, PP, RegionOptions(points=16)).points.shape[0]
+        if kind in ("su-outer", "conjectured-sum-outer", "pentagon"):
+            assert rows <= 4, kind
+        else:
+            assert rows == 16, kind
 
 
 def test_region_boundary_validation():
