@@ -98,7 +98,7 @@ class GallagerParams:
 
 
 #: most rays a curve is sampled on: a quantile-set ray is a lattice solve of about 12 ms, so this
-#: many take about 50 s per region at one worker
+#: many take about 50 s per region at one worker (half that at equal powers, which solve half the rays)
 _MAX_RAYS = 1 << 12
 
 
@@ -196,8 +196,15 @@ def second_order_ray(
 def _quantile_boundary(
     name: str, kind: str, n, eps, pp, num_points, samples, seed, delta=0.0, extra_params=None
 ) -> RegionBoundary:
-    """Region ``name``: :func:`second_order_ray` of ray ``kind`` at every angle, one seed for all."""
-    thetas = ray_angles(num_points)
+    """Region ``name``: :func:`second_order_ray` of ray ``kind`` at every angle, one seed for all.
+
+    At equal powers the users swap places and the set stays the same, so the radius at theta is the
+    radius at pi/2 - theta: only the rays up to pi/4 are solved (at the figure point the lattice falls
+    less far below the union-bound radius there), and the curve is mirrored after the monotone repair,
+    which raises r1 and lowers r2, so that it ships exactly symmetric.
+    """
+    mirror = pp.p1 == pp.p2
+    thetas = ray_angles(num_points)[: (num_points + 1) // 2 if mirror else None]
     radii = np.array(thread_map(lambda t: second_order_ray(n, eps, pp, t, kind, samples, seed, delta), thetas))
     params = {
         "n": n,
@@ -209,7 +216,10 @@ def _quantile_boundary(
     }
     if extra_params:
         params.update(extra_params)
-    return RegionBoundary(name, params, _ray_points(radii, thetas))
+    rb = RegionBoundary(name, params, _ray_points(radii, thetas))
+    if mirror:  # ray N-1-k is ray k with r1 and r2 swapped; an odd count's pi/4 ray is its own mirror
+        rb = RegionBoundary(name, params, np.concatenate([rb.points[num_points % 2 :][::-1, ::-1], rb.points]))
+    return rb
 
 
 def joint_outage_boundary(
@@ -472,19 +482,29 @@ def _tdma_radius(n, eps, pp: PowerPair, alpha, c, s, split):
 
     r1 rises and r2 falls with the split, so the best rectangle sits where r1/c = r2/s.  Clipping both
     rates to [0, cap] does not move that split, so it is solved on the unclipped rates, whose excess
-    is smooth and strictly increasing.
+    is smooth and strictly increasing.  Only the elements that need it are solved: where the excess
+    has one sign over the searched range the split is settled at its nearer end, and where one user
+    has no rate even with the whole error budget the radius is 0 at any split.
     """
+    shape = np.broadcast_shapes(np.shape(alpha), c.shape)
     (cap1, k1), (cap2, k2) = _tdma_shares(n, pp, alpha)
+    terms = [np.broadcast_to(t, shape) for t in (cap1, k1, cap2, k2, c, s)]
 
-    def excess(x):
+    def excess(x, cap1, k1, cap2, k2, c, s):
         (e1, d1), (e2, d2) = _tdma_levels(eps, x)
         z1, z2 = ndtri(e1), ndtri(e2)
         with np.errstate(over="ignore", invalid="ignore"):  # d ndtri(e) / de = sqrt(2 pi) exp(ndtri(e)^2 / 2)
             slope = _SQRT_2PI * (k1 * d1 * np.exp(0.5 * z1 * z1) / c - k2 * d2 * np.exp(0.5 * z2 * z2) / s)
         return (cap1 + k1 * z1) / c - (cap2 + k2 * z2) / s, slope
 
-    shape = np.broadcast_shapes(np.shape(alpha), c.shape)
-    split = _newton_roots(excess, -_TDMA_SPLIT, _TDMA_SPLIT, np.broadcast_to(split, shape), xtol=1e-12)
+    (e1, _), (e2, _) = _tdma_levels(eps, np.reshape([-_TDMA_SPLIT, _TDMA_SPLIT], (2,) + (1,) * len(shape)))
+    u1, u2 = cap1 + k1 * ndtri(e1), cap2 + k2 * ndtri(e2)  # the unclipped rates at both ends
+    below, above = u1[0] / c >= u2[0] / s, u1[1] / c <= u2[1] / s
+    split = np.where(below, -_TDMA_SPLIT, np.where(above, _TDMA_SPLIT, np.broadcast_to(split, shape)))
+    inside = ~(below | above | (u1[1] <= 0.0) | (u2[0] <= 0.0))
+    if inside.any():
+        rest = [t[inside] for t in terms]
+        split[inside] = _newton_roots(lambda x: excess(x, *rest), -_TDMA_SPLIT, _TDMA_SPLIT, split[inside], 1e-12)
     r1, r2 = _tdma_rates(n, eps, pp, alpha, split)
     return np.minimum(r1 / c, r2 / s), split
 

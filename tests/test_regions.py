@@ -17,6 +17,7 @@ from fbmac.core import (
     dispersion_matrix_shell,
     nats_to_bits,
 )
+from fbmac import regions
 from fbmac.gaussquad import q_inv_scalar, quantile_set_member
 from fbmac.regions import (
     REGIONS,
@@ -191,7 +192,8 @@ def test_quantile_boundary_memory_bounded(boundary, threads, monkeypatch):
 @pytest.mark.parametrize("kind, ray_kind", [("joint", "shell"), ("iid", "iid"), ("sumshell", "sumshell")])
 def test_curve_rays_are_second_order_rays(kind, ray_kind):
     # a curve solves each ray as second_order_ray does at the curve's seed, as the figure1 symmetric
-    # nesting rays do at the run's seed: same lattice, bracket and root
+    # nesting rays do at the run's seed: same lattice, bracket and root.  At these unequal powers
+    # every ray is solved; at equal powers the rays above pi/4 would be mirrored instead
     n, eps, pp = 500, 1e-3, PowerPair(2.0, 1.0)
     rb = REGIONS[kind][1](n, eps, pp, RegionOptions(points=8, seed=3, delta_rule="n^-1/4"))
     thetas = ray_angles(8)
@@ -199,6 +201,39 @@ def test_curve_rays_are_second_order_rays(kind, ray_kind):
     r = second_order_ray(n, eps, pp, thetas[j], ray_kind, 1 << 12, 3, rb.params.get("delta", 0.0))
     # the curve lists its points in r1-ascending order, that is by descending angle
     assert rb.points[-1 - j].tolist() == [r * np.cos(thetas)[j], r * np.sin(thetas)[j]]
+
+
+@pytest.mark.parametrize("num_points", [63, 64])
+def test_equal_power_curves_are_mirror_symmetric(num_points):
+    # swapping equal-power users maps the ray at theta to the one at pi/2 - theta
+    for kind in ("joint", "iid", "sumshell"):
+        rb = REGIONS[kind][1](500, 1e-3, PP, RegionOptions(points=num_points, seed=0))
+        radii = np.hypot(*rb.points[::-1].T)
+        assert np.abs(radii - radii[::-1]).max() <= 1e-15, kind
+
+
+@pytest.mark.parametrize("num_points", [8, 9])
+def test_equal_powers_solve_the_rays_up_to_pi_over_4(num_points, monkeypatch):
+    calls = []
+    solve = regions.boundary_scale
+    monkeypatch.setattr(regions, "boundary_scale", lambda *a: calls.append(1) or solve(*a))
+    for kind in ("joint", "iid", "sumshell"):
+        for pp, solved in ((PP, (num_points + 1) // 2), (PowerPair(2.0, 1.0), num_points)):
+            calls.clear()
+            REGIONS[kind][1](500, 1e-3, pp, RegionOptions(points=num_points, seed=0))
+            assert len(calls) == solved, (kind, pp)
+
+
+def test_equal_power_curves_stay_near_the_union_bound_radius():
+    # every shipped radius is inside the quantile set's theorem bracket, up to the lattice error: at the
+    # figure point the rays below pi/4 fall at most 1.05e-4 (joint) and 1.17e-4 nats (iid) short of the
+    # union-bound radius; solving the rays above pi/4 too let them fall 2.30e-4 and 3.13e-4 short
+    thetas = ray_angles(64)
+    for kind, ray_kind in (("joint", "shell"), ("iid", "iid")):
+        rb = REGIONS[kind][1](500, 1e-3, PP, RegionOptions(points=64, seed=0))
+        cvec, sigma = regions._quantile_region_setup(ray_kind, PP, 0.0)
+        u = union_bound_radius(cvec, np.diag(sigma), 500, 1e-3, thetas)
+        assert (u - np.hypot(*rb.points[::-1].T)).max() <= 1.5e-4, kind
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +499,21 @@ def test_tdma_rays_reach_the_dense_grid(n, eps, p1_db, p2_db):
     step = np.diff(r, axis=0)
     fallen = np.cumsum(step < -1e-12, axis=0) > 0
     assert not (fallen & (step > 1e-12)).any()
+
+
+def test_tdma_settles_the_splits_without_a_balance(monkeypatch):
+    # at n = 5 one user has no rate even with the whole error budget, so every radius is 0: the splits
+    # are settled from the two ends of the range, with fewer evaluations than at the figure point
+    calls = []
+    levels = regions._tdma_levels
+    monkeypatch.setattr(regions, "_tdma_levels", lambda *a: calls.append(1) or levels(*a))
+    counts = []
+    for n in (500, 5):
+        calls.clear()
+        rb = tdma_boundary(n, 1e-3, PP)
+        counts.append(len(calls))
+    assert (rb.points == 0.0).all()
+    assert counts[1] <= counts[0]
 
 
 def test_tdma_below_joint_sum_rate():
