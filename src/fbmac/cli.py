@@ -81,7 +81,7 @@ def emit_region(rb: RegionBoundary, fmt: str, config: dict) -> bytes:
     if fmt == "csv":
         lines = [
             f"# fbmac {__version__}",
-            "# config: " + json.dumps(config, sort_keys=True),
+            "# config: " + json.dumps(config, sort_keys=True, allow_nan=False),
             f"r1_{rb.units},r2_{rb.units}",
         ]
         lines += [f"{r1:.6f},{r2:.6f}" for r1, r2 in rb.points]
@@ -97,12 +97,13 @@ def emit_region(rb: RegionBoundary, fmt: str, config: dict) -> bytes:
             "empty": rb.empty,
             "points": [[float(a), float(b)] for a, b in rb.points],
         }
-        return (json.dumps(payload, sort_keys=True) + "\n").encode()
+        return (json.dumps(payload, sort_keys=True, allow_nan=False) + "\n").encode()
     raise DomainError(f"unknown format {fmt!r}")
 
 
 def _emit_json(obj: dict, out) -> None:
-    _write_bytes((json.dumps(obj, sort_keys=True) + "\n").encode(), out)
+    """Write ``obj`` as strict JSON: a non-finite number raises ValueError (exit 1) before a byte is written."""
+    _write_bytes((json.dumps(obj, sort_keys=True, allow_nan=False) + "\n").encode(), out)
 
 
 def _write_bytes(data: bytes, out) -> None:
@@ -193,7 +194,8 @@ def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, sampl
         "files": files,
         "nesting": _nesting_checks(curves, n, eps, pp, opts),
     }
-    (out / "manifest.json").write_bytes((json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode())
+    data = json.dumps(manifest, sort_keys=True, indent=1, allow_nan=False)
+    (out / "manifest.json").write_bytes((data + "\n").encode())
     return manifest
 
 
@@ -372,7 +374,8 @@ def _cmd_simulate(args) -> int:
             "errors": res.errors,
             "eps_hat": res.eps_hat,
             "ci95": [res.ci95_low, res.ci95_high],
-            "thresholds": [th.log_gamma1, th.log_gamma2, th.log_gamma3],
+            # a trivial codebook has no test: its threshold -inf is written as null
+            "thresholds": [None if g == -math.inf else g for g in (th.log_gamma1, th.log_gamma2, th.log_gamma3)],
         },
         args.out,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._rng import thread_map
 from .core import (
@@ -443,9 +443,6 @@ def gallager_boundary(gp: GallagerParams, pp: PowerPair, num_points: int = 256) 
 # ---------------------------------------------------------------------------
 
 
-#: the error-split logits searched: beta and 1 - beta down to e^-600, about 1e-261, so that both error
-#: levels stay normal doubles; where the best split lies further out, the radius no longer moves
-_TDMA_SPLIT = 600.0
 #: golden-section steps over the time share, which shrink its bracket (0, 1) below 1e-7
 _TDMA_STEPS = 36
 
@@ -460,53 +457,29 @@ def _tdma_shares(n, pp: PowerPair, alpha):
     return shares
 
 
-def _tdma_levels(eps, split):
-    """Per user, (error level, its slope in the split) when user 1 has the budget beta eps, beta = 1/(1 + e^-split).
+def _tdma_radius(n, eps, pp: PowerPair, alpha, c, s):
+    """Ray radius at time share alpha on the ray (c, s); broadcasts.
 
-    User 2 has the rest, (1 - beta) eps / (1 - beta eps).  Taking the logit of beta as the variable keeps
-    both levels exact as beta nears 0 or 1.
+    The error levels share the budget as (1 - e1)(1 - e2) = 1 - eps, and r d_i is within user i's
+    clipped rate at level e_i exactly when z_i = (cap_i - r d_i)/scale_i >= 0 and 1 - e_i <= Phi(z_i).
+    So the radius is the largest r <= min_i cap_i/d_i with log Phi(z1) + log Phi(z2) >= log(1 - eps).
+    The excess rises with r and is convex, so Newton's method from the single-constraint radius falls
+    onto the root; it is 0 where the origin already fails, and for eps >= 1/2 the solve starts at the cap.
     """
-    beta, rest = expit(split), expit(-split)
-    eps1, d_beta = beta * eps, beta * rest
-    return (eps1, eps * d_beta), (rest * eps / (1.0 - eps1), -eps * (1.0 - eps) / (1.0 - eps1) ** 2 * d_beta)
-
-
-def _tdma_rates(n, eps, pp: PowerPair, alpha, split):
-    """(r1, r2) at time share alpha and error split ``split`` (the logit of beta); broadcasts."""
-    users = zip(_tdma_shares(n, pp, alpha), _tdma_levels(eps, split))
-    return [np.clip(cap + scale * ndtri(level), 0.0, cap) for (cap, scale), (level, _) in users]
-
-
-def _tdma_radius(n, eps, pp: PowerPair, alpha, c, s, split):
-    """(ray radius, error split) at time share alpha on the ray (c, s); broadcasts, warm-started at ``split``.
-
-    r1 rises and r2 falls with the split, so the best rectangle sits where r1/c = r2/s.  Clipping both
-    rates to [0, cap] does not move that split, so it is solved on the unclipped rates, whose excess
-    is smooth and strictly increasing.  Only the elements that need it are solved: where the excess
-    has one sign over the searched range the split is settled at its nearer end, and where one user
-    has no rate even with the whole error budget the radius is 0 at any split.
-    """
-    shape = np.broadcast_shapes(np.shape(alpha), c.shape)
     (cap1, k1), (cap2, k2) = _tdma_shares(n, pp, alpha)
-    terms = [np.broadcast_to(t, shape) for t in (cap1, k1, cap2, k2, c, s)]
+    terms = np.stack(np.broadcast_arrays(cap1, cap2, k1, k2, c, s))
+    cap, scale, d = terms.reshape((3, 2) + terms.shape[1:])
+    level = math.log1p(-eps)
 
-    def excess(x, cap1, k1, cap2, k2, c, s):
-        (e1, d1), (e2, d2) = _tdma_levels(eps, x)
-        z1, z2 = ndtri(e1), ndtri(e2)
-        with np.errstate(over="ignore", invalid="ignore"):  # d ndtri(e) / de = sqrt(2 pi) exp(ndtri(e)^2 / 2)
-            slope = _SQRT_2PI * (k1 * d1 * np.exp(0.5 * z1 * z1) / c - k2 * d2 * np.exp(0.5 * z2 * z2) / s)
-        return (cap1 + k1 * z1) / c - (cap2 + k2 * z2) / s, slope
+    def excess(r):
+        z = (cap - r * d) / scale
+        log_phi = log_ndtr(z)  # d(-log Phi(z))/dr = d/scale phi(z)/Phi(z)
+        slope = (d / scale * np.exp(-0.5 * z * z - log_phi)).sum(axis=0) / _SQRT_2PI
+        return level - log_phi.sum(axis=0), slope
 
-    (e1, _), (e2, _) = _tdma_levels(eps, np.reshape([-_TDMA_SPLIT, _TDMA_SPLIT], (2,) + (1,) * len(shape)))
-    u1, u2 = cap1 + k1 * ndtri(e1), cap2 + k2 * ndtri(e2)  # the unclipped rates at both ends
-    below, above = u1[0] / c >= u2[0] / s, u1[1] / c <= u2[1] / s
-    split = np.where(below, -_TDMA_SPLIT, np.where(above, _TDMA_SPLIT, np.broadcast_to(split, shape)))
-    inside = ~(below | above | (u1[1] <= 0.0) | (u2[0] <= 0.0))
-    if inside.any():
-        rest = [t[inside] for t in terms]
-        split[inside] = _newton_roots(lambda x: excess(x, *rest), -_TDMA_SPLIT, _TDMA_SPLIT, split[inside], 1e-12)
-    r1, r2 = _tdma_rates(n, eps, pp, alpha, split)
-    return np.minimum(r1 / c, r2 / s), split
+    top = (cap / d).min(axis=0)
+    start = np.minimum((np.maximum(cap - scale * _penalty(eps), 0.0) / d).min(axis=0), top)
+    return np.where(excess(0.0)[0] > 0.0, 0.0, _newton_roots(excess, 0.0, top, start))
 
 
 def _tdma_radii(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
@@ -522,14 +495,14 @@ def _tdma_radii(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
     g = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = np.zeros_like(thetas), np.ones_like(thetas)
     x1, x2 = hi - g, lo + g
-    (f1, b1), (f2, b2) = _tdma_radius(n, eps, pp, x1, c, s, 0.0), _tdma_radius(n, eps, pp, x2, c, s, 0.0)
+    f1, f2 = _tdma_radius(n, eps, pp, x1, c, s), _tdma_radius(n, eps, pp, x2, c, s)
     best = np.maximum(f1, f2)
     for _ in range(_TDMA_STEPS):
         left = f1 >= f2  # keep [lo, x2], whose inner golden point is x1, else [x1, hi]
         lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
         x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
-        f, b = _tdma_radius(n, eps, pp, x, c, s, np.where(left, b1, b2))
-        x1, f1, b1, x2, f2, b2 = (np.where(left, u, v) for u, v in zip((x, f, b, x1, f1, b1), (x2, f2, b2, x, f, b)))
+        f = _tdma_radius(n, eps, pp, x, c, s)
+        x1, f1, x2, f2 = (np.where(left, u, v) for u, v in zip((x, f, x1, f1), (x2, f2, x, f)))
         best = np.maximum(best, f)
     return best
 

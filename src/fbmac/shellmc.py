@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +303,16 @@ def clt_function_check(
     """
     if n < 16 or not 1000 <= trials <= _CLT_TRIALS:
         raise DomainError(f"need n >= 16 and 1000 <= trials <= {_CLT_TRIALS}")
+    if case not in ("p2p", "mac-joint"):
+        raise DomainError(f"unknown case {case!r}")
+    pp = pp if pp is not None else PowerPair(1.0, 1.0)
+    name, top = ("p", _require_finite_positive("p", p)) if case == "p2p" else ("p1 + p2", pp.p_sum)
+    # entries are below 4 (top + 2)^2 / n: ten deviations, squared and summed over the trials, stay finite
+    if not math.isfinite(400.0 * trials * (top + 2.0) * (top + 2.0)):
+        raise DomainError(f"{name} = {top!r} is too large: the covariance of {trials} draws overflows")
+    # the Frobenius norm squares the entries, the largest of which is above 4 (p1 + p2) / n
+    if case == "mac-joint" and not (4.0 * top / n) ** 2 >= sys.float_info.min:
+        raise DomainError(f"p1 + p2 = {top!r} is too small: the covariance's Frobenius norm underflows")
     if case == "p2p":
         # [p (n - ||z||^2) + 2 <x, z>] / n, recovered from the density draws
         vals = p2p_density_samples(n, p, trials, seed)
@@ -310,17 +321,14 @@ def clt_function_check(
         var = clt_target_cov_p2p(n, p)
         ks = _ks_distance(vals, math.sqrt(var))
         return KsReport(n, trials, ks, np.zeros(1), np.array([[var]]))
-    if case == "mac-joint":
-        pp = pp if pp is not None else PowerPair(1.0, 1.0)
-        vals = mac_density_samples(n, pp, trials, seed)
-        vals -= n * capacity_vector(pp).as_array()[:, None]
-        vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
-        target = clt_target_cov_mac(n, pp)
-        emp = _row_cov(vals)  # before the rows are sorted apart
-        ks = max(_ks_distance(vals[i], math.sqrt(target[i, i])) for i in range(3))
-        rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target))
-        return KsReport(n, trials, ks, np.zeros(3), target, rel)
-    raise DomainError(f"unknown case {case!r}")
+    vals = mac_density_samples(n, pp, trials, seed)
+    vals -= n * capacity_vector(pp).as_array()[:, None]
+    vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
+    target = clt_target_cov_mac(n, pp)
+    emp = _row_cov(vals)  # before the rows are sorted apart
+    ks = max(_ks_distance(vals[i], math.sqrt(target[i, i])) for i in range(3))
+    rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target))
+    return KsReport(n, trials, ks, np.zeros(3), target, rel)
 
 
 def clt_passes(rep: KsReport) -> bool:
@@ -436,6 +444,8 @@ def rn_bound_mac_check(pp: PowerPair) -> ExtremeReport:
         raise DomainError(f"p1 + p2 = {pp.p_sum!r} is too large: the profile's (t + p1 - p2)^2 overflows")
     width = hi - lo
     inset = 1e-9 * width
+    if not lo < lo + inset < hi - inset < hi:  # the grid must lie inside, where the profile is finite
+        raise DomainError(f"p1 / p2 = {p1 / p2!r} is too extreme: the interval ({lo!r}, {hi!r}) rounds shut")
     grid = np.linspace(lo + inset, hi - inset, _T_GRID)
     fmax, argmax = _golden_max(lambda t: rn_bound_function_mac(t, p1, p2), grid, 1e-9 * width)
     constants = {
@@ -503,6 +513,8 @@ def log_bessel_i(k: float, z: float) -> float:
     if z == 0.0:
         return 0.0 if k == 0.0 else -math.inf
     if k >= 16.0:
+        if z / k < sys.float_info.min:  # Olver's expansion takes ln(z/k)
+            raise DomainError(f"k = {k!r} is too large for z = {z!r}: z/k underflows")
         return _log_bessel_uniform(k, z)
     if z <= 400.0:
         return _log_bessel_series(k, z)
@@ -512,8 +524,10 @@ def log_bessel_i(k: float, z: float) -> float:
 def bessel_ratio_bound_check(k: float, z: float) -> BesselBoundReport:
     """Check z^{-k} I_k(z) <= sqrt(pi/8) (k^2+z^2)^{-1/4} (k+sqrt(k^2+z^2))^{-k} e^{sqrt(k^2+z^2)}."""
     z = _require_finite_positive("z", z)
-    log_lhs = log_bessel_i(k, z) - k * math.log(z)
     root = math.hypot(k, z)
+    if not math.isfinite(k * math.log(k + root)):
+        raise DomainError(f"k = {k!r} is too large: the bound's k ln(k + sqrt(k^2 + z^2)) overflows")
+    log_lhs = log_bessel_i(k, z) - k * math.log(z)
     log_rhs = (
         0.5 * math.log(math.pi / 8.0)
         - 0.5 * math.log(root)
@@ -599,6 +613,10 @@ def inner_product_variance_ratio(n: int, pp: PowerPair, pairs: int, seed=0) -> f
     """Var <x1, x2> over n p1 p2, its value for independent shell inputs, from ``pairs`` draws."""
     if pairs < 2:
         raise DomainError("need at least 2 pairs for a variance")
+    # the draws lie below 2 (p1 + p2) and have variance 4 p1 p2 / n; their moments must stay normal doubles
+    top, var = 4.0 * pairs * pp.p_sum * pp.p_sum, 4.0 * pp.p1 * pp.p2
+    if not (math.isfinite(top) and var >= sys.float_info.min * n * pairs):
+        raise DomainError(f"p1 = {pp.p1!r}, p2 = {pp.p2!r}: the draws' variance overflows or underflows")
     # <x1, x2> = (n/2)(t - p1 - p2) for the draws t, so Var <x1, x2> = (n/2)^2 Var t
     _, se = merge_moments(sum_inner_product_samples(n, pp, pairs, seed, reduce=moments))
     return float(se * se * pairs * n / (4.0 * pp.p1 * pp.p2))
@@ -652,6 +670,9 @@ def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> 
     Computed entirely with bounded reweighted terms e^{ln gamma - i}, so no
     under/overflow at any blocklength.
     """
+    p = _require_finite_positive("p", p)
+    if not math.isfinite((1.0 + p) * (1.0 + p)):  # the dispersion V(p) divides by (1 + p)^2
+        raise DomainError(f"p = {p!r} is too large: the dispersion's (1 + p)^2 overflows")
 
     def contrib(lg, it):
         return moments(np.where(it > lg, np.exp(np.clip(lg - it, -745.0, 0.0)), 0.0))

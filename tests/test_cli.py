@@ -213,6 +213,66 @@ def test_simulate_json(capsys):
     assert 0.0 <= payload["eps_hat"] <= 1.0
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and +-Infinity, which RFC 8259 does not allow."""
+
+    def refuse(name):
+        raise ValueError(f"{name} in a payload")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "p2p", "--n", "1000000", "--m1", "8", "--p1-db", "-60", "--trials", "2000"],
+        ["simulate", "mac", "--n", "100", "--m1", "1", "--m2", "8", "--p1-db", "0", "--p2-db", "0",
+         "--trials", "1000"],
+        ["verify", "rn-p2p", "--p", "1"],
+        ["verify", "rn-mac", "--p1", "1", "--p2", "3"],
+        ["verify", "bessel", "--k", "2", "--z", "1"],
+        ["verify", "clt", "--case", "mac-joint", "--n", "64", "--trials", "1000"],
+        ["verify", "inner-product", "--pairs", "1000"],
+        ["verify", "confusion-scaling", "--trials", "2000"],
+        ["verify", "bounds", "--mode", "p2p", "--n", "20", "--m1", "4", "--p1-db", "0",
+         "--sim-trials", "1000", "--bound-trials", "1000"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_payloads_are_strict_json(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    payload = _strict_json(out)
+    if argv[0] == "simulate":  # a one-codeword book has no test: its threshold is null, not -Infinity
+        tested = [True, False, False] if argv[1] == "p2p" else [False, True, False]
+        assert [g is not None for g in payload["thresholds"]] == tested
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["clt", "--n", "16", "--trials", "1000", "--p", "-1"], "p must be finite and > 0"),
+        (["clt", "--n", "16", "--trials", "1000", "--p", "0"], "p must be finite and > 0"),
+        (["clt", "--case", "mac-joint", "--n", "16", "--trials", "1000", "--p1", "1e300", "--p2", "1"],
+         "p1 + p2 = 1e+300 is too large"),
+        (["clt", "--case", "mac-joint", "--n", "16", "--trials", "1000", "--p1", "1e-300", "--p2", "1e-300"],
+         "p1 + p2 = 2e-300 is too small"),
+        (["confusion-scaling", "--p", "0", "--trials", "2000"], "p must be finite and > 0"),
+        (["confusion-scaling", "--p", "1e300", "--trials", "2000"], "p = 1e+300 is too large"),
+        (["inner-product", "--p1", "1e300", "--p2", "1e300", "--pairs", "1000"], "p1 = 1e+300, p2 = 1e+300"),
+        (["inner-product", "--p1", "1e-300", "--p2", "1e-300", "--pairs", "1000"], "p1 = 1e-300, p2 = 1e-300"),
+        (["bessel", "--k", "1e308", "--z", "1"], "k = 1e+308 is too large"),
+        (["bessel", "--k", "1e300", "--z", "1e-300"], "k = 1e+300 is too large for z = 1e-300"),
+        (["rn-mac", "--p1", "1e-300", "--p2", "1"], "p1 / p2 = 1e-300 is too extreme"),
+    ],
+)
+def test_out_of_domain_powers_and_orders_exit_2(argv, named, capsys):
+    # each of these once ended in a traceback, a NaN or +-Infinity in the payload, or a pass on -inf logs
+    code, out, err = run_cli(["verify", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert "invalid arguments" in err and named in err
+
+
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
     assert run_cli(["region", "--kind", "bogus"], capsys)[0] == 2
     assert run_cli(["nonsense"], capsys)[0] == 2

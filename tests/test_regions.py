@@ -5,7 +5,6 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import logit
 
 from fbmac.core import (
     DomainError,
@@ -25,7 +24,7 @@ from fbmac.regions import (
     RegionBoundary,
     RegionOptions,
     _tdma_radius,
-    _tdma_rates,
+    _tdma_shares,
     conjectured_sum_outer_boundary,
     cover_wyner_pentagon,
     gallager_boundary,
@@ -465,25 +464,28 @@ def test_gallager_params_validation():
 
 
 def test_tdma_full_share_recovers_single_user():
-    n, eps = 500, 1e-3
-    beta = 0.7
-    r1, r2 = _tdma_rates(n, eps, PP, 1.0 - 1e-9, logit(beta))
-    expect = capacity(1.0) - math.sqrt(dispersion(1.0) / n) * q_inv_scalar(beta * eps)
-    assert r1 == pytest.approx(expect, rel=1e-6)
-    assert r2 == pytest.approx(0.0, abs=1e-9)
+    # user 1 sends all but a share 1e-6 of the block on a ray 1e-9 off the r1 axis.  At n = 1e6 that
+    # share still carries user 2's tiny rate with an outage near Q(9.8), about 1e-22, so user 1 spends
+    # the whole budget eps and radius cos(theta) is the point-to-point rate at level eps
+    n, eps, theta = 10**6, 1e-3, 1e-9
+    r = _tdma_radius(n, eps, PP, 1.0 - 1e-6, np.array(math.cos(theta)), np.array(math.sin(theta)))
+    assert r * math.cos(theta) == pytest.approx(p2p_second_order_rate(n, eps, 1.0), rel=1e-6)
 
 
 def test_tdma_symmetric_point():
-    # beta solving beta*eps = (1-beta)eps/(1-beta*eps) balances the two users
-    eps = 1e-3
-    beta = (1.0 - math.sqrt(1.0 - eps)) / eps
-    r1, r2 = _tdma_rates(500, eps, PP, 0.5, logit(beta))
-    assert r1 == pytest.approx(r2, rel=1e-9)
+    # at share 1/2 and equal powers each user has capacity C(2)/2 and dispersion V(2)/2, and on the
+    # ray pi/4 both users bind at one error level: Phi(z)^2 = 1 - eps
+    n, eps = 500, 1e-3
+    level = -math.expm1(0.5 * math.log1p(-eps))  # 1 - sqrt(1 - eps)
+    expect = (0.5 * capacity(2.0) - math.sqrt(0.5 * dispersion(2.0) / n) * q_inv_scalar(level)) * math.sqrt(2.0)
+    c = np.array(math.cos(math.pi / 4))
+    assert _tdma_radius(n, eps, PP, 0.5, c, c) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize(
-    # the last point has near-axis rays whose balancing error split lies past any double; an error
-    # level allowed to underflow to 0 there zeroes the radius at some time shares
+    # the last point has near-axis rays where the user on the short side of the ray has an outage far
+    # below the smallest double; the product root keeps its log Phi, where an error level held as a
+    # double would underflow to 0 and zero the radius at some time shares
     "n, eps, p1_db, p2_db", [*OPERATING_POINTS, (10_000, 1e-1, 0.0, 0.0)]
 )
 def test_tdma_rays_reach_the_dense_grid(n, eps, p1_db, p2_db):
@@ -492,21 +494,40 @@ def test_tdma_rays_reach_the_dense_grid(n, eps, p1_db, p2_db):
     radii = np.hypot(*tdma_boundary(n, eps, pp).points[::-1].T)
     assert (radii >= tdma_grid_radius(n, eps, pp.p1, pp.p2, thetas) - 1e-10).all()
     # the golden-section search assumes the radius rises, then falls in the time share: at 1000
-    # shares, each solved exactly in the error split, no ray rises again once it has fallen (beyond
+    # shares, each solved exactly as the product root, no ray rises again once it has fallen (beyond
     # 1e-12 nats)
     shares = (np.arange(1000) + 0.5) / 1000
-    r, _ = _tdma_radius(n, eps, pp, shares[:, None], np.cos(thetas), np.sin(thetas), 0.0)
+    r = _tdma_radius(n, eps, pp, shares[:, None], np.cos(thetas), np.sin(thetas))
     step = np.diff(r, axis=0)
     fallen = np.cumsum(step < -1e-12, axis=0) > 0
     assert not (fallen & (step > 1e-12)).any()
 
 
+@pytest.mark.parametrize("n, eps, p1_db, p2_db", OPERATING_POINTS)
+def test_tdma_radius_is_the_product_root(n, eps, p1_db, p2_db):
+    # every radius strictly inside (0, cap) solves Phi(z1) Phi(z2) = 1 - eps, checked in 30 digits
+    pp = PowerPair(db_to_linear(p1_db), db_to_linear(p2_db))
+    shares, thetas = (np.arange(32) + 0.5)[:, None] / 32, ray_angles(64)
+    c, s = np.cos(thetas), np.sin(thetas)
+    r = _tdma_radius(n, eps, pp, shares, c, s)
+    (cap1, k1), (cap2, k2) = _tdma_shares(n, pp, shares)
+    inside = (r > 0.0) & (r < np.minimum(cap1 / c, cap2 / s))
+    assert inside.sum() > r.size // 2
+    with mp.workdps(30):
+        for i, j in zip(*np.nonzero(inside)):
+            z1 = (mp.mpf(cap1[i, 0]) - mp.mpf(r[i, j]) * mp.mpf(c[j])) / mp.mpf(k1[i, 0])
+            z2 = (mp.mpf(cap2[i, 0]) - mp.mpf(r[i, j]) * mp.mpf(s[j])) / mp.mpf(k2[i, 0])
+            assert abs(mp.ncdf(z1) * mp.ncdf(z2) - (1 - mp.mpf(eps))) <= 1e-12 * (1 - eps)
+
+
 def test_tdma_settles_the_splits_without_a_balance(monkeypatch):
-    # at n = 5 one user has no rate even with the whole error budget, so every radius is 0: the splits
-    # are settled from the two ends of the range, with fewer evaluations than at the figure point
+    # at n = 5 one user has no rate even with the whole error budget, so every radius is 0: the
+    # product roots start and stop at the origin, with fewer evaluations than at the figure point
     calls = []
-    levels = regions._tdma_levels
-    monkeypatch.setattr(regions, "_tdma_levels", lambda *a: calls.append(1) or levels(*a))
+    newton = regions._newton_roots
+    monkeypatch.setattr(
+        regions, "_newton_roots", lambda f, *a: newton(lambda x: calls.append(1) or f(x), *a)
+    )
     counts = []
     for n in (500, 5):
         calls.clear()
