@@ -460,16 +460,17 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_bounds(args, seed: int) -> dict:
+    # the bound runs first, so an over-budget --bound-trials is refused before the simulation draws
     spec = _link_spec(args, seed)
     if args.mode == "p2p":
         th = default_thresholds(spec, 1.0, 1.0, 1.0)
-        sim = simulate_p2p(spec, th, args.sim_trials)
         rhs = p2p_achievability_bound(spec, th, args.bound_trials)
+        sim = simulate_p2p(spec, th, args.sim_trials)
     else:
         th = default_thresholds(spec, *shell_rn_constants(PowerPair(spec.p1, spec.p2)))
-        sim = simulate_mac(spec, th, args.sim_trials)
         mode = "joint" if args.mode == "mac-joint" else "splitting"
         rhs = mac_achievability_bound(spec, th, args.bound_trials, mode=mode)
+        sim = simulate_mac(spec, th, args.sim_trials)
     sim_se = math.sqrt(max(sim.eps_hat * (1 - sim.eps_hat), 1e-300) / sim.trials)
     margin = 2.0 * math.hypot(sim_se, rhs.std_err)
     return {

@@ -133,7 +133,9 @@ def dispersion(p: float) -> float:
     p = float(p)
     if not math.isfinite(p) or p < 0.0:
         raise DomainError(f"SNR must be finite and >= 0, got {p!r}")
-    return 0.5 * p * (p + 2.0) / (1.0 + p) ** 2
+    if math.isfinite((1.0 + p) * (1.0 + p)):
+        return 0.5 * p * (p + 2.0) / (1.0 + p) ** 2
+    return 0.5 * (p / (1.0 + p)) * ((p + 2.0) / (1.0 + p))  # past p ~ 1.3e154, where (1 + p)^2 overflows
 
 
 def capacity_vector(pp: PowerPair) -> CapacityVector:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._rng import seed_path, substream
+from ._rng import seed_path, seed_sequence
 from .core import DomainError
 
 #: generating vectors of the Kronecker lattices (fractional parts of powers of
@@ -115,7 +115,9 @@ def _lattice(samples: int, seed: tuple, r: int) -> np.ndarray:
     per ray, it took about 7% of a figure1 round.
     """
     gen = _GEN_1D if r == 2 else _GEN_2D
-    shifts = substream(seed).random((_RANDOMIZATIONS, r - 1))
+    # Philox, not the package's SFC64 substreams: these shifts fix every quantile-set curve, which stays
+    # byte-identical until the lattice goes (ROADMAP item 3)
+    shifts = np.random.Generator(np.random.Philox(seed_sequence(seed))).random((_RANDOMIZATIONS, r - 1))
     idx = np.arange(1, samples + 1, dtype=float)
     x = np.remainder(idx[None, :, None] * gen[None, None, :] + shifts[:, None, :], 1.0)
     x = np.abs(np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x), out=x)

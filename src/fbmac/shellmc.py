@@ -118,6 +118,7 @@ def _p2p_stats_reduced(n: int, p: float, m: int, rng: np.random.Generator):
 def _stream(trials, seed, draw, reduce, rows=()):
     """Chunked draws: ``draw(m, rng)`` per chunk, reduced as drawn into a list, or with
     ``reduce=None`` written chunk by chunk into one preallocated ``(*rows, trials)`` array."""
+    sizes = chunk_sizes(trials, _CHUNK)  # refuses an over-budget run before anything is allocated
     out = np.empty(rows + (max(trials, 0),)) if reduce is None else None
 
     def run(item):
@@ -127,7 +128,7 @@ def _stream(trials, seed, draw, reduce, rows=()):
             return reduce(draws)
         out[..., idx * _CHUNK : idx * _CHUNK + m] = draws
 
-    parts = thread_map(run, enumerate(chunk_sizes(trials, _CHUNK)))
+    parts = thread_map(run, enumerate(sizes))
     return parts if out is None else out
 
 
@@ -357,15 +358,15 @@ def _hollow_sphere(p1: float, p2: float) -> tuple[float, float]:
 
 
 def _log_sin_sq(t: float, p1: float, p2: float) -> float:
-    """ln(1 - cos^2 theta0), theta0 the angle of x1 to x1 + x2 at ||x1 + x2||^2 = n t.
+    """ln sin^2 theta0, theta0 the angle of x1 to x1 + x2 at ||x1 + x2||^2 = n t.
 
-    -inf off the open support of :func:`_hollow_sphere`.
+    1 - (t + p1 - p2)^2 / (4 p1 t) is exactly (hi - t)(t - lo) / (4 p1 t), which keeps its precision
+    when p2 << p1, where cos^2 theta0 rounds toward 1.  -inf off the open support of :func:`_hollow_sphere`.
     """
     lo, hi = _hollow_sphere(p1, p2)
     if not (lo < t < hi):
         return -math.inf
-    cos0_sq = (t + p1 - p2) ** 2 / (4.0 * p1 * t)
-    return math.log1p(-cos0_sq) if cos0_sq < 1.0 else -math.inf
+    return math.log(hi - t) + math.log(t - lo) - math.log(4.0 * p1) - math.log(t)
 
 
 def rn_bound_function_mac(t: float, p1: float, p2: float) -> float:
@@ -671,8 +672,10 @@ def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> 
     under/overflow at any blocklength.
     """
     p = _require_finite_positive("p", p)
-    if not math.isfinite((1.0 + p) * (1.0 + p)):  # the dispersion V(p) divides by (1 + p)^2
-        raise DomainError(f"p = {p!r} is too large: the dispersion's (1 + p)^2 overflows")
+    # refused where (1 + p)^2 overflows, well before the densities' p (n - ||z||^2) turns into inf - inf
+    # and the payload into NaN near the double limit
+    if not math.isfinite((1.0 + p) * (1.0 + p)):
+        raise DomainError(f"p = {p!r} is too large: (1 + p)^2 overflows")
 
     def contrib(lg, it):
         return moments(np.where(it > lg, np.exp(np.clip(lg - it, -745.0, 0.0)), 0.0))

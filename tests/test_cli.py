@@ -25,6 +25,13 @@ def test_p2p_prints_rate(capsys):
     assert out.strip() == "0.377905"
 
 
+def test_p2p_at_a_power_whose_square_overflows(capsys):
+    # (1 + p)^2 overflowed in the dispersion at 1600 dB and the command exited 1
+    code, out, _ = run_cli(["p2p", "--n", "500", "--eps", "1e-3", "--p-db", "1600"], capsys)
+    assert code == 0
+    assert math.isfinite(float(out))
+
+
 def test_region_csv_format(tmp_path, capsys):
     out = tmp_path / "joint.csv"
     code, _, _ = run_cli(
@@ -176,6 +183,31 @@ def test_size_knobs_over_budget_exit_2_at_once(capsys, tmp_path):
         assert code == 0
         rows.append([ln for ln in out.splitlines() if not ln.startswith("#")])
     assert rows[0] == rows[1]
+
+
+def test_monte_carlo_count_knobs_over_budget_exit_2_at_once(capsys):
+    # one past the chunk budget, each count knob is refused before any draw; the chunk list alone of
+    # a 2^36-draw run took 100 MB
+    import time
+
+    from fbmac._rng import _MAX_CHUNKS
+    from fbmac.shellmc import _CHUNK
+    from fbmac.simlink import _sim_chunk
+
+    draws = str(_CHUNK * _MAX_CHUNKS + 1)
+    link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", "-10", "--p2-db", "-10"]
+    sim = str(_sim_chunk(100, 8, 8) * _MAX_CHUNKS + 1)
+    for argv in (
+        ["verify", "inner-product", "--n", "100", "--pairs", draws],
+        ["verify", "confusion-scaling", "--trials", draws],
+        ["verify", "bounds", "--mode", "mac-joint", *link, "--bound-trials", draws],
+        ["verify", "bounds", "--mode", "mac-joint", *link, "--bound-trials", "1000", "--sim-trials", sim],
+        ["simulate", "mac", *link, "--trials", sim],
+    ):
+        start = time.monotonic()
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and f"make more than {_MAX_CHUNKS} chunks" in err, argv
+        assert time.monotonic() - start < 1.0, argv
 
 
 def test_verify_inner_product(capsys):

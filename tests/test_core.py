@@ -54,6 +54,12 @@ def test_dispersion_values():
         dispersion(-1.0)
 
 
+def test_dispersion_where_its_square_overflows():
+    # past p ~ 1.3e154, where (1 + p)^2 overflows, the dispersion stays finite and tends to 1/2
+    assert dispersion(1e160) == pytest.approx(0.5, rel=1e-15)
+    assert dispersion(1e300) == pytest.approx(0.5, rel=1e-15)
+
+
 def test_dispersion_monte_carlo_oracle():
     # variance of the single-draw density / n, direct shell construction
     n, trials = 100, 1_000_000

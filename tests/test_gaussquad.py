@@ -11,6 +11,7 @@ from fbmac.gaussquad import (
     OrthantQuery,
     ProbEstimate,
     _OrthantIntegrator,
+    _lattice,
     boundary_scale,
     lower_orthant_prob,
     q_inv_scalar,
@@ -220,6 +221,18 @@ def test_lattice_is_shared_per_samples_seed_and_rank():
         _OrthantIntegrator(sumshell, active, 1 << 12, 5).x,
     ):
         assert other.shape != x.shape or not np.array_equal(other, x)
+
+
+@pytest.mark.parametrize("seed, r", [(0, 3), (1, 2)])
+def test_lattice_shifts_come_from_philox(seed, r):
+    # the lattice fixes every quantile-set curve; it is rebuilt here from its own Philox shifts, so a
+    # change of the package's Monte Carlo generator cannot move a curve unnoticed
+    gen = {2: [0.6180339887498949], 3: [0.7548776662466927, 0.5698402909980532]}[r]
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=())
+    shifts = np.random.Generator(np.random.Philox(ss)).random((8, r - 1))
+    idx = np.arange(1, 4097, dtype=float)
+    x = np.remainder(idx[None, :, None] * np.array(gen)[None, None, :] + shifts[:, None, :], 1.0)
+    assert np.array_equal(_lattice(4096, (seed,), r), np.abs(2.0 * x - 1.0))
 
 
 def test_prob_estimate_invariants():

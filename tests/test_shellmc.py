@@ -369,6 +369,17 @@ def test_rn_mac_maximum():
         assert rep.argmax == pytest.approx(t_star, rel=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1.0, 100.0, 1e-200])
+def test_rn_mac_passes_at_extreme_power_ratios(scale):
+    # sin^2 theta0 without cancellation: with cos^2 theta0 rounded toward 1, (1, 1e-12) peaked at
+    # 8.9e-5, (1, 1e-14) at 2.1e-2 and (100, 1e-8) at 7.8e-8 instead of 0; at 1e-200, 4 p1 t
+    # underflowed and the profile was -inf everywhere
+    for k in range(15):
+        for p1, p2 in ((scale, scale * 10.0**-k), (scale * 10.0**-k, scale)):
+            rep = rn_bound_mac_check(PowerPair(p1, p2))
+            assert rn_bound_passes(rep, p1 + p2), (p1, p2, rep.max_value, rep.argmax)
+
+
 def test_rn_mac_k3_constant():
     rep = rn_bound_mac_check(PowerPair(1.0, 1.0))
     assert rep.constants["k3_finite_n"] == pytest.approx(
