@@ -8,11 +8,9 @@ is explored through two primitives: :func:`lower_orthant_prob`, which
 estimates ``Pr[N(0, Sigma) <= z]`` by quasi-Monte Carlo integration of the
 Genz separation-of-variables representation, and :func:`boundary_scale`,
 which solves along a ray for the scale at which the ray crosses the
-quantile-set boundary: it starts from the caller's (inner, outer) bracket,
-walks it inward or outward in doubling steps until it holds the crossing,
-then runs a port of scipy's Brent solver (:func:`_brent_root`) seeded with
-the two end values the walks already computed, so the module needs no
-``scipy.optimize``.
+quantile-set boundary: a safeguarded secant from the caller's start (the
+union-bound radius, for the region rays), whose first step takes the slope of
+the union bound, so the module needs no ``scipy.optimize``.
 
 The covariance is factored exactly at its rank r (Genz & Kwong, J. Stat.
 Comput. Simul. 68, 2000); the conditioned integrand lives on the unit cube of
@@ -54,7 +52,7 @@ _ONE_MINUS = 1.0 - 1e-16
 
 
 class BracketError(RuntimeError):
-    """Bracket expansion failed to enclose a quantile-set boundary crossing."""
+    """A ray solve found no quantile-set boundary crossing within its step budget."""
 
 
 def q_scalar(x: float) -> float:
@@ -216,52 +214,8 @@ def quantile_set_member(
     return est.value >= 1.0 - eps
 
 
-#: Brent's relative tolerance, scipy's default (4 machine epsilons)
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-
-
-def _brent_root(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
-    """Root of ``f`` in the bracket ``[xpre, xcur]``, given its end values ``fpre``, ``fcur`` of opposite sign.
-
-    Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
-    1973, ch. 4), statement for statement as scipy's ``brentq.c`` runs it with
-    ``rtol = 4 eps`` and at most 200 iterations, so for the same bracket it
-    evaluates ``f`` at the same points and returns the same float; only the two
-    end evaluations are taken from the caller.
-    """
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(200):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in 200 iterations")
+#: most steps of one ray solve, each one lattice evaluation past the start's
+_MAX_STEPS = 100
 
 
 def boundary_scale(
@@ -269,28 +223,31 @@ def boundary_scale(
     sigma: np.ndarray,
     direction: np.ndarray,
     origin: np.ndarray,
-    bracket: tuple[float, float],
+    start: float,
     samples: int = 1 << 14,
     seed=0,
 ) -> float:
     """Largest scale ``t`` at which ``z(t) = origin - t * direction`` is still in ``Qinv(eps; sigma)``.
 
     The orthant probability shrinks along the ray; 0.0 is returned when the
-    origin itself is already outside.  The search evaluates both ends of the
-    guess ``bracket = (inner, outer)``, ``0 <= inner < outer``.  It walks inward
-    in doubling steps, down to 0, while the inner end is outside the set, and
-    outward while the outer end is inside.  Then Brent's method
-    (:func:`_brent_root`) solves to 1e-6 in ``t`` between the last member and the
-    first non-member, seeded with the probability gaps the walks computed there.
+    origin itself is already outside.  A safeguarded secant solves for the
+    crossing from ``start >= 0``: its first step takes the slope of the union
+    bound ``1 - sum_i Q(z_i / sigma_i)`` there, and each later one the secant
+    through the last two evaluations.  A step that would leave the interval
+    between the largest member and the smallest non-member seen bisects it
+    instead; before any non-member is seen, each step moves outward and at most
+    doubles ``t`` (plus one).  Steps clip at 0.  The solve returns the stepped
+    iterate once a step is within 1e-6 in ``t``, and raises
+    :class:`BracketError` after ``_MAX_STEPS`` steps.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or (d < 0).any() or not d.any():
         raise DomainError("direction must be a nonzero, nonnegative 3-vector")
-    lo, hi = (float(b) for b in bracket)
-    if not 0.0 <= lo < hi:
-        raise DomainError(f"bracket must satisfy 0 <= inner < outer, got {bracket!r}")
+    t = float(start)
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"start must be finite and >= 0, got {start!r}")
     sigma = np.asarray(sigma, dtype=float)
     OrthantQuery(sigma, np.zeros(3))  # validates the covariance
     integ = _OrthantIntegrator(sigma, np.ones(3, dtype=bool), samples, seed)
@@ -301,17 +258,26 @@ def boundary_scale(
         """Orthant probability at scale ``t`` on the ray, minus the target."""
         return integ(origin - t * d)[0] - target
 
-    step, g_lo, g_hi = hi - lo, gap(lo), gap(hi)
-    while g_lo < 0.0:  # the inner end is outside: walk inward
-        if lo == 0.0:
+    sd = np.sqrt(np.diag(sigma))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero variance or an infinite origin adds nothing
+        density = np.where(sd > 0.0, d / sd * np.exp(-0.5 * ((origin - t * d) / sd) ** 2), 0.0)
+    g, slope = gap(t), -float(density.sum()) / math.sqrt(2.0 * math.pi)
+    lo, hi = -math.inf, math.inf  # the largest member and the smallest non-member seen
+    for _ in range(_MAX_STEPS):
+        if g >= 0.0:
+            lo = t
+        elif t == 0.0:
             return 0.0
-        hi, g_hi, lo, step = lo, g_lo, max(lo - step, 0.0), 2.0 * step
-        g_lo = gap(lo)
-    for _ in range(64):  # walk outward while the outer end is still inside
-        if g_hi < 0.0:
-            break
-        lo, g_lo, hi, step = hi, g_hi, hi + step, 2.0 * step
-        g_hi = gap(hi)
-    else:
-        raise BracketError("no non-member found while expanding the ray")
-    return _brent_root(gap, lo, hi, g_lo, g_hi, xtol=1e-6)
+        else:
+            hi = t
+        x = max(t - g / slope, 0.0) if slope < 0.0 else math.nan
+        if hi == math.inf:
+            x = min(x, 2.0 * t + 1.0) if x >= t else 2.0 * t + 1.0
+        elif not lo < x < hi:
+            x = 0.5 * (max(lo, 0.0) + hi)
+        if abs(x - t) <= 1e-6:
+            return x
+        g_prev, t_prev = g, t
+        t, g = x, gap(x)
+        slope = (g - g_prev) / (t - t_prev)
+    raise BracketError(f"no crossing within 1e-6 after {_MAX_STEPS} steps (member {lo}, non-member {hi})")

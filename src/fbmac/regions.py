@@ -179,18 +179,18 @@ def second_order_ray(
     """Largest radius r with (r cos, r sin, r(cos+sin)) inside the quantile region.
 
     The only solver of a quantile-set ray: every curve and check built on one
-    goes through here.  Two normal-approximation pentagons bracket the crossing: the
-    union bound (each marginal outage eps/3) is inside the quantile set, and for eps < 1/2
-    the ray is outside past the single-constraint radius (one marginal outage alone eps).
+    goes through here.  The solve starts at the union-bound radius, which is inside the
+    quantile set by Bonferroni; for eps < 1/2 the ray is outside past the single-constraint
+    radius (one marginal outage alone eps).
     """
     SecondOrderParams(n, eps)
     cvec, sigma = _quantile_region_setup(kind, pp, delta)
     c, s = math.cos(theta), math.sin(theta)
     direction = math.sqrt(n) * np.array([c, s, c + s])  # the ray's step in (r1, r2, r1 + r2), normalized
-    inner, outer = (pentagon_ray(theta, *_normal_rate(cvec, np.diag(sigma), n, _penalty(e))) for e in (eps / 3, eps))
-    if outer == 0.0:  # one marginal alone already fails at the origin
-        return 0.0
-    return boundary_scale(eps, sigma, direction, math.sqrt(n) * cvec, (inner, outer), samples, seed)
+    if pentagon_ray(theta, *_normal_rate(cvec, np.diag(sigma), n, _penalty(eps))) == 0.0:
+        return 0.0  # one marginal alone already fails at the origin
+    start = float(union_bound_radius(cvec, np.diag(sigma), n, eps, theta))
+    return boundary_scale(eps, sigma, direction, math.sqrt(n) * cvec, start, samples, seed)
 
 
 def _quantile_boundary(

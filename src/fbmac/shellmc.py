@@ -676,6 +676,10 @@ def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> 
     # and the payload into NaN near the double limit
     if not math.isfinite((1.0 + p) * (1.0 + p)):
         raise DomainError(f"p = {p!r} is too large: (1 + p)^2 overflows")
+    # the whole list is checked before the first draw: each n is one run of ``trials`` draws
+    if any(int(n) < 2 for n in n_list):
+        raise DomainError(f"need n >= 2 for every n in n_list, got {list(n_list)}")
+    chunk_sizes(len(n_list) * trials, _CHUNK)
 
     def contrib(lg, it):
         return moments(np.where(it > lg, np.exp(np.clip(lg - it, -745.0, 0.0)), 0.0))

@@ -20,7 +20,9 @@ law plus confusion terms under the reference measures.  Confusion
 probabilities are estimated by importance sampling from the channel measure
 with weight e^{-i}, which resolves reference-tail probabilities near 1/gamma
 at any blocklength.  The MAC bound weighs its confusion terms with the
-uniform density-ratio constants of :func:`shell_rn_constants`.
+uniform density-ratio constants of :func:`shell_rn_constants`.  The simulators
+draw chunk i from the substream ``(seed, i)`` and the bound estimators from
+``(seed, 1, i)``, so for one seed the two estimates are independent.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def p2p_achievability_bound(spec: CodebookSpec, th: Thresholds, trials: int) -> 
         outage = it <= th.log_gamma1
         return moments(np.stack([outage + weight * importance_weights(it, th.log_gamma1), outage]))
 
-    parts = p2p_density_samples(spec.n, spec.p1, trials, spec.seed, reduce=chunk_moments)
+    parts = p2p_density_samples(spec.n, spec.p1, trials, (spec.seed, 1), reduce=chunk_moments)
     (value, outage), (se, _) = merge_moments(parts)
     return BoundEstimate(float(value), float(se), float(outage), float(value - outage), trials)
 
@@ -236,6 +238,6 @@ def mac_achievability_bound(
         return moments(np.stack([outage + conf, outage, conf]))
 
     (value, outage, conf), (se, _, _) = merge_moments(
-        mac_density_samples(spec.n, pp, trials, spec.seed, reduce=chunk_moments)
+        mac_density_samples(spec.n, pp, trials, (spec.seed, 1), reduce=chunk_moments)
     )
     return BoundEstimate(float(value), float(se), float(outage), float(conf), trials)

@@ -200,6 +200,8 @@ def test_monte_carlo_count_knobs_over_budget_exit_2_at_once(capsys):
     for argv in (
         ["verify", "inner-product", "--n", "100", "--pairs", draws],
         ["verify", "confusion-scaling", "--trials", draws],
+        # each of the two runs is within the budget, the list is not
+        ["verify", "confusion-scaling", "--n-list", "400", "1600", "--trials", str(_CHUNK * _MAX_CHUNKS // 2 + 1)],
         ["verify", "bounds", "--mode", "mac-joint", *link, "--bound-trials", draws],
         ["verify", "bounds", "--mode", "mac-joint", *link, "--bound-trials", "1000", "--sim-trials", sim],
         ["simulate", "mac", *link, "--trials", sim],
@@ -208,6 +210,16 @@ def test_monte_carlo_count_knobs_over_budget_exit_2_at_once(capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "") and f"make more than {_MAX_CHUNKS} chunks" in err, argv
         assert time.monotonic() - start < 1.0, argv
+
+
+def test_confusion_scaling_refuses_a_small_n_anywhere_before_any_draw(capsys, monkeypatch):
+    from fbmac import shellmc
+
+    drawn = []
+    monkeypatch.setattr(shellmc, "substream", lambda *args: drawn.append(args))
+    code, out, err = run_cli(["verify", "confusion-scaling", "--n-list", "400", "1600", "1"], capsys)
+    assert (code, out, drawn) == (2, "", [])
+    assert "n >= 2" in err
 
 
 def test_verify_inner_product(capsys):

@@ -101,7 +101,7 @@ def test_boundary_scale_mixed_zero_direction():
     from scipy.special import ndtri
 
     origin = np.array([10.0, np.inf, 10.0])
-    t = boundary_scale(1e-2, np.eye(3), np.array([1.0, 0.0, 1.0]), origin, (0.0, 1.0), samples=1 << 13, seed=0)
+    t = boundary_scale(1e-2, np.eye(3), np.array([1.0, 0.0, 1.0]), origin, 0.0, samples=1 << 13, seed=0)
     assert t == pytest.approx(10.0 - float(ndtri(math.sqrt(1.0 - 1e-2))), abs=5e-5)
 
 
@@ -176,7 +176,7 @@ def test_orthant_refuses_collinear_leading_coordinates():
     with pytest.raises(DomainError):
         lower_orthant_prob(OrthantQuery(sigma, np.zeros(3)), samples=1 << 12)
     with pytest.raises(DomainError):
-        boundary_scale(1e-3, sigma, np.ones(3), np.full(3, 10.0), (0.0, 1.0), samples=1 << 12)
+        boundary_scale(1e-3, sigma, np.ones(3), np.full(3, 10.0), 0.0, samples=1 << 12)
 
 
 def test_sumshell_ray_matches_oracle_root():
@@ -258,9 +258,9 @@ def test_quantile_membership_monotone():
 def test_boundary_scale_degenerate_axis():
     # one constrained coordinate: the crossing is 4 - Qinv(eps)
     origin = np.array([4.0, np.inf, np.inf])
-    t = boundary_scale(0.5, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, (0.0, 1.0), samples=1 << 12, seed=0)
+    t = boundary_scale(0.5, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, 0.0, samples=1 << 12, seed=0)
     assert abs(t - 4.0) <= 2e-6
-    t = boundary_scale(1e-3, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, (0.0, 1.0), samples=1 << 12, seed=0)
+    t = boundary_scale(1e-3, np.eye(3), np.array([1.0, 0.0, 0.0]), origin, 0.0, samples=1 << 12, seed=0)
     assert t == pytest.approx(4.0 - 3.090232, abs=5e-6)
 
 
@@ -269,7 +269,7 @@ def test_boundary_scale_monotone_in_eps():
     d = np.array([1.0, 1.0, 2.0])
     origin = np.array([4.0, 4.0, 8.0])
     ts = [
-        boundary_scale(eps, sigma, d, origin, (0.0, 1.0), samples=1 << 12, seed=1)
+        boundary_scale(eps, sigma, d, origin, 0.0, samples=1 << 12, seed=1)
         for eps in (0.05, 0.01, 1e-3)
     ]
     assert ts[0] > ts[1] > ts[2]  # smaller eps -> the ray leaves the set sooner
@@ -279,10 +279,10 @@ def test_boundary_scale_origin_mode():
     # with an origin far inside, the crossing matches the scalar quantile
     sigma = np.eye(3)
     origin = np.array([10.0, np.inf, np.inf])
-    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), origin, (0.0, 1.0), samples=1 << 12, seed=0)
+    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), origin, 0.0, samples=1 << 12, seed=0)
     assert t == pytest.approx(10.0 - 3.090232, abs=5e-6)
     # origin outside the set clamps at zero
-    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), np.array([-10.0, np.inf, np.inf]), (0.0, 1.0),
+    t = boundary_scale(1e-3, sigma, np.array([1.0, 0.0, 0.0]), np.array([-10.0, np.inf, np.inf]), 0.0,
                        samples=1 << 12, seed=0)
     assert t == 0.0
 
@@ -290,9 +290,9 @@ def test_boundary_scale_origin_mode():
 def test_boundary_scale_rejects_bad_direction():
     origin = np.full(3, 10.0)
     with pytest.raises(DomainError):
-        boundary_scale(0.1, np.eye(3), np.array([0.0, 0.0, 0.0]), origin, (0.0, 1.0))
+        boundary_scale(0.1, np.eye(3), np.array([0.0, 0.0, 0.0]), origin, 0.0)
     with pytest.raises(DomainError):
-        boundary_scale(0.1, np.eye(3), np.array([1.0, -1.0, 0.0]), origin, (0.0, 1.0))
+        boundary_scale(0.1, np.eye(3), np.array([1.0, -1.0, 0.0]), origin, 0.0)
 
 
 def test_boundary_scale_frees_its_integrator():
@@ -304,7 +304,7 @@ def test_boundary_scale_frees_its_integrator():
     gc.collect()
     gc.disable()
     try:
-        boundary_scale(1e-3, sigma, d, np.full(3, 10.0), (0.0, 1.0), samples=1 << 12, seed=0)
+        boundary_scale(1e-3, sigma, d, np.full(3, 10.0), 0.0, samples=1 << 12, seed=0)
         second_order_ray(500, 1e-3, pp, 0.7, "sumshell")
         left = sum(isinstance(o, _OrthantIntegrator) for o in gc.get_objects())
     finally:
@@ -312,15 +312,14 @@ def test_boundary_scale_frees_its_integrator():
     assert left == 0
 
 
-_INTEGRATE = _OrthantIntegrator.__call__  # unpatched, for replaying a search
+_INTEGRATE = _OrthantIntegrator.__call__  # unpatched, for re-solving a ray
 
 
-def _replayed_search(eps, sigma, d, origin, bracket, samples, seed):
-    """boundary_scale's search replayed on a fresh integrator.
+def _lattice_root(eps, sigma, d, origin, _start, samples, seed, near):
+    """scipy's brentq root, at xtol 1e-14, of the probability gap boundary_scale solves, bracketed around ``near``.
 
-    Returns scipy's brentq float on the bracket the walks end with (0.0 when the
-    origin is outside), the number of evaluations boundary_scale should make,
-    and that final bracket.
+    The gap is evaluated on a fresh integrator of the same lattice; the bracket widens from 1e-6 about
+    ``near`` until its ends are a member and a non-member (0.0 when the origin is outside).
     """
     from scipy.optimize import brentq
 
@@ -329,27 +328,20 @@ def _replayed_search(eps, sigma, d, origin, bracket, samples, seed):
     def gap(s):
         return _INTEGRATE(integ, origin - s * d)[0] - (1.0 - eps)
 
-    (lo, hi), searched = bracket, 2  # both ends are evaluated first
-    step = hi - lo
-    if gap(lo) < 0.0:  # inward: shift the bracket down, doubling the step, until its low end is a member
-        while True:
-            if lo == 0.0:
-                return 0.0, searched, (0.0, hi)
-            lo, hi, step = max(lo - step, 0.0), lo, 2.0 * step
-            searched += 1
-            if gap(lo) >= 0.0:
-                break
-    else:  # outward: shift it up while its high end is a member
-        while gap(hi) >= 0.0:
-            lo, hi, step = hi, hi + step, 2.0 * step
-            searched += 1
-    ref, res = brentq(gap, lo, hi, xtol=1e-6, full_output=True)
-    # the ported solver skips only brentq's two evaluations of the bracket ends, which the search made
-    return ref, searched + res.function_calls - 2, (lo, hi)
+    if gap(0.0) < 0.0:
+        return 0.0
+    width = 1e-6
+    while gap(max(near - width, 0.0)) < 0.0 or gap(near + width) >= 0.0:
+        width *= 2.0
+    return brentq(gap, max(near - width, 0.0), near + width, xtol=1e-14)
 
 
 def _recorded_solves(monkeypatch):
-    """Patch in counters: each boundary_scale call that regions makes is logged as (args, result, evaluations)."""
+    """Patch in counters: each boundary_scale call that regions makes is logged as (args, result, evaluations).
+
+    Also returns the list that gets one entry per lattice evaluation, whose length is the total when
+    the solves run in several threads and their own counts overlap.
+    """
     calls, seen = [], []
 
     def counted(self, z):
@@ -364,73 +356,97 @@ def _recorded_solves(monkeypatch):
 
     monkeypatch.setattr(_OrthantIntegrator, "__call__", counted)
     monkeypatch.setattr(regions, "boundary_scale", solve)
-    return seen
+    return seen, calls
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
 @pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
 def test_boundary_scale_matches_scipy_brentq(kind, eps, monkeypatch):
-    # the ported Brent solver returns the very float scipy's brentq returns on the bracket the walks
-    # end with, and evaluates the orthant probability exactly as often as the replayed search says
-    seen = _recorded_solves(monkeypatch)
+    # the secant stops within 1e-7 nats of the root scipy's brentq finds at xtol 1e-14 on the same
+    # lattice function, starting from the union-bound radius
+    seen, _ = _recorded_solves(monkeypatch)
+    pp = PowerPair(1.0, 2.0)
     delta = resolve_delta("n^-1/4", 500) if kind == "iid" else 0.0
-    for theta in (0.05, 0.6, math.pi / 4, 1.5):
-        second_order_ray(500, eps, PowerPair(1.0, 2.0), theta, kind, 1 << 12, 0, delta)
+    cvec, sigma = regions._quantile_region_setup(kind, pp, delta)
+    thetas = (0.05, 0.6, math.pi / 4, 1.5)
+    for theta in thetas:
+        second_order_ray(500, eps, pp, theta, kind, 1 << 12, 0, delta)
     assert len(seen) == 4
-    for args, t, evals in seen:
-        ref, expected_evals, _ = _replayed_search(*args)
-        assert t == ref
-        assert evals == expected_evals
+    for theta, (args, t, _) in zip(thetas, seen):
+        assert args[4] == float(regions.union_bound_radius(cvec, np.diag(sigma), 500, eps, theta))
+        assert abs(t - _lattice_root(*args, near=t)) <= 1e-7
 
 
-def test_boundary_scale_walks_outward_past_the_single_constraint_radius(monkeypatch):
+def test_boundary_scale_finds_roots_past_the_single_constraint_radius(monkeypatch):
     # at the first of 64 rays only user 1's constraint binds, and at seed 1 the lattice puts the
-    # sum-shell root 9.4e-5 nats past the single-constraint radius: the outer end is still a member
-    seen = _recorded_solves(monkeypatch)
+    # sum-shell root 9.4e-5 nats past the single-constraint radius: the solve goes on past it
+    seen, _ = _recorded_solves(monkeypatch)
     theta = regions.ray_angles(64)[0]
     t = second_order_ray(500, 1e-3, PowerPair(1.0, 1.0), theta, "sumshell", 1 << 12, 1)
-    (args, _, evals), = seen
-    inner, outer = args[4]
-    assert inner == pytest.approx(regions.p2p_second_order_rate(500, 1e-3 / 3, 1.0) / math.cos(theta), rel=1e-12)
-    assert outer == pytest.approx(regions.p2p_second_order_rate(500, 1e-3, 1.0) / math.cos(theta), rel=1e-12)
-    ref, expected_evals, (lo, hi) = _replayed_search(*args)
-    assert lo == outer and t > outer
-    assert (t, evals) == (ref, expected_evals)
-    # a guess far below the root doubles its step: from inner end 0 the outer end goes 1, 2, 4, 8
+    (args, _, _), = seen
+    outer = regions.p2p_second_order_rate(500, 1e-3, 1.0) / math.cos(theta)
+    assert args[4] <= outer < t
+    assert abs(t - _lattice_root(*args, near=t)) <= 1e-7
+    # a start far below the root: from 0 the outward steps at most double, 0 -> 1 -> 3 -> 7 (past 6.91)
     origin, d = np.array([10.0, np.inf, np.inf]), np.array([1.0, 0.0, 0.0])
-    args = (1e-3, np.eye(3), d, origin, (0.0, 1.0), 1 << 12, 0)
-    ref, _, (lo, hi) = _replayed_search(*args)
-    assert (lo, hi) == (4.0, 8.0)
-    assert boundary_scale(*args) == ref
+    args = (1e-3, np.eye(3), d, origin, 0.0, 1 << 12, 0)
+    t = boundary_scale(*args)
+    assert t == pytest.approx(10.0 - 3.090232, abs=5e-6)
+    assert abs(t - _lattice_root(*args, near=t)) <= 1e-7
 
 
-def test_boundary_scale_walks_inward_below_the_inner_guess():
-    # a guess above the root walks down to a member and solves the same crossing, 4 - Qinv(1e-3)
+def test_boundary_scale_finds_roots_below_the_start():
+    # a start above the root steps down to it and solves the same crossing, 4 - Qinv(1e-3)
     origin, d = np.array([4.0, np.inf, np.inf]), np.array([1.0, 0.0, 0.0])
-    t = boundary_scale(1e-3, np.eye(3), d, origin, (2.0, 3.0), samples=1 << 12, seed=0)
-    ref, _, (lo, hi) = _replayed_search(1e-3, np.eye(3), d, origin, (2.0, 3.0), 1 << 12, 0)
-    assert (lo, hi) == (0.0, 1.0)
-    assert t == ref
+    t = boundary_scale(1e-3, np.eye(3), d, origin, 2.0, samples=1 << 12, seed=0)
     assert t == pytest.approx(4.0 - 3.090232, abs=5e-6)
     sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0)).entries
-    args = (1e-3, sigma, np.array([1.0, 1.0, 2.0]), np.array([4.0, 4.0, 8.0]), (2.5, 2.6), 1 << 12, 0)
-    ref, _, (lo, _) = _replayed_search(*args)
-    assert lo < 2.5
-    assert boundary_scale(*args) == ref
-    # an origin outside the set walks all the way down and returns 0
-    assert boundary_scale(1e-3, np.eye(3), d, np.array([-10.0, np.inf, np.inf]), (0.5, 1.0), 1 << 12, 0) == 0.0
+    args = (1e-3, sigma, np.array([1.0, 1.0, 2.0]), np.array([4.0, 4.0, 8.0]), 2.5, 1 << 12, 0)
+    t = boundary_scale(*args)
+    assert t < 2.5
+    assert abs(t - _lattice_root(*args, near=t)) <= 1e-7
+    # an origin outside the set steps down to 0 and returns 0
+    assert boundary_scale(1e-3, np.eye(3), d, np.array([-10.0, np.inf, np.inf]), 0.5, 1 << 12, 0) == 0.0
 
 
-def test_boundary_scale_rejects_bad_bracket():
-    for bracket in ((1.0, 1.0), (2.0, 1.0), (-0.5, 1.0), (0.0, math.nan)):
+def test_boundary_scale_rejects_bad_start():
+    for start in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError):
-            boundary_scale(1e-3, np.eye(3), np.ones(3), np.full(3, 10.0), bracket)
+            boundary_scale(1e-3, np.eye(3), np.ones(3), np.full(3, 10.0), start)
+
+
+def test_boundary_scale_gives_up_after_its_step_budget(monkeypatch):
+    # the ray never leaves the set (its only moving coordinate is unconstrained), so no non-member is
+    # ever seen: the solve raises BracketError (exit 1 in the CLI) after a bounded number of evaluations
+    from fbmac.gaussquad import BracketError, _MAX_STEPS
+
+    _, calls = _recorded_solves(monkeypatch)
+    origin, d = np.array([np.inf, 10.0, 10.0]), np.array([1.0, 0.0, 0.0])
+    with pytest.raises(BracketError):
+        boundary_scale(1e-3, np.eye(3), d, origin, 0.0, 1 << 12, 0)
+    assert len(calls) == 1 + _MAX_STEPS  # the start, then one evaluation a step
+
+
+def test_quantile_rays_take_at_most_three_lattice_evaluations(monkeypatch):
+    # at the figure point the three quantile curves (their 32 rays up to pi/4 at equal powers) and the
+    # three symmetric nesting rays make 99 solves; started at the union-bound radius they average at
+    # most 3 evaluations of the orthant probability each (5.33 with the bracket walks and Brent)
+    from fbmac.regions import REGIONS, RegionOptions
+
+    seen, calls = _recorded_solves(monkeypatch)
+    pp = PowerPair(1.0, 1.0)
+    for kind, ray_kind in (("iid", "iid"), ("joint", "shell"), ("sumshell", "sumshell")):
+        REGIONS[kind][1](500, 1e-3, pp, RegionOptions(points=64, seed=0))
+        second_order_ray(500, 1e-3, pp, math.pi / 4, ray_kind, 1 << 12, 0)
+    assert len(seen) == 99
+    assert len(calls) / len(seen) <= 3.0
 
 
 @pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
 def test_quantile_bracket_is_a_theorem(kind, monkeypatch):
-    # the union-bound radius (each marginal outage eps/3) is inside the quantile set, and the
-    # single-constraint radius (one marginal outage eps) is not, by the exact orthant probability
+    # the union-bound radius (the three marginal outages add up to eps), where each ray's solve starts, is
+    # inside the quantile set, and the single-constraint radius (one marginal outage eps) is not, by the
+    # exact orthant probability
     from scipy.stats import multivariate_normal
 
     seen = []
@@ -438,14 +454,19 @@ def test_quantile_bracket_is_a_theorem(kind, monkeypatch):
     n = 500
     delta = resolve_delta("n^-1/4", n) if kind == "iid" else 0.0
     for p1 in (1.0, 10.0):
+        cvec, _ = regions._quantile_region_setup(kind, PowerPair(p1, 1.0), delta)
         for eps in (1e-1, 1e-3, 1e-6):
             # quad runs at epsabs 1e-14, epsrel 1e-12; scipy's quasi-Monte Carlo cdf is asked for eps / 100
             tol = 1e-10 if kind == "sumshell" else 1e-2 * eps
             for theta in regions.ray_angles(8):
                 seen.clear()
                 second_order_ray(n, eps, PowerPair(p1, 1.0), theta, kind, 1 << 12, 0, delta)
-                (_, sigma, d, origin, (inner, outer), _, _), = seen
-                assert 0.0 < inner < outer
+                (_, sigma, d, origin, start, _, _), = seen
+                inner = float(regions.union_bound_radius(cvec, np.diag(sigma), n, eps, theta))
+                rates = regions._normal_rate(cvec, np.diag(sigma), n, regions._penalty(eps))
+                outer = regions.pentagon_ray(theta, *rates)
+                assert start == inner
+                assert 0.0 < inner <= outer * (1.0 + 1e-12)  # equal up to rounding where one marginal binds
                 if kind == "sumshell":
                     at_inner, at_outer = (sumshell_orthant(p1, 1.0, origin - r * d) for r in (inner, outer))
                 else:
@@ -459,7 +480,7 @@ def test_quantile_bracket_is_a_theorem(kind, monkeypatch):
 
 def test_quantile_ray_is_zero_where_a_marginal_fails_at_the_origin(monkeypatch):
     # at n=5 the p2p rate is 0, so the single-constraint radius is 0 and no solve is made
-    seen = _recorded_solves(monkeypatch)
+    seen, _ = _recorded_solves(monkeypatch)
     assert regions.p2p_second_order_rate(5, 1e-3, 1.0) == 0.0
     for kind in ("shell", "iid", "sumshell"):
         assert second_order_ray(5, 1e-3, PowerPair(1.0, 1.0), 0.8, kind) == 0.0

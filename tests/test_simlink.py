@@ -87,6 +87,33 @@ def test_simulate_p2p_first_typical_rule():
     assert res.ci95_low < 0.75 < res.ci95_high
 
 
+def test_simulators_and_bound_estimators_draw_disjoint_substreams(monkeypatch):
+    # verify bounds compares a simulation with a bound estimate at one seed, within a margin
+    # 2 hypot(se_sim, se_bound) that holds only for independent estimates: no substream may feed both
+    from fbmac import _rng, shellmc, simlink
+
+    paths, owner = {"sim": set(), "bound": set()}, []
+
+    def recording(seed, *path):
+        paths[owner[-1]].add(_rng.seed_path(seed) + path)
+        return _rng.substream(seed, *path)
+
+    monkeypatch.setattr(simlink, "substream", recording)
+    monkeypatch.setattr(shellmc, "substream", recording)
+    p2p = CodebookSpec(n=20, m1=4, p1=1.0, seed=7)
+    mac = CodebookSpec(n=20, m1=4, m2=4, p1=1.0, p2=1.0, seed=7)
+    trials = 3 * (1 << 16)  # three chunks of draws for the bounds, more for the simulators
+    for spec, simulate, bound in ((p2p, simulate_p2p, p2p_achievability_bound),
+                                  (mac, simulate_mac, mac_achievability_bound)):
+        th = default_thresholds(spec, 1.0, 1.0, 1.0)
+        owner.append("sim")
+        simulate(spec, th, trials)
+        owner.append("bound")
+        bound(spec, th, trials)
+    assert len(paths["sim"]) >= 3 and len(paths["bound"]) == 3
+    assert not paths["sim"] & paths["bound"]
+
+
 def test_simulate_p2p_within_achievability_bound():
     n, m = 200, 8
     p = calibrated_power(n, m, 0.05)
@@ -343,11 +370,12 @@ def test_bounds_thread_invariant_and_match_full_arrays(monkeypatch):
     assert runs[0] == runs[1]
     p2p, joint, split = runs[0]
 
-    it = p2p_density_samples(80, 0.1, trials, seed=41)
+    # the bound estimators draw on the substreams (seed, 1, chunk), apart from the simulators' (seed, chunk)
+    it = p2p_density_samples(80, 0.1, trials, seed=(41, 1))
     outage = it <= p2p_th.log_gamma1
     stat = outage + 2.5 * importance_weights(it, p2p_th.log_gamma1)
     want = [(stat, outage)]
-    iv = mac_density_samples(80, pp, trials, seed=40)
+    iv = mac_density_samples(80, pp, trials, seed=(40, 1))
     gammas = (th.log_gamma1, th.log_gamma2, th.log_gamma3)
     k3 = shell_rn_constants(pp)[2]
     conf = sum(w * importance_weights(i, g) for w, i, g in zip((2.5, 2.0, 10.0 * k3), iv, gammas))
