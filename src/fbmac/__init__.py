@@ -21,7 +21,6 @@ from .core import (  # noqa: F401
     DomainError,
     PowerPair,
     SecondOrderParams,
-    bits_to_nats,
     capacity,
     capacity_vector,
     db_to_linear,

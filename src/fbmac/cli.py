@@ -221,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--format", choices=["csv", "json"], default="csv")
     rp.add_argument("--delta-rule", default="zero", dest="delta_rule")
     rp.add_argument("--gallager-a", type=float, default=1.0, dest="gallager_a")
-    rp.add_argument(
-        "--lambda-grid", type=int, default=64, dest="lambda_grid",
-        help="accepted and ignored: the splitting curve is solved exactly on each ray",
-    )
 
     pp_ = sub.add_parser("p2p", help="print the point-to-point second-order rate")
     pp_.add_argument("--n", type=int, required=True)

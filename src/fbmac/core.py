@@ -208,10 +208,6 @@ def nats_to_bits(x: float) -> float:
     return float(x) / LN2
 
 
-def bits_to_nats(x: float) -> float:
-    return float(x) * LN2
-
-
 def db_to_linear(db: float) -> float:
     """dB -> linear SNR; used once at the CLI boundary."""
     try:

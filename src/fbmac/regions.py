@@ -407,9 +407,11 @@ def gallager_sum_exponent(rate_sum: float, ps: float) -> ExponentValue:
 
 def _gallager_budget(r1: float, r2: float, gp: GallagerParams, pp: PowerPair) -> float:
     a, n = gp.a, gp.n
-    e1 = gallager_individual_exponent(r1, pp.p1).value
-    e2 = gallager_individual_exponent(r2, pp.p2).value
-    e3 = gallager_sum_exponent(r1 + r2, pp.p_sum).value
+    # an exponent is never negative; just below capacity one rounds to about -1e-16, and at n near 2^63
+    # e^{-n e} would overflow
+    e1 = max(gallager_individual_exponent(r1, pp.p1).value, 0.0)
+    e2 = max(gallager_individual_exponent(r2, pp.p2).value, 0.0)
+    e3 = max(gallager_sum_exponent(r1 + r2, pp.p_sum).value, 0.0)
     return a * n * math.exp(-n * e1) + a * n * math.exp(-n * e2) + a * n * n * math.exp(-n * e3)
 
 

@@ -18,6 +18,14 @@ any blocklength.  The tests check them in distribution against samplers that
 materialize the Gaussian vectors and evaluate each density as a log-ratio of
 Gaussian densities.
 
+Everything here is run by the ``fbmac`` command, but for
+:func:`empirical_outage_p2p`, which the acceptance suite and the benchmark
+run.  The CLT check takes its Gaussian target from the dispersions in
+:mod:`fbmac.core`, so the shell dispersion matrix is written once.  The
+references that only check this code (the paper's CLT-for-functions
+construction and its Jacobian, the density of the superimposed input
+x1 + x2, the output density of a shell input) live in ``tests/oracles.py``.
+
 Memory: a sampler holds one chunk of draws per worker.  The estimators pass
 a per-chunk ``reduce`` and keep only per-chunk moments (count, mean, sum of
 squared deviations), combined in chunk order, so their memory does not grow
@@ -40,7 +48,7 @@ from scipy.special import gammaln, ndtr
 
 from ._rng import chunk_sizes, substream, thread_map
 from .core import DomainError, PowerPair, _require_finite_positive, capacity, capacity_vector, dispersion
-from .gaussquad import ProbEstimate
+from .core import dispersion_matrix_shell
 
 _CHUNK = 1 << 16
 #: most draws the CLT check takes: its KS distance keeps every draw, about 28 bytes each in the
@@ -226,44 +234,6 @@ def empirical_outage_p2p(n: int, p: float, log_threshold: float, trials: int, se
 # ---------------------------------------------------------------------------
 
 
-def f_p2p(u: np.ndarray, p: float) -> float:
-    """Scalar functional of the 3-vector normalized sum (p2p construction)."""
-    u = np.asarray(u, dtype=float)
-    return float(p * u[0] + 2.0 * u[1] / math.sqrt(1.0 + u[2]))
-
-
-def f_mac(u: np.ndarray, pp: PowerPair) -> np.ndarray:
-    """3-vector functional of the 6-vector normalized sum (MAC construction)."""
-    u = np.asarray(u, dtype=float)
-    p1, p2 = pp.p1, pp.p2
-    s5 = math.sqrt(1.0 + u[4])
-    s6 = math.sqrt(1.0 + u[5])
-    f1 = p1 * u[0] + 2.0 * u[1] / s5
-    f2 = p2 * u[0] + 2.0 * u[2] / s6
-    f3 = (p1 + p2) * u[0] + 2.0 * u[1] / s5 + 2.0 * u[2] / s6 + 2.0 * u[3] / (s5 * s6)
-    return np.array([f1, f2, f3])
-
-
-def clt_target_cov_p2p(n: int, p: float) -> float:
-    """J Cov(U) J^T / n for the scalar p2p functional."""
-    return 2.0 * p * (p + 2.0) / n
-
-
-def clt_target_cov_mac(n: int, pp: PowerPair) -> np.ndarray:
-    """J Cov(U) J^T / n for the MAC functional (literal 3x6 Jacobian)."""
-    p1, p2 = pp.p1, pp.p2
-    ps = p1 + p2
-    jac = np.array(
-        [
-            [p1, 2.0, 0.0, 0.0, 0.0, 0.0],
-            [p2, 0.0, 2.0, 0.0, 0.0, 0.0],
-            [ps, 2.0, 2.0, 2.0, 0.0, 0.0],
-        ]
-    )
-    cov_u = np.diag([2.0, p1, p2, p1 * p2, 2.0, 2.0])
-    return jac @ cov_u @ jac.T / n
-
-
 def _ks_distance(samples: np.ndarray, sigma: float) -> float:
     """KS distance of ``samples`` to N(0, sigma^2); sorts them in place, then scans them by blocks."""
     samples.sort()
@@ -297,10 +267,12 @@ def clt_function_check(
 ) -> KsReport:
     """Compare the normalized-sum functional against its Gaussian limit.
 
-    ``case='p2p'`` uses the scalar functional and reports its KS distance to
-    N(0, 2p(p+2)/n).  ``case='mac-joint'`` uses the 3-vector functional and
-    reports the worst KS distance over the three margins together with the
-    relative Frobenius error of the empirical covariance.
+    The functional is (i - nC) d / n, d = 2 (1 + p) per density, and its
+    limit is N(0, d V d / n) with V the dispersion from :mod:`fbmac.core`:
+    ``dispersion(p)`` for ``case='p2p'``, one row, and
+    ``dispersion_matrix_shell(pp)`` for ``case='mac-joint'``, three.  Reports
+    the worst KS distance over the rows and, for the MAC, the relative
+    Frobenius error of the empirical covariance.
     """
     if n < 16 or not 1000 <= trials <= _CLT_TRIALS:
         raise DomainError(f"need n >= 16 and 1000 <= trials <= {_CLT_TRIALS}")
@@ -315,21 +287,23 @@ def clt_function_check(
     if case == "mac-joint" and not (4.0 * top / n) ** 2 >= sys.float_info.min:
         raise DomainError(f"p1 + p2 = {top!r} is too small: the covariance's Frobenius norm underflows")
     if case == "p2p":
-        # [p (n - ||z||^2) + 2 <x, z>] / n, recovered from the density draws
-        vals = p2p_density_samples(n, p, trials, seed)
-        vals -= n * capacity(p)
-        vals *= 2.0 * (1.0 + p) / n
-        var = clt_target_cov_p2p(n, p)
-        ks = _ks_distance(vals, math.sqrt(var))
-        return KsReport(n, trials, ks, np.zeros(1), np.array([[var]]))
-    vals = mac_density_samples(n, pp, trials, seed)
-    vals -= n * capacity_vector(pp).as_array()[:, None]
-    vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
-    target = clt_target_cov_mac(n, pp)
-    emp = _row_cov(vals)  # before the rows are sorted apart
-    ks = max(_ks_distance(vals[i], math.sqrt(target[i, i])) for i in range(3))
-    rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target))
-    return KsReport(n, trials, ks, np.zeros(3), target, rel)
+        powers, cap, v = np.array([p]), np.array([capacity(p)]), np.array([[dispersion(p)]])
+        vals = p2p_density_samples(n, p, trials, seed)[None, :]  # the one-row case
+    else:
+        powers, cap = np.array([pp.p1, pp.p2, pp.p_sum]), capacity_vector(pp).as_array()
+        v = dispersion_matrix_shell(pp).entries
+        vals = mac_density_samples(n, pp, trials, seed)
+    # each row [p (n - ||z||^2) + 2 <x, z>] / n = (i - nC) d / n, recovered from the density draws
+    d = 2.0 * (1.0 + powers)
+    vals -= n * cap[:, None]
+    vals *= d[:, None] / n
+    target = d[:, None] * v * d[None, :] / n
+    rel = None
+    if case == "mac-joint":
+        emp = _row_cov(vals)  # before the rows are sorted apart
+        rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target))
+    ks = max(_ks_distance(row, math.sqrt(target[i, i])) for i, row in enumerate(vals))
+    return KsReport(n, trials, ks, np.zeros(len(d)), target, rel)
 
 
 def clt_passes(rep: KsReport) -> bool:
@@ -546,54 +520,9 @@ def bessel_ratio_bound_grid(size: int, seed=0) -> bool:
     return all(bessel_ratio_bound_check(k, z).holds for k in ks for z in zs)
 
 
-def shell_output_logpdf(y_norm_sq: float, n: int, p: float) -> float:
-    """Log density of the output law induced by a shell input, at ||y||^2 given.
-
-    Bessel closed form; depends on y only through its norm.
-    """
-    if y_norm_sq <= 0 or n < 2 or p <= 0:
-        raise DomainError("need ||y||^2 > 0, n >= 2, p > 0")
-    w = math.sqrt(y_norm_sq * n * p)
-    order = 0.5 * n - 1.0
-    return (
-        -math.log(2.0)
-        - 0.5 * n * math.log(math.pi)
-        + gammaln(0.5 * n)
-        - 0.5 * n * p
-        - 0.5 * y_norm_sq
-        + log_bessel_i(order, w)
-        - order * math.log(w)
-    )
-
-
 # ---------------------------------------------------------------------------
-# superimposed-input density on the hollow sphere
+# inner product of the two shell inputs
 # ---------------------------------------------------------------------------
-
-
-def sum_density(t: float, n: int, pp: PowerPair) -> float:
-    """Log point density of x1 + x2 at squared norm n*t; -inf off the hollow sphere.
-
-    The support is the open interval (sqrt(p1)-sqrt(p2))^2 < t <
-    (sqrt(p1)+sqrt(p2))^2; both boundary shells carry zero probability and
-    return -inf.
-    """
-    if n < 4:
-        raise DomainError("need n >= 4")
-    p1, p2 = pp.p1, pp.p2
-    log_sin_sq = _log_sin_sq(t, p1, p2)
-    if log_sin_sq == -math.inf:
-        return -math.inf
-    return (
-        0.5 * math.log(p2 / (math.pi * p1))
-        + 2.0 * gammaln(0.5 * n)
-        - gammaln(0.5 * (n - 1))
-        - math.log(2.0)
-        - 0.5 * n * math.log(math.pi)
-        - 0.5 * (n - 1) * math.log(n * p2)
-        - 0.5 * math.log(n * t)
-        + 0.5 * (n - 3) * log_sin_sq
-    )
 
 
 def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0, reduce=None):
@@ -640,22 +569,6 @@ def importance_weights(it: np.ndarray, log_gamma: float) -> np.ndarray:
     absurd regime log_gamma < -709.
     """
     return np.where(it > log_gamma, np.exp(np.clip(-it, -745.0, 709.0)), 0.0)
-
-
-def p2p_confusion_importance(
-    n: int, p: float, log_gamma: float, trials: int, seed=0
-) -> ProbEstimate:
-    """Reference-measure tail Pr_Q[i > log_gamma] via channel-law reweighting.
-
-    Uses E_P[e^{-i} 1{i > log_gamma}]; the channel law puts most draws above
-    the threshold, so rare reference-measure events are resolved at any n.
-    """
-
-    def weights(it):
-        return moments(importance_weights(it, log_gamma))
-
-    mean, se = merge_moments(p2p_density_samples(n, p, trials, seed, reduce=weights))
-    return ProbEstimate(min(float(mean), 1.0), float(se), trials)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,21 @@
 """Independent numeric oracles shared by the test modules.
 
-Everything here deliberately avoids the library's own code paths: quantiles
-come from bisecting an mpmath erfc, tail probabilities from mpmath directly,
-Bessel values from mpmath's arbitrary-precision implementation, the exact
-point-to-point outage and confusion probabilities from mpmath quadratures over
-the regularized incomplete gamma function, the sum-shell orthant probability
-from a scipy quadrature over one coordinate, and the direct density samplers
-from materialized Gaussian vectors and explicit squared distances.
+Everything here deliberately avoids the library's own code paths, and the
+module imports nothing from ``fbmac`` (a test parses it to keep it so):
+quantiles come from bisecting an mpmath erfc, tail probabilities from mpmath
+directly, Bessel values from mpmath's arbitrary-precision implementation, the
+exact point-to-point outage and confusion probabilities from mpmath
+quadratures over the regularized incomplete gamma function, the sum-shell
+orthant probability from a scipy quadrature over one coordinate, and the
+direct density samplers from materialized Gaussian vectors and explicit
+squared distances.
+
+The paper's own constructions live here too, as references for the program:
+the CLT-for-functions functionals and their Jacobian (for the shell
+dispersion matrix and the CLT check's target covariance), the point density
+of the superimposed input x1 + x2 (for its sampler and the divergence-bound
+profile's log sin^2), and the Bessel closed form of a shell input's output
+density (for the p2p divergence-bound profile).
 """
 
 import math
@@ -234,6 +243,91 @@ def bivariate_lower_prob_trapezoid(z1: float, z2: float, rho: float, cells: int 
     dx = (z1 - lo) / cells
     dy = (z2 - lo) / cells
     return float(np.einsum("i,j,ij->", wx, wy, dens) * dx * dy)
+
+
+def f_p2p(u, p: float) -> float:
+    """The p2p functional of the paper's CLT-for-functions construction.
+
+    u is the normalized sum (the mean over t) of (1 - z_t^2, sqrt(p) w_t z_t, w_t^2 - 1), with w ~ N(0, I_n)
+    the codeword before it is scaled onto its shell, x = sqrt(n p) w / ||w||.  Then f(u) is exactly
+    [p (n - ||z||^2) + 2 <x, z>] / n: the density's deviation from n C(p), times 2 (1 + p) / n.
+    """
+    return float(p * u[0] + 2.0 * u[1] / math.sqrt(1.0 + u[2]))
+
+
+def f_mac(u, p1: float, p2: float) -> np.ndarray:
+    """The MAC functional: u is the normalized sum of (1 - z^2, sqrt(p1) w1 z, sqrt(p2) w2 z,
+    sqrt(p1 p2) w1 w2, w1^2 - 1, w2^2 - 1), and the three rows are [p (n - ||z||^2) + 2 <x, z>] / n for
+    each user and [ps (n - ||z||^2) + 2 <x1 + x2, z> + 2 <x1, x2>] / n for the sum, ps = p1 + p2."""
+    s5, s6 = math.sqrt(1.0 + u[4]), math.sqrt(1.0 + u[5])
+    f1 = p1 * u[0] + 2.0 * u[1] / s5
+    f2 = p2 * u[0] + 2.0 * u[2] / s6
+    f3 = (p1 + p2) * u[0] + 2.0 * u[1] / s5 + 2.0 * u[2] / s6 + 2.0 * u[3] / (s5 * s6)
+    return np.array([f1, f2, f3])
+
+
+def clt_jacobian(powers: tuple):
+    """(J, Cov U): the Jacobian of ``f_p2p`` (powers = (p,)) or ``f_mac`` (powers = (p1, p2)) at u = 0, and
+    the covariance of one summand of u, diagonal since its entries are uncorrelated."""
+    if len(powers) == 1:
+        (p,) = powers
+        return np.array([[p, 2.0, 0.0]]), np.diag([2.0, p, 2.0])
+    p1, p2 = powers
+    jac = np.array(
+        [
+            [p1, 2.0, 0.0, 0.0, 0.0, 0.0],
+            [p2, 0.0, 2.0, 0.0, 0.0, 0.0],
+            [p1 + p2, 2.0, 2.0, 2.0, 0.0, 0.0],
+        ]
+    )
+    return jac, np.diag([2.0, p1, p2, p1 * p2, 2.0, 2.0])
+
+
+def clt_target_cov(n: int, powers: tuple) -> np.ndarray:
+    """J Cov(U) J^T / n: the covariance of the Gaussian limit of the functional at blocklength n."""
+    jac, cov_u = clt_jacobian(powers)
+    return jac @ cov_u @ jac.T / n
+
+
+def sum_density(t: float, n: int, p1: float, p2: float) -> float:
+    """Log point density of x1 + x2, independent inputs on the shells n p1 and n p2, at squared norm n t.
+
+    The support is the open interval (sqrt(p1) - sqrt(p2))^2 < t < (sqrt(p1) + sqrt(p2))^2; both boundary
+    shells carry zero probability and return -inf.  theta0 is the angle of x1 to x1 + x2, and
+    cos theta0 = (t + p1 - p2) / (2 sqrt(p1 t)).
+    """
+    lo, hi = (math.sqrt(p1) - math.sqrt(p2)) ** 2, (math.sqrt(p1) + math.sqrt(p2)) ** 2
+    if not lo < t < hi:
+        return -math.inf
+    log_sin_sq = math.log1p(-((t + p1 - p2) ** 2) / (4.0 * p1 * t))
+    return (
+        0.5 * math.log(p2 / (math.pi * p1))
+        + 2.0 * math.lgamma(0.5 * n)
+        - math.lgamma(0.5 * (n - 1))
+        - math.log(2.0)
+        - 0.5 * n * math.log(math.pi)
+        - 0.5 * (n - 1) * math.log(n * p2)
+        - 0.5 * math.log(n * t)
+        + 0.5 * (n - 3) * log_sin_sq
+    )
+
+
+def shell_output_logpdf(y_norm_sq: float, n: int, p: float) -> float:
+    """Log density at y of the output law x + z, x uniform on the shell n p, z ~ N(0, I_n).
+
+    Bessel closed form; it depends on y only through ||y||^2.  The Bessel value comes from mpmath.
+    """
+    w = math.sqrt(y_norm_sq * n * p)
+    order = 0.5 * n - 1.0
+    return (
+        -math.log(2.0)
+        - 0.5 * n * math.log(math.pi)
+        + math.lgamma(0.5 * n)
+        - 0.5 * n * p
+        - 0.5 * y_norm_sq
+        + log_bessel_i_mp(order, w)
+        - order * math.log(w)
+    )
 
 
 def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from scipy.special import betainc, gammaln
 from scipy.stats import kstest
 
 from fbmac._rng import substream
-from fbmac.core import DomainError, PowerPair, capacity, capacity_vector, dispersion
+from fbmac.core import DomainError, PowerPair, capacity, capacity_vector, dispersion, dispersion_matrix_shell
 from fbmac.shellmc import (
     _density,
+    _log_sin_sq,
     _mac_densities,
     bessel_ratio_bound_check,
     ConfusionScalePoint,
@@ -17,35 +20,48 @@ from fbmac.shellmc import (
     KsReport,
     clt_function_check,
     clt_passes,
-    clt_target_cov_p2p,
     confusion_scaling_check,
     confusion_scaling_verdict,
+    importance_weights,
     inner_product_variance_ratio,
     empirical_outage_p2p,
-    f_mac,
-    f_p2p,
     log_bessel_i,
     mac_density_samples,
-    p2p_confusion_importance,
     p2p_density_samples,
     rn_bound_function_mac,
     rn_bound_function_p2p,
     rn_bound_mac_check,
     rn_bound_p2p_check,
     rn_bound_passes,
-    shell_output_logpdf,
-    sum_density,
     sum_inner_product_samples,
     variance_ratio_passes,
 )
 from oracles import (
+    clt_jacobian,
+    clt_target_cov,
     direct_densities,
     exact_confusion_p2p,
+    f_mac,
+    f_p2p,
     gaussian_logpdf,
     log_bessel_i_mp,
     sample_shell,
+    shell_output_logpdf,
+    sum_density,
     two_sample_ks,
 )
+
+
+def test_oracles_import_nothing_from_fbmac():
+    # the references check the program only while they share none of its code
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported and not [m for m in imported if m.split(".")[0] in ("fbmac", "")], imported
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +173,22 @@ def test_info_density_mac_density_ratio_oracle():
         assert i3 == pytest.approx(d3, rel=1e-10, abs=1e-9)
 
 
+@pytest.mark.parametrize("p1", [0.01, 0.3, 1.0, 4.0, 100.0])
+@pytest.mark.parametrize("p2", [0.02, 1.0, 7.0])
+def test_density_coefficients_give_the_shell_dispersion_exactly(p1, p2):
+    # the densities are affine in s = (||z||^2, <x1,z>, <x2,z>, <x1,x2>), and under shell inputs
+    # Cov s = diag(2n, n p1, n p2, n p1 p2) at every n: so Cov(i)/n is the shell matrix, exactly
+    coef = np.array(_mac_densities(0, p1, p2, *np.eye(4)))  # at n = 0 the constant n C + p n / (2 (1 + p)) is 0
+    got = coef @ np.diag([2.0, p1, p2, p1 * p2]) @ coef.T
+    want = dispersion_matrix_shell(PowerPair(p1, p2)).entries
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for p in (p1, p2):
+        a = _density(0, p, *np.eye(2))
+        assert a @ np.diag([2.0, p]) @ a == pytest.approx(dispersion(p), rel=1e-14, abs=0)
+    if p1 == p2 == 1.0:  # entry 33 is (ps^2 + 2 ps + 2 p1 p2) / (2 (1 + ps)^2)
+        assert got[2, 2] == pytest.approx(10.0 / 18.0, rel=1e-15)
+
+
 def test_mac_density_mean_vector():
     pp = PowerPair(1.0, 1.0)
     for n in (100, 1000):
@@ -215,7 +247,17 @@ def test_empirical_outage_ci_brackets_gaussian_prediction():
 
 def test_f_constructions_vanish_at_zero():
     assert f_p2p(np.zeros(3), 1.7) == 0.0
-    assert np.all(f_mac(np.zeros(6), PowerPair(1.0, 2.0)) == 0.0)
+    assert np.all(f_mac(np.zeros(6), 1.0, 2.0) == 0.0)
+
+
+@pytest.mark.parametrize("powers", [(1.7,), (1.0, 2.0), (0.05, 30.0)])
+def test_clt_jacobian_is_the_derivative_of_f(powers):
+    # central differences of the functionals at u = 0 reproduce the literal Jacobian
+    jac, _ = clt_jacobian(powers)
+    f = (lambda u: np.array([f_p2p(u, *powers)])) if len(powers) == 1 else (lambda u: f_mac(u, *powers))
+    h = 1e-6
+    num = np.column_stack([(f(h * e) - f(-h * e)) / (2.0 * h) for e in np.eye(jac.shape[1])])
+    assert np.allclose(num, jac, rtol=1e-8, atol=1e-8)
 
 
 def test_f_constructions_match_inner_product_forms():
@@ -237,7 +279,7 @@ def test_f_constructions_match_inner_product_forms():
             (w2 * w2 - 1.0).mean(),
         ]
     )
-    got = f_mac(u, PowerPair(p1, p2))
+    got = f_mac(u, p1, p2)
     zsq = float(z @ z)
     expect = np.array(
         [
@@ -249,6 +291,11 @@ def test_f_constructions_match_inner_product_forms():
     assert np.allclose(got, expect, rtol=1e-12)
     u3 = np.array([u[0], u[1], u[4]])
     assert f_p2p(u3, p1) == pytest.approx(expect[0], rel=1e-12)
+    # the CLT check's rows (i - nC) 2 (1 + p) / n are the same functional
+    pp = PowerPair(p1, p2)
+    dens = np.array(_mac_densities(n, p1, p2, zsq, float(x1 @ z), float(x2 @ z), float(x1 @ x2)))
+    rows = (dens - n * capacity_vector(pp).as_array()) * 2.0 * (1.0 + np.array([p1, p2, p1 + p2])) / n
+    assert np.allclose(rows, expect, rtol=1e-9)
 
 
 def test_clt_large_n_gaussian():
@@ -268,8 +315,6 @@ def test_clt_mac_check_keeps_one_copy_of_its_draws(monkeypatch):
 
     from scipy.special import ndtr
 
-    from fbmac.shellmc import clt_target_cov_mac
-
     monkeypatch.setenv("FBMAC_THREADS", "1")  # one chunk in flight
     n, trials, pp = 1024, 10**6, PowerPair(1.0, 1.0)
     clt_function_check("mac-joint", n, 1000, pp=pp)  # lazy imports are not the check's memory
@@ -284,7 +329,8 @@ def test_clt_mac_check_keeps_one_copy_of_its_draws(monkeypatch):
     vals = mac_density_samples(n, pp, trials, 0)
     vals -= n * capacity_vector(pp).as_array()[:, None]
     vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
-    target = clt_target_cov_mac(n, pp)
+    target = clt_target_cov(n, (pp.p1, pp.p2))
+    assert np.array_equal(rep.target_cov, target)
     grid = np.arange(1, trials + 1) / trials
     ks = []
     for i in range(3):
@@ -307,7 +353,7 @@ def test_clt_ks_nonincreasing_in_n():
 def test_clt_reduced_direct_agree():
     rep_r = clt_function_check("p2p", 64, 50_000, seed=19)
     vals = (direct_densities(64, (1.0,), 50_000, seed=19)[0] - 64 * capacity(1.0)) * 2.0 * (1.0 + 1.0) / 64
-    ks_d = kstest(vals, "norm", args=(0.0, math.sqrt(clt_target_cov_p2p(64, 1.0)))).statistic
+    ks_d = kstest(vals, "norm", args=(0.0, math.sqrt(clt_target_cov(64, (1.0,))[0, 0]))).statistic
     assert abs(rep_r.ks_distance - ks_d) < 0.01
 
 
@@ -318,19 +364,21 @@ def test_clt_rejects_small_n():
 
 def test_clt_covariance_consistent_with_dispersion_matrix():
     # the density covariance is the functional covariance scaled by the
-    # conditional-variance prefactors: V = D (J Cov J^T) D / 4
-    from fbmac.core import dispersion_matrix_shell
-    from fbmac.shellmc import clt_target_cov_mac, clt_target_cov_p2p
-    from fbmac.core import dispersion as v_scalar
-
-    for p1, p2 in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.2)]:
+    # conditional-variance prefactors: V = D (J Cov J^T) D / 4, and the CLT
+    # check's target, taken from V, is the construction's J Cov J^T / n
+    n = 100
+    for p1, p2 in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.2), (0.01, 40.0)]:
         pp = PowerPair(p1, p2)
-        n = 100
-        jvj = clt_target_cov_mac(n, pp) * n
+        jvj = clt_target_cov(n, (p1, p2)) * n
         d = np.diag([1.0 / (1.0 + p1), 1.0 / (1.0 + p2), 1.0 / (1.0 + p1 + p2)])
         assert np.allclose(d @ jvj @ d / 4.0, dispersion_matrix_shell(pp).entries, rtol=1e-12)
-        jvj_p = clt_target_cov_p2p(n, p1) * n
-        assert jvj_p / (4.0 * (1.0 + p1) ** 2) == pytest.approx(v_scalar(p1), rel=1e-12)
+        rep = clt_function_check("mac-joint", n, 1000, pp=pp)
+        assert np.allclose(rep.target_cov, jvj / n, rtol=1e-12, atol=0)
+        jvj_p = clt_target_cov(n, (p1,))[0, 0] * n
+        assert jvj_p / (4.0 * (1.0 + p1) ** 2) == pytest.approx(dispersion(p1), rel=1e-12)
+        rep = clt_function_check("p2p", n, 1000, p=p1)
+        assert rep.target_cov.shape == (1, 1) and rep.cov_rel_err is None
+        assert rep.target_cov[0, 0] == pytest.approx(jvj_p / n, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +544,7 @@ def test_log_bessel_edge_cases():
 
 def _radial_logpdf(t: float, n: int, pp: PowerPair) -> float:
     """Density of ||X1+X2||^2/n from the point density (test-side conversion)."""
-    point = sum_density(t, n, pp)
+    point = sum_density(t, n, pp.p1, pp.p2)
     if point == -math.inf:
         return -math.inf
     r = math.sqrt(n * t)
@@ -505,16 +553,33 @@ def _radial_logpdf(t: float, n: int, pp: PowerPair) -> float:
 
 
 def test_sum_density_support():
-    pp = PowerPair(1.0, 3.0)
     lo = (1.0 - math.sqrt(3.0)) ** 2
     hi = (1.0 + math.sqrt(3.0)) ** 2
-    assert sum_density(lo - 0.01, 50, pp) == -math.inf
-    assert sum_density(hi + 0.01, 50, pp) == -math.inf
-    assert sum_density(lo, 50, pp) == -math.inf  # boundary shells carry no mass
-    assert sum_density(hi, 50, pp) == -math.inf
-    assert math.isfinite(sum_density(4.0, 50, pp))
-    with pytest.raises(DomainError):
-        sum_density(4.0, 3, pp)
+    assert sum_density(lo - 0.01, 50, 1.0, 3.0) == -math.inf
+    assert sum_density(hi + 0.01, 50, 1.0, 3.0) == -math.inf
+    assert sum_density(lo, 50, 1.0, 3.0) == -math.inf  # boundary shells carry no mass
+    assert sum_density(hi, 50, 1.0, 3.0) == -math.inf
+    assert math.isfinite(sum_density(4.0, 50, 1.0, 3.0))
+    # the divergence-bound profile shares the support
+    for t in (lo - 0.01, lo, hi, hi + 0.01):
+        assert _log_sin_sq(t, 1.0, 3.0) == -math.inf
+
+
+@pytest.mark.parametrize("p1, p2", [(1.0, 3.0), (2.0, 0.5), (1.0, 1.0)])
+def test_log_sin_sq_matches_sum_density(p1, p2):
+    # the point density at n + 2 over the one at n is sin^2 theta0 times a factor free of t, so the two
+    # agree up to one constant; cos theta0 = (t + p1 - p2) / (2 sqrt(p1 t)) vanishes at t = p2 - p1
+    lo, hi = (math.sqrt(p1) - math.sqrt(p2)) ** 2, (math.sqrt(p1) + math.sqrt(p2)) ** 2
+
+    def ratio(t):
+        return sum_density(t, 52, p1, p2) - sum_density(t, 50, p1, p2)
+
+    t0 = 0.5 * (lo + hi)
+    shift = ratio(t0) - _log_sin_sq(t0, p1, p2)
+    for t in np.linspace(lo, hi, 41)[1:-1]:
+        assert _log_sin_sq(float(t), p1, p2) == pytest.approx(ratio(float(t)) - shift, abs=1e-11)
+    if p2 > p1:
+        assert _log_sin_sq(p2 - p1, p1, p2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sum_density_normalizes():
@@ -544,25 +609,15 @@ def test_sum_density_matches_histogram():
 # ---------------------------------------------------------------------------
 
 
-def test_confusion_importance_matches_direct():
-    # threshold deep enough that plain reference-measure sampling would resolve it
-    n, p = 50, 1.0
-    lg = n * capacity(p) - 3.0 * math.sqrt(n * dispersion(p))
-    imp = p2p_confusion_importance(n, p, lg, 400_000, seed=24)
-    exact = exact_confusion_p2p(n, p, lg)
-    tol = 3.0 * imp.std_err
-    assert exact > 0
-    assert abs(imp.value - exact) <= tol
-
-
-@pytest.mark.parametrize("n, p, seed", [(100, 1.0, 40), (200, 0.3, 41), (500, 1.0, 42)])
+@pytest.mark.parametrize("n, p, seed", [(50, 1.0, 24), (100, 1.0, 40), (200, 0.3, 41), (500, 1.0, 42)])
 def test_confusion_importance_matches_exact_law(n, p, seed):
-    # at ln gamma = nC - sqrt(nV) the reference tail is 1e-14 to 1e-71: out of reach of direct sampling
+    # the scaling check estimates gamma Pr_Q[i > ln gamma] at ln gamma = nC - sqrt(nV), where the reference
+    # tail is 1e-6 to 1e-71: out of reach of direct sampling beyond the smallest n
     lg = n * capacity(p) - math.sqrt(n * dispersion(p))
-    imp = p2p_confusion_importance(n, p, lg, 200_000, seed=seed)
-    exact = exact_confusion_p2p(n, p, lg)
+    (pt,) = confusion_scaling_check([n], p, seed=seed, trials=200_000)
+    exact = math.exp(lg) * exact_confusion_p2p(n, p, lg)
     assert exact > 0
-    assert abs(imp.value - exact) <= 4.0 * imp.std_err
+    assert abs(pt.value - exact) <= 4.0 * pt.std_err
 
 
 def test_confusion_scaling_ratio():
@@ -574,8 +629,8 @@ def test_confusion_scaling_ratio():
 
 
 def test_confusion_infinite_threshold():
-    est = p2p_confusion_importance(100, 1.0, math.inf, 2000, seed=27)
-    assert est.value == 0.0
+    it = p2p_density_samples(100, 1.0, 2000, seed=27)
+    assert np.all(importance_weights(it, math.inf) == 0.0)
 
 
 def test_samplers_thread_invariant(monkeypatch):
