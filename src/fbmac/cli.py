@@ -476,6 +476,8 @@ def _verify_bounds(args, seed: int) -> dict:
         "bound": rhs.value,
         "outage": rhs.outage,
         "confusion": rhs.confusion,
+        "sim_std_err": sim_se,
+        "bound_std_err": rhs.std_err,
         "margin": margin,
         "pass": bool(sim.eps_hat <= rhs.value + margin),
     }

@@ -29,11 +29,9 @@ x1 + x2, the output density of a shell input) live in ``tests/oracles.py``.
 Memory: a sampler holds one chunk of draws per worker.  The estimators pass
 a per-chunk ``reduce`` and keep only per-chunk moments (count, mean, sum of
 squared deviations), combined in chunk order, so their memory does not grow
-with the number of trials.  Only the CLT check keeps every draw, to sort
-them: the sampler writes each chunk into one preallocated array, and the
-check takes its covariance from blocks of centred columns, sorts each row in
-place and scans it for the KS distance block by block, so it holds that one
-copy of the draws and a few chunk-sized blocks.
+with the number of trials.  The CLT check draws its chunks twice: the first
+pass fills a histogram of each row, the second keeps only the draws of the
+bins that can hold the KS maximum, so its memory grows like trials^(2/3).
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +50,6 @@ from .core import DomainError, PowerPair, _require_finite_positive, capacity, ca
 from .core import dispersion_matrix_shell
 
 _CHUNK = 1 << 16
-#: most draws the CLT check takes: its KS distance keeps every draw, about 28 bytes each in the
-#: mac-joint case, so some 120 MB at this size
-_CLT_TRIALS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,21 +119,20 @@ def _p2p_stats_reduced(n: int, p: float, m: int, rng: np.random.Generator):
     return g * g + h, math.sqrt(n * p) * g
 
 
-def _stream(trials, seed, draw, reduce, rows=()):
+def _stream(trials, seed, draw, reduce):
     """Chunked draws: ``draw(m, rng)`` per chunk, reduced as drawn into a list, or with
-    ``reduce=None`` written chunk by chunk into one preallocated ``(*rows, trials)`` array."""
-    sizes = chunk_sizes(trials, _CHUNK)  # refuses an over-budget run before anything is allocated
-    out = np.empty(rows + (max(trials, 0),)) if reduce is None else None
+    ``reduce=None`` joined into one array along the last axis."""
+    sizes = chunk_sizes(trials, _CHUNK)  # refuses an over-budget run before anything is drawn
 
     def run(item):
         idx, m = item
         draws = draw(m, substream(seed, idx))
-        if out is None:
-            return reduce(draws)
-        out[..., idx * _CHUNK : idx * _CHUNK + m] = draws
+        return draws if reduce is None else reduce(draws)
 
     parts = thread_map(run, enumerate(sizes))
-    return parts if out is None else out
+    if reduce is not None:
+        return parts
+    return np.concatenate(parts or [draw(0, substream(seed, 0))], axis=-1)  # an empty run keeps its shape
 
 
 def p2p_density_samples(n: int, p: float, trials: int, seed=0, reduce=None):
@@ -180,7 +175,7 @@ def mac_density_samples(n: int, pp: PowerPair, trials: int, seed=0, reduce=None)
     def draw(m, rng):
         return np.stack(_mac_densities(n, pp.p1, pp.p2, *_mac_stats_reduced(n, pp.p1, pp.p2, m, rng)))
 
-    return _stream(trials, seed, draw, reduce, (3,))
+    return _stream(trials, seed, draw, reduce)
 
 
 def moments(x: np.ndarray) -> tuple:
@@ -234,27 +229,85 @@ def empirical_outage_p2p(n: int, p: float, log_threshold: float, trials: int, se
 # ---------------------------------------------------------------------------
 
 
-def _ks_distance(samples: np.ndarray, sigma: float) -> float:
-    """KS distance of ``samples`` to N(0, sigma^2); sorts them in place, then scans them by blocks."""
-    samples.sort()
-    k = samples.size
+#: the KS screen's bins are uniform in x / sigma on [-8, 8), with an open bin at each end
+_KS_SPAN = 8.0
+
+
+def _ks_bins(trials: int) -> int:
+    """Bins of the KS screen: a power of two near 2 trials^(2/3), where the histogram and the kept
+    draws take about the same memory."""
+    return 2 << -(-2 * trials.bit_length() // 3)
+
+
+def _ks_bin(x: np.ndarray, sigma, bins: int) -> np.ndarray:
+    """Bin of each x / sigma: 1 to ``bins`` on [-8, 8), 0 below and ``bins + 1`` above, up to rounding.
+
+    Nondecreasing in x, as every operation here is, so the draws of a bin are a run of the sorted draws.
+    """
+    t = x * (bins / (2.0 * _KS_SPAN) / sigma)
+    t += bins / 2.0 + 1.0
+    np.clip(t, 0.0, bins + 1.0, out=t)
+    return t.astype(np.int32)  # truncates, the floor of t >= 0; several times faster than to int64
+
+
+def _ks_and_cov(stream, trials: int, sigma: np.ndarray) -> tuple[float, np.ndarray]:
+    """Worst KS distance of the rows to N(0, sigma_i^2), and the rows' covariance, in two passes.
+
+    ``stream(reduce)`` returns ``reduce`` of each (rows, m) chunk of the draws, in chunk order, and
+    yields the same chunks on every call.  Pass 1 counts each row's draws in the bins of
+    :func:`_ks_bin` and takes the row means.  A bin's counts bound the KS terms of its draws from
+    above and below; pass 2 keeps the draws of every bin whose upper bound reaches the largest lower
+    bound, and sums the centred co-moments.  The kept draws are sorted and scanned: each one's rank
+    is the count below its bin plus its place in the bin, so the distance is the one a sort of every
+    draw gives, bit for bit.
+    """
+    rows, bins = len(sigma), _ks_bins(trials)
+    hist = np.zeros((rows, bins + 2), dtype=np.int64)
+    lock = threading.Lock()
+
+    def count(x):
+        found = [np.bincount(idx, minlength=bins + 2) for idx in _ks_bin(x, sigma[:, None], bins)]
+        with lock:  # integer sums: the same counts in any order
+            np.add(hist, found, out=hist)
+        return x.sum(axis=1)
+
+    mean = sum(stream(count)) / trials  # in chunk order
+    # the draws of a bin lie in [lo, hi) and hold the ranks below + 1 to below + count
+    edges = ndtr(-_KS_SPAN + np.arange(bins + 1) * (2.0 * _KS_SPAN / bins))
+    lo, hi = np.r_[0.0, edges], np.r_[edges, 1.0]
+
+    def bounds(h):
+        """Upper and lower bounds of the KS terms in each bin of one row's counts ``h``."""
+        below = np.cumsum(h)
+        below -= h
+        top, bottom = (below + h) / trials, below / trials
+        return np.maximum(top - lo, hi - bottom), np.where(h > 0, np.maximum(top - hi, lo - bottom), -np.inf)
+
+    reach = max(bounds(h)[1].max() for h in hist) - 1e-12  # the margin covers rounding at the bin edges
+    keep = np.array([(h > 0) & (bounds(h)[0] >= reach) for h in hist])
+    hist[keep] = 0
+    skipped = np.cumsum(hist, axis=1)  # the draws below each bin that are not kept
+    skipped -= hist
+    del hist
+
+    def kept(x):
+        dev = x - mean[:, None]
+        idx = _ks_bin(x, sigma[:, None], bins)
+        return dev @ dev.T, [row[kept_bins[ix]] for row, kept_bins, ix in zip(x, keep, idx)]
+
+    parts = stream(kept)
+    cov = sum(co for co, _ in parts)  # in chunk order
     dist = -math.inf
-    for start in range(0, k, _CHUNK):
-        xs = samples[start : start + _CHUNK]
-        cdf = ndtr(xs / sigma)
-        grid = np.arange(start + 1, start + xs.size + 1) / k
-        dist = max(dist, (grid - cdf).max(), (cdf - grid + 1.0 / k).max())
-    return float(dist)
-
-
-def _row_cov(x: np.ndarray) -> np.ndarray:
-    """``np.cov(x)``, summed over blocks of centred columns instead of one centred copy."""
-    mean = x.mean(axis=1)
-    acc = np.zeros((x.shape[0], x.shape[0]))
-    for start in range(0, x.shape[1], _CHUNK):
-        dev = x[:, start : start + _CHUNK] - mean[:, None]
-        acc += dev @ dev.T
-    return acc / (x.shape[1] - 1)
+    for i in range(rows):
+        xs = np.concatenate([draws[i] for _, draws in parts])
+        xs.sort()
+        for start in range(0, xs.size, _CHUNK):
+            block = xs[start : start + _CHUNK]
+            cdf = ndtr(block / sigma[i])
+            ranks = np.arange(start + 1, start + block.size + 1) + skipped[i, _ks_bin(block, sigma[i], bins)]
+            grid = ranks / trials
+            dist = max(dist, (grid - cdf).max(), (cdf - grid + 1.0 / trials).max())
+    return float(dist), cov / (trials - 1)
 
 
 def clt_function_check(
@@ -274,8 +327,8 @@ def clt_function_check(
     the worst KS distance over the rows and, for the MAC, the relative
     Frobenius error of the empirical covariance.
     """
-    if n < 16 or not 1000 <= trials <= _CLT_TRIALS:
-        raise DomainError(f"need n >= 16 and 1000 <= trials <= {_CLT_TRIALS}")
+    if n < 16 or trials < 1000:
+        raise DomainError("need n >= 16 and trials >= 1000")
     if case not in ("p2p", "mac-joint"):
         raise DomainError(f"unknown case {case!r}")
     pp = pp if pp is not None else PowerPair(1.0, 1.0)
@@ -286,23 +339,29 @@ def clt_function_check(
     # the Frobenius norm squares the entries, the largest of which is above 4 (p1 + p2) / n
     if case == "mac-joint" and not (4.0 * top / n) ** 2 >= sys.float_info.min:
         raise DomainError(f"p1 + p2 = {top!r} is too small: the covariance's Frobenius norm underflows")
+    chunk_sizes(trials, _CHUNK)  # before the KS screen's histogram is sized
     if case == "p2p":
         powers, cap, v = np.array([p]), np.array([capacity(p)]), np.array([[dispersion(p)]])
-        vals = p2p_density_samples(n, p, trials, seed)[None, :]  # the one-row case
+        sample = functools.partial(p2p_density_samples, n, p)
     else:
         powers, cap = np.array([pp.p1, pp.p2, pp.p_sum]), capacity_vector(pp).as_array()
         v = dispersion_matrix_shell(pp).entries
-        vals = mac_density_samples(n, pp, trials, seed)
-    # each row [p (n - ||z||^2) + 2 <x, z>] / n = (i - nC) d / n, recovered from the density draws
+        sample = functools.partial(mac_density_samples, n, pp)
     d = 2.0 * (1.0 + powers)
-    vals -= n * cap[:, None]
-    vals *= d[:, None] / n
     target = d[:, None] * v * d[None, :] / n
-    rel = None
-    if case == "mac-joint":
-        emp = _row_cov(vals)  # before the rows are sorted apart
-        rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target))
-    ks = max(_ks_distance(row, math.sqrt(target[i, i])) for i, row in enumerate(vals))
+
+    def stream(reduce):
+        def rows(x):
+            # each row [p (n - ||z||^2) + 2 <x, z>] / n = (i - nC) d / n, recovered from the density draws
+            x = x.reshape(len(d), -1)  # the p2p draws are one row
+            x -= n * cap[:, None]
+            x *= d[:, None] / n
+            return reduce(x)
+
+        return sample(trials, seed, reduce=rows)
+
+    ks, emp = _ks_and_cov(stream, trials, np.sqrt(np.diag(target)))
+    rel = float(np.linalg.norm(emp - target) / np.linalg.norm(target)) if case == "mac-joint" else None
     return KsReport(n, trials, ks, np.zeros(len(d)), target, rel)
 
 

@@ -183,8 +183,6 @@ def test_size_knobs_over_budget_exit_2_at_once(capsys, tmp_path):
         ["region", "--kind", "joint", *point, "--samples", "100000000"],
         ["figure1", "--points", "10000000", "--out-dir", str(tmp_path / "f1")],
         ["figure1", "--samples", "100000000", "--out-dir", str(tmp_path / "f1")],
-        ["verify", "clt", "--n", "1024", "--trials", "1000000000"],
-        ["verify", "clt", "--case", "mac-joint", "--n", "1024", "--trials", "1000000000"],
     ):
         start = time.monotonic()
         code, out, err = run_cli(argv, capsys)
@@ -206,6 +204,8 @@ def test_monte_carlo_count_knobs_over_budget_exit_2_at_once(capsys):
     link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", "-10", "--p2-db", "-10"]
     sim = str(_sim_chunk(100, 8, 8) * _MAX_CHUNKS + 1)
     for argv in (
+        ["verify", "clt", "--n", "1024", "--trials", draws],
+        ["verify", "clt", "--case", "mac-joint", "--n", "1024", "--trials", draws],
         ["verify", "inner-product", "--n", "100", "--pairs", draws],
         ["verify", "confusion-scaling", "--trials", draws],
         # each of the two runs is within the budget, the list is not
@@ -589,3 +589,6 @@ def test_verify_bounds_mac_cli(capsys):
     )
     verdict = json.loads(out)
     assert code == 0 and verdict["pass"] is True
+    # the margin is built from the two standard errors the verdict prints
+    assert verdict["sim_std_err"] > 0 and verdict["bound_std_err"] > 0
+    assert verdict["margin"] == 2.0 * math.hypot(verdict["sim_std_err"], verdict["bound_std_err"])

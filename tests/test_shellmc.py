@@ -5,13 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, gammaln, ndtr
 from scipy.stats import kstest
 
-from fbmac._rng import substream
+from fbmac._rng import substream, thread_map
 from fbmac.core import DomainError, PowerPair, capacity, capacity_vector, dispersion, dispersion_matrix_shell
 from fbmac.shellmc import (
     _density,
+    _ks_and_cov,
+    _ks_bin,
     _log_sin_sq,
     _mac_densities,
     bessel_ratio_bound_check,
@@ -309,36 +311,138 @@ def test_clt_mac_case_large_n():
     assert rep.cov_rel_err <= 0.02
 
 
-def test_clt_mac_check_keeps_one_copy_of_its_draws(monkeypatch):
-    # 10^6 draws of the 3-vector are 24 MB: the check may hold them once, plus chunk-sized blocks
+def _clt_rows(case, n, trials, seed, p=1.0, pp=PowerPair(1.0, 1.0)):
+    """The CLT check's rows (i - nC) 2 (1 + p) / n, every draw at once, and their Gaussian target."""
+    if case == "p2p":
+        powers, cap = np.array([p]), np.array([capacity(p)])
+        vals = p2p_density_samples(n, p, trials, seed)[None, :]
+        target = clt_target_cov(n, (p,))
+    else:
+        powers, cap = np.array([pp.p1, pp.p2, pp.p_sum]), capacity_vector(pp).as_array()
+        vals = mac_density_samples(n, pp, trials, seed)
+        target = clt_target_cov(n, (pp.p1, pp.p2))
+    vals -= n * cap[:, None]
+    vals *= 2.0 * (1.0 + powers[:, None]) / n
+    return vals, target
+
+
+def _sorted_ks(vals, sigma):
+    """The worst KS distance of the rows to N(0, sigma_i^2), from a sorted copy of every row."""
+    k = vals.shape[1]
+    grid = np.arange(1, k + 1) / k
+    ks = []
+    for row, s in zip(vals, sigma):
+        cdf = ndtr(np.sort(row) / s)
+        ks.append(max((grid - cdf).max(), (cdf - grid + 1.0 / k).max()))
+    return max(ks)
+
+
+def test_clt_mac_check_memory_grows_slower_than_its_draws(monkeypatch):
+    # 10^6 draws of the 3-vector are 24 MB, 4 10^6 are 96 MB: the check keeps only the draws of the
+    # bins that can hold the KS maximum, plus a histogram and one chunk in flight
     import tracemalloc
 
-    from scipy.special import ndtr
-
     monkeypatch.setenv("FBMAC_THREADS", "1")  # one chunk in flight
-    n, trials, pp = 1024, 10**6, PowerPair(1.0, 1.0)
+    n, pp = 1024, PowerPair(1.0, 1.0)
     clt_function_check("mac-joint", n, 1000, pp=pp)  # lazy imports are not the check's memory
-    tracemalloc.start()
-    try:
-        rep = clt_function_check("mac-joint", n, trials, seed=0, pp=pp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.3 * 3 * trials * 8
-    # references on the same draws: a sorted copy of each margin, and np.cov
-    vals = mac_density_samples(n, pp, trials, 0)
-    vals -= n * capacity_vector(pp).as_array()[:, None]
-    vals *= 2.0 * (1.0 + np.array([[pp.p1], [pp.p2], [pp.p_sum]])) / n
-    target = clt_target_cov(n, (pp.p1, pp.p2))
+    for trials in (4 * 10**6, 10**6):
+        tracemalloc.start()
+        try:
+            rep = clt_function_check("mac-joint", n, trials, seed=0, pp=pp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, trials
+    # references on the same draws at 10^6: a sorted copy of each margin, and np.cov
+    vals, target = _clt_rows("mac-joint", n, 10**6, 0, pp=pp)
     assert np.array_equal(rep.target_cov, target)
-    grid = np.arange(1, trials + 1) / trials
-    ks = []
-    for i in range(3):
-        cdf = ndtr(np.sort(vals[i]) / math.sqrt(target[i, i]))
-        ks.append(max((grid - cdf).max(), (cdf - grid + 1.0 / trials).max()))
-    assert rep.ks_distance == max(ks)
+    assert rep.ks_distance == _sorted_ks(vals, np.sqrt(np.diag(target)))
     rel = np.linalg.norm(np.cov(vals) - target) / np.linalg.norm(target)
     assert rep.cov_rel_err == pytest.approx(rel, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, n, trials, kw",
+    [
+        ("mac-joint", 1024, 200_003, {}),  # a ragged last chunk
+        ("p2p", 64, 200_003, {"p": 0.3}),
+        ("p2p", 16, 10**6, {}),  # the left tail reaches -6 sigma
+        ("mac-joint", 256, 100_000, {"pp": PowerPair(0.01, 40.0)}),
+    ],
+)
+def test_clt_ks_distance_equals_a_sort_of_every_draw(case, n, trials, kw):
+    rep = clt_function_check(case, n, trials, seed=21, **kw)
+    vals, target = _clt_rows(case, n, trials, 21, **kw)
+    assert rep.ks_distance == _sorted_ks(vals, np.sqrt(np.diag(rep.target_cov)))
+    if case == "mac-joint":
+        rel = np.linalg.norm(np.cov(vals) - rep.target_cov) / np.linalg.norm(rep.target_cov)
+        assert rep.cov_rel_err == pytest.approx(rel, rel=1e-12)
+
+
+def test_ks_bins_are_the_edges_the_bounds_use():
+    # bin k >= 1 holds x / sigma in [-8 + (k - 1) w, -8 + k w), w = 16 / bins; bins 0 and bins + 1 are open
+    bins, sigma = 64, 2.0
+    edges = -8.0 + np.arange(bins + 1) * (16.0 / bins)
+    assert np.array_equal(_ks_bin(edges * sigma, sigma, bins), np.arange(1, bins + 2))
+    assert np.array_equal(_ks_bin((edges - 1e-9) * sigma, sigma, bins), np.arange(bins + 1))
+    assert list(_ks_bin(np.array([-np.inf, -1e300, -20.0, 20.0, 1e300, np.inf]), sigma, bins)) == [0] * 3 + [65] * 3
+    x = np.sort(substream(25).standard_normal(100_000) * 3.0)
+    assert np.all(np.diff(_ks_bin(x, sigma, bins)) >= 0)
+
+
+def test_two_pass_ks_exact_on_ties_far_tails_and_a_row_with_no_kept_bin():
+    # no density draw reaches past +-8 sigma, so the open end bins and exact ties are driven here
+    rng = substream(22)
+    trials, sigma = 17_001, np.array([1.0, 2.0, 0.5])
+    vals = np.empty((3, trials))
+    vals[0] = np.round(rng.standard_normal(trials) + 0.2, 1)  # ties at the KS maximum
+    vals[0, :40] = -20.0
+    vals[0, 40:60] = 25.0
+    vals[1] = 2.0 * rng.standard_normal(trials)  # close to its target: no bin of it can hold the maximum
+    vals[2] = 0.5 * rng.standard_normal(trials)
+    vals[2, ::1000] = np.repeat([-1e3, 1e3], 9)
+    chunks = np.split(vals, [7000, 14_000], axis=1)  # the last one ragged
+    passes = []
+
+    def stream(reduce):
+        passes.append([reduce(c.copy()) for c in chunks])
+        return passes[-1]
+
+    ks, cov = _ks_and_cov(stream, trials, sigma)
+    assert ks == _sorted_ks(vals, sigma)
+    assert np.allclose(cov, np.cov(vals), rtol=1e-12, atol=0)
+    kept = [sum(draws[i].size for _, draws in passes[1]) for i in range(3)]
+    assert kept[0] > 0 and kept[1] == 0 and sum(kept) < trials // 4, kept
+
+
+def test_clt_report_identical_at_any_worker_count(monkeypatch):
+    reps = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FBMAC_THREADS", threads)
+        reps.append(clt_function_check("mac-joint", 512, 200_003, seed=23, pp=PowerPair(0.5, 2.0)))
+    a, b = reps
+    assert (a.n, a.trials, a.ks_distance, a.cov_rel_err) == (b.n, b.trials, b.ks_distance, b.cov_rel_err)
+    assert np.array_equal(a.target_mean, b.target_mean) and np.array_equal(a.target_cov, b.target_cov)
+
+
+def test_two_pass_ks_histogram_survives_racing_workers(monkeypatch):
+    # the workers add into one histogram under a lock; a lost update shifts the ranks of the kept
+    # draws.  Many small chunks on five workers and fast thread switches make the adds overlap
+    import sys
+
+    monkeypatch.setenv("FBMAC_THREADS", "5")
+    trials, sigma = 10**6, np.array([1.0, 2.0, 0.5])
+    vals = substream(24).standard_normal((3, trials)) * sigma[:, None] + 0.01
+    chunks = np.split(vals, range(500, trials, 500), axis=1)
+    want = _sorted_ks(vals, sigma)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            ks, _ = _ks_and_cov(lambda reduce: thread_map(lambda c: reduce(c.copy()), chunks), trials, sigma)
+            assert ks == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_clt_ks_nonincreasing_in_n():
