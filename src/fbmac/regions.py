@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, softmax
 
 from ._rng import thread_map
 from .core import (
@@ -265,8 +265,10 @@ def _newton_roots(f, lo, hi, x, xtol: float = 1e-15):
 
     ``f(x) -> (value, slope)`` elementwise, with value <= 0 at ``lo`` and >= 0 at ``hi``; the ends are
     never evaluated.  Each element takes Newton steps from ``x`` and bisects its bracket wherever a
-    step would leave it, so every iterate stays bracketed; the solve stops once every step or bracket
-    is within ``xtol``, or after 100 steps.
+    step would leave it, so every iterate stays bracketed, and wherever a step would land on an end
+    more than ``xtol`` away, since such steps can cycle (where f turns from convex to concave, or where
+    rounding makes them hop between two floats).  The solve stops once every step or bracket is within
+    ``xtol``, or after 100 steps.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
@@ -275,12 +277,19 @@ def _newton_roots(f, lo, hi, x, xtol: float = 1e-15):
         lo, hi = np.where(value <= 0.0, x, lo), np.where(value >= 0.0, x, hi)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = x - value / slope
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        inside = ((step > lo) & (step < hi)) | ((step >= lo) & (step <= hi) & (np.abs(step - x) <= xtol))
+        step = np.where(inside, step, 0.5 * (lo + hi))
         converged = ((np.abs(step - x) <= xtol) | (hi - lo <= xtol)).all()
         x = step
         if converged:
             break
     return x
+
+
+def _ray_roots(f, cap, start) -> np.ndarray:
+    """Largest r in [0, cap] with f(r) <= 0 on each ray, for f(r) -> (value, slope) nondecreasing in r: 0 where
+    the origin already fails, else the :func:`_newton_roots` root from ``start``, the cap if f stays <= 0."""
+    return np.where(f(0.0)[0] > 0.0, 0.0, _newton_roots(f, 0.0, cap, start))
 
 
 def union_bound_radius(cvec, vdiag, n: int, eps: float, thetas) -> np.ndarray:
@@ -292,10 +301,8 @@ def union_bound_radius(cvec, vdiag, n: int, eps: float, thetas) -> np.ndarray:
     exactly the union over weights lambda on the simplex of the pentagons
     {r_i <= C_i - sqrt(V_ii/n) Qinv(lambda_i eps)}, the splitting region.  The sum rises with r and is
     convex below the cap, so Newton's method from the single-constraint radius (where one term alone
-    is eps) falls onto the root.  Two cases have no root.  Where the sum already exceeds eps at the
-    origin the radius is 0.  Where it stays within eps up to the cap, which needs eps >= 1/2 since one
-    term is 1/2 there, the radius is the cap: for eps >= 1/2 the single-constraint radius is the cap
-    itself, so the solve starts and stops there.
+    is eps) falls onto the root.  The sum stays within eps up to the cap only for eps >= 1/2 (one term is
+    1/2 there), where the single-constraint radius is the cap itself: the solve starts and stops there.
     """
     cvec, vdiag = np.asarray(cvec, dtype=float)[:, None], np.asarray(vdiag, dtype=float)[:, None]
     thetas = np.asarray(thetas, dtype=float)
@@ -309,8 +316,7 @@ def union_bound_radius(cvec, vdiag, n: int, eps: float, thetas) -> np.ndarray:
         return ndtr(-z).sum(axis=0) - eps, (scale * d * np.exp(-0.5 * z * z)).sum(axis=0) / _SQRT_2PI
 
     start = pentagon_ray(thetas.ravel(), *_normal_rate(cvec, vdiag, n, _penalty(eps)))
-    r = np.where(excess(0.0)[0] > 0.0, 0.0, _newton_roots(excess, 0.0, cap, start))
-    return r.reshape(thetas.shape)
+    return _ray_roots(excess, cap, start).reshape(thetas.shape)
 
 
 def _splitting_radius(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
@@ -345,99 +351,108 @@ def outage_splitting_boundary(
 
 
 class ExponentValue(NamedTuple):
-    value: float
-    above_capacity: bool
+    """An exponent (nats) and its slope in the rate, each shaped like the rates."""
+
+    value: np.ndarray
+    slope: np.ndarray
 
 
-def _individual_switch_rate(p: float) -> float:
-    return 0.5 * math.log((2.0 + p + math.sqrt(4.0 + p * p)) / 4.0)
+def _exponent(rate, cap: float, r_c: float, line0: float, curve) -> ExponentValue:
+    """The slope -1 line line0 - R below the switch rate r_c, the branch ``curve(R) -> (value, slope)`` up to
+    capacity (it sees rates clipped to [r_c, cap] only), and 0 with slope 0 from capacity on."""
+    rate = np.asarray(rate, dtype=float)
+    if (rate < 0).any():
+        raise DomainError("need rate >= 0")
+    value, slope = curve(np.clip(rate, r_c, cap))
+    branch = [rate < r_c, rate < cap]
+    return ExponentValue(np.select(branch, [line0 - rate, value], 0.0)[()], np.select(branch, [-1.0, slope], 0.0)[()])
 
 
-def gallager_individual_exponent(rate: float, p: float) -> ExponentValue:
-    """Per-user error exponent (nats) of the truncated-Gaussian ensemble.
+def gallager_individual_exponent(rate, p: float) -> ExponentValue:
+    """Per-user error exponent (nats) of the truncated-Gaussian ensemble and its slope; broadcasts over rates.
 
-    Two branches meeting tangentially (slope -1) at the switch rate; the
-    low-rate branch is the straight line through that point.  Rates above
-    capacity return 0 with the flag set.
+    On the curved branch, with s = e^{2R} = 1 + u and alpha = 2s / (1 + sqrt(1 + 4s/(p u))), the exponent is
+    (p - alpha)/(2s) + log(s - alpha)/2 with slope -(p - alpha)/alpha, tangent to a slope -1 line at the switch
+    rate.  s - alpha - 1 and p - alpha go through u - p = (1 + p)(e^{2(R - C)} - 1), free of cancellation.
     """
-    if rate < 0 or p <= 0:
-        raise DomainError("need rate >= 0 and p > 0")
-    cap = capacity(p)
-    if rate >= cap:
-        return ExponentValue(0.0, rate > cap)
-    r_c = _individual_switch_rate(p)
-    if rate >= r_c:
-        s = math.exp(2.0 * rate)
-        alpha = (p * (s - 1.0) / 2.0) * (math.sqrt(1.0 + 4.0 * s / (p * (s - 1.0))) - 1.0)
-        return ExponentValue((p - alpha) / (2.0 * s) + 0.5 * math.log(s - alpha), False)
-    beta = (2.0 + p + math.sqrt(4.0 + p * p)) / 4.0
-    value = (1.0 - beta + p / 2.0) + 0.5 * math.log(beta * (beta - p / 2.0)) - rate
-    return ExponentValue(value, False)
+    _require_finite_positive("p", p)
+    h, cap = math.hypot(2.0, p), 0.5 * math.log1p(p)
+    g = p * (2.0 + h + p) / (2.0 + h)  # 4(beta - 1) with beta = (2 + p + h)/4, and beta - p/2 - 1 = -g/(2(h + p))
+    line0 = p * (0.5 + 1.0 / (h + p)) / (2.0 + h) + 0.5 * (math.log1p(g / 4.0) + math.log1p(-g / (2.0 * (h + p))))
+
+    def curve(r):
+        u = np.expm1(2.0 * r)
+        s = 1.0 + u
+        root = np.sqrt(1.0 + 4.0 * s / (p * u))
+        below = (1.0 + p) * np.expm1(2.0 * (r - cap))  # u - p
+        w = 4.0 * s * below / (p * (1.0 + root) * (u * root + s + 1.0))  # s - alpha - 1
+        return (w - below) / (2.0 * s) + 0.5 * np.log1p(w), (below - w) * (1.0 + root) / (2.0 * s)
+
+    return _exponent(rate, cap, 0.5 * math.log1p(g / 4.0), line0, curve)
 
 
-def _sum_switch_rate(ps: float) -> float:
-    s_c = 0.5 * (1.0 + ps / 4.0 + math.sqrt(1.0 + ps / 2.0 + ps * ps / 4.0))
-    return 0.5 * math.log(s_c)
+def gallager_sum_exponent(rate_sum, ps: float) -> ExponentValue:
+    """Sum-rate error exponent (nats) of the truncated-Gaussian ensemble and its slope; broadcasts over rates.
 
-
-def gallager_sum_exponent(rate_sum: float, ps: float) -> ExponentValue:
-    """Sum-rate error exponent (nats) of the truncated-Gaussian ensemble.
-
-    The curved branch is parameterized by a tilt that runs from 0 at capacity
-    to 1 at the switch rate; below it the exponent continues as the slope -1
-    tangent line.
+    The curved branch is parameterized by a tilt rho, from 0 at capacity to 1 at the switch rate, and its
+    slope is -rho; below the switch rate the exponent is the slope -1 tangent line.  The exponent is
+    (1 + rho)(1 - t) + log t for t = theta1 / (1 + rho), with t - 1 written with its factor rho taken out.
     """
-    if rate_sum < 0 or ps <= 0:
-        raise DomainError("need rate >= 0 and ps > 0")
-    cap = capacity(ps)
-    if rate_sum >= cap:
-        return ExponentValue(0.0, rate_sum > cap)
-    r_c = _sum_switch_rate(ps)
-    if rate_sum >= r_c:
-        s = math.exp(2.0 * rate_sum)
-        bracket = 0.5 + 2.0 * s / ps - 0.5 * math.sqrt(1.0 + 8.0 * s / ps + 16.0 * s / (ps * ps))
-        rho = bracket ** -0.5 - 1.0
-        rho = max(rho, 0.0)  # round-off guard at capacity
-        theta1 = (1.0 + rho - ps) / 2.0 + 0.5 * math.sqrt(ps * ps + 2.0 * ps + (1.0 + rho) ** 2)
-        return ExponentValue((1.0 + rho - theta1) + math.log(theta1 / (1.0 + rho)), False)
-    theta2 = 1.0 - ps / 2.0 + 0.5 * math.sqrt(ps * ps + 2.0 * ps + 4.0)
-    value = (2.0 - theta2) + math.log(theta2 / 2.0) + r_c - rate_sum
-    return ExponentValue(value, False)
+    _require_finite_positive("ps", ps)
+    q, cap = ps, 0.5 * math.log1p(ps)
+    k = math.hypot(0.5 * (q + 1.0), math.sqrt(0.75))  # sqrt(1 + q/2 + q^2/4)
+    r_c = 0.5 * math.log1p(q / 8.0 * (1.0 + (2.0 + q) / (k + 1.0)))
+    delta = 0.5 * q / (1.0 + 0.5 * q + k)  # 2 - theta2
+
+    def curve(r):
+        u = np.expm1(2.0 * r)
+        s = 1.0 + u
+        rho = (q * (q + 4.0 * s + np.sqrt(q * q + 8.0 * s * q + 16.0 * s)) / (8.0 * s * u)) ** 0.5 - 1.0
+        h = np.sqrt(q * (q + 2.0) + (1.0 + rho) ** 2)
+        tau = -rho * q * (q + 2.0) * (2.0 * q + (1.0 + rho) ** 2) / (  # t - 1
+            (1.0 + rho) * (1.0 + rho + h) * (h + q) * ((1.0 - rho) * h + (1.0 + rho) * (1.0 + rho + q))
+        )
+        return np.log1p(tau) - (1.0 + rho) * tau, -rho
+
+    return _exponent(rate_sum, cap, r_c, delta + math.log1p(-0.5 * delta) + r_c, curve)
 
 
-def _gallager_budget(r1: float, r2: float, gp: GallagerParams, pp: PowerPair) -> float:
-    a, n = gp.a, gp.n
-    # an exponent is never negative; just below capacity one rounds to about -1e-16, and at n near 2^63
-    # e^{-n e} would overflow
-    e1 = max(gallager_individual_exponent(r1, pp.p1).value, 0.0)
-    e2 = max(gallager_individual_exponent(r2, pp.p2).value, 0.0)
-    e3 = max(gallager_sum_exponent(r1 + r2, pp.p_sum).value, 0.0)
-    return a * n * math.exp(-n * e1) + a * n * math.exp(-n * e2) + a * n * n * math.exp(-n * e3)
+def _gallager_excess(gp: GallagerParams, pp: PowerPair, d):
+    """t -> (log budget - log eps, slope) at the rates t d = t (d1, d2, d1 + d2) on each ray; the budget
+    a n e^{-n E1} + a n e^{-n E2} + a n^2 e^{-n E3} is taken as a log-sum-exp, which overflows at no n."""
+    offset = (math.log(gp.a) + math.log(gp.n) - math.log(gp.eps) + np.array([0.0, 0.0, math.log(gp.n)]))[:, None]
+    individual = gallager_individual_exponent
+    kinds = ((individual, pp.p1), (individual, pp.p2), (gallager_sum_exponent, pp.p_sum))
+
+    def excess(t):
+        values, slopes = zip(*(f(t * di, p) for (f, p), di in zip(kinds, d)))
+        terms = offset - gp.n * np.stack(values)
+        return logsumexp(terms, axis=0), -gp.n * (softmax(terms, axis=0) * np.stack(slopes) * d).sum(axis=0)
+
+    return excess
+
+
+def _gallager_radii(gp: GallagerParams, pp: PowerPair, thetas) -> np.ndarray:
+    """Largest radius within the capacity pentagon whose exponent budget meets eps, on each ray.  Each exponent
+    falls as its rate rises, so the log budget rises along the ray; it is solved for the pentagon share, so the
+    tolerance is relative at any SNR."""
+    thetas = np.asarray(thetas, dtype=float)
+    cap = pentagon_ray(thetas, capacity(pp.p1), capacity(pp.p2), capacity(pp.p_sum))
+    d = cap * np.stack([np.cos(thetas), np.sin(thetas), np.cos(thetas) + np.sin(thetas)])  # the rates at the cap
+    return cap * _ray_roots(_gallager_excess(gp, pp, d), 1.0, 0.5)
 
 
 def gallager_ray(gp: GallagerParams, pp: PowerPair, theta: float) -> float:
     """Ray radius of the exponent-budget region; 0 if the origin is infeasible."""
-    c, s = math.cos(theta), math.sin(theta)
-    if _gallager_budget(0.0, 0.0, gp, pp) > gp.eps:
-        return 0.0
-    lo, hi = 0.0, 2.0 * (capacity(pp.p1) + capacity(pp.p2))
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if _gallager_budget(mid * c, mid * s, gp, pp) <= gp.eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(_gallager_radii(gp, pp, np.array([theta]))[0])
 
 
 def gallager_boundary(gp: GallagerParams, pp: PowerPair, num_points: int = 256) -> RegionBoundary:
-    """Boundary of the rate pairs whose three-term exponent budget meets eps."""
+    """Boundary of the rate pairs whose three-term exponent budget meets eps; empty if the origin is infeasible."""
     params = {"n": gp.n, "eps": gp.eps, "a": gp.a, "p1": pp.p1, "p2": pp.p2}
-    if _gallager_budget(0.0, 0.0, gp, pp) > gp.eps:
-        return RegionBoundary("gallager", params, np.empty((0, 2)), empty=True)
     thetas = ray_angles(num_points)
-    radii = np.array([gallager_ray(gp, pp, t) for t in thetas])
-    return RegionBoundary("gallager", params, _ray_points(radii, thetas))
+    radii = _gallager_radii(gp, pp, thetas)
+    return RegionBoundary("gallager", params, _ray_points(radii, thetas), empty=not radii.any())
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +481,7 @@ def _tdma_radius(n, eps, pp: PowerPair, alpha, c, s):
     clipped rate at level e_i exactly when z_i = (cap_i - r d_i)/scale_i >= 0 and 1 - e_i <= Phi(z_i).
     So the radius is the largest r <= min_i cap_i/d_i with log Phi(z1) + log Phi(z2) >= log(1 - eps).
     The excess rises with r and is convex, so Newton's method from the single-constraint radius falls
-    onto the root; it is 0 where the origin already fails, and for eps >= 1/2 the solve starts at the cap.
+    onto the root (for eps >= 1/2 it starts at the cap).
     """
     (cap1, k1), (cap2, k2) = _tdma_shares(n, pp, alpha)
     terms = np.stack(np.broadcast_arrays(cap1, cap2, k1, k2, c, s))
@@ -481,7 +496,7 @@ def _tdma_radius(n, eps, pp: PowerPair, alpha, c, s):
 
     top = (cap / d).min(axis=0)
     start = np.minimum((np.maximum(cap - scale * _penalty(eps), 0.0) / d).min(axis=0), top)
-    return np.where(excess(0.0)[0] > 0.0, 0.0, _newton_roots(excess, 0.0, top, start))
+    return _ray_roots(excess, top, start)
 
 
 def _tdma_radii(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:

@@ -116,6 +116,30 @@ def test_region_gallager_at_the_largest_n(tmp_path, capsys):
     assert pts.shape == (32, 2) and np.isfinite(pts).all() and (pts > 0).all()
 
 
+@pytest.mark.parametrize("p1_db, p2_db", [(300, 0), (-300, 0), (0, 300), (0, -300), (300, 300), (-300, -300)])
+@pytest.mark.parametrize("kind", list(REGIONS))
+def test_region_at_extreme_snrs_never_exits_1(kind, p1_db, p2_db, tmp_path, capsys):
+    # the Gallager exponents took log(s - alpha) after cancellation at 100 dB and divided by
+    # p (e^{2R} - 1) rounded to 0 at -155 dB, so the command exited 1
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(
+        [
+            "region", "--kind", kind, "--n", "500", "--eps", "1e-3", "--p1-db", str(p1_db),
+            "--p2-db", str(p2_db), "--points", "8", "--samples", "1024", "--format", "json", "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code in (0, 2), err
+    if kind == "gallager":
+        assert code == 0, err
+        pts = np.array(json.loads(out.read_text())["points"]).reshape(-1, 2)
+        assert np.isfinite(pts).all() and (pts >= 0.0).all()
+        pp = PowerPair(10.0 ** (p1_db / 10.0), 10.0 ** (p2_db / 10.0))
+        caps = [0.5 * math.log1p(p) for p in (pp.p1, pp.p2, pp.p_sum)]
+        assert (pts <= np.array(caps[:2]) * (1.0 + 1e-12)).all()
+        assert (pts.sum(axis=1) <= caps[2] * (1.0 + 1e-12)).all()
+
+
 def test_byte_identical_rerun(tmp_path, capsys):
     args = [
         "region", "--kind", "splitting", "--n", "500", "--eps", "1e-3",

@@ -46,7 +46,14 @@ from fbmac.regions import (
     tdma_ray,
     union_bound_radius,
 )
-from oracles import q_tail_inv, shell_setup, splitting_grid_radius, tdma_grid_radius, union_bound_root
+from oracles import (
+    gallager_radius_mp,
+    q_tail_inv,
+    shell_setup,
+    splitting_grid_radius,
+    tdma_grid_radius,
+    union_bound_root,
+)
 
 PP = PowerPair(1.0, 1.0)
 FIG1 = dict(n=500, eps=1e-3)
@@ -374,9 +381,76 @@ def test_individual_exponent_vanishes_at_capacity():
     for p in (0.1, 1.0, 10.0):
         val = gallager_individual_exponent(capacity(p), p)
         assert abs(val.value) < 1e-9
-        assert not val.above_capacity
-        flagged = gallager_individual_exponent(capacity(p) + 0.1, p)
-        assert flagged.value == 0.0 and flagged.above_capacity
+        above = gallager_individual_exponent(capacity(p) + 0.1, p)
+        assert above.value == 0.0 and above.slope == 0.0
+
+
+@pytest.mark.parametrize("p", [0.1, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("exponent", [gallager_individual_exponent, gallager_sum_exponent])
+def test_exponent_slopes_match_central_differences(exponent, p):
+    # rates on both branches: the tangent line below the switch rate and the curve above it
+    cap = capacity(p)
+    rates = np.linspace(0.02, 0.98, 25) * cap
+    h = 1e-6 * cap
+    fd = (exponent(rates + h, p).value - exponent(rates - h, p).value) / (2.0 * h)
+    slope = exponent(rates, p).slope
+    assert (slope == -1.0).any() and (slope > -1.0).any()
+    assert np.allclose(slope, fd, rtol=1e-6, atol=0.0)
+    # the value and slope broadcast: one rate at a time gives the same numbers
+    assert all(exponent(float(r), p) == (v, g) for r, v, g in zip(rates, *exponent(rates, p)))
+
+
+@pytest.mark.parametrize("p1_db, p2_db", [(0.0, 0.0), (10.0, 0.0), (-10.0, 20.0)])
+def test_gallager_log_budget_slope_matches_central_differences(p1_db, p2_db):
+    pp = PowerPair(db_to_linear(p1_db), db_to_linear(p2_db))
+    thetas = ray_angles(16)
+    cap = pentagon_ray(thetas, capacity(pp.p1), capacity(pp.p2), capacity(pp.p_sum))
+    d = cap * np.stack([np.cos(thetas), np.sin(thetas), np.cos(thetas) + np.sin(thetas)])
+    excess = regions._gallager_excess(GallagerParams(1.0, 500, 1e-3), pp, d)  # at the rates t d
+    for share in (0.1, 0.5, 0.9):
+        fd = (excess(share + 1e-7)[0] - excess(share - 1e-7)[0]) / 2e-7
+        assert np.allclose(excess(share)[1], fd, rtol=1e-6, atol=0.0)
+
+
+#: (a, n, eps, p1 dB, p2 dB): the figure point, the three benchmark sweep points, criterion 9's n,
+#: high and extreme SNRs, a large n at low SNR, and prefactors small enough that the pentagon caps rays
+GALLAGER_POINTS = [
+    (1.0, 500, 1e-3, 0.0, 0.0),
+    (1.0, 500, 1e-6, 0.0, 0.0),
+    (1.0, 500, 1e-3, 10.0, 0.0),
+    (1.0, 10_000, 1e-1, -10.0, -10.0),
+    (1.0, 10**5, 1e-3, 0.0, 0.0),
+    (1.0, 500, 1e-3, 50.0, 50.0),
+    (1.0, 500, 1e-3, 300.0, 0.0),
+    (1.0, 10**9, 1e-3, -50.0, -50.0),
+    (1e-12, 500, 1e-3, 0.0, 0.0),
+    (1e-6, 500, 1e-3, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("a, n, eps, p1_db, p2_db", GALLAGER_POINTS)
+def test_gallager_radius_matches_mpmath_oracle(a, n, eps, p1_db, p2_db):
+    pp = PowerPair(db_to_linear(p1_db), db_to_linear(p2_db))
+    thetas = np.array([0.2, math.pi / 4, 1.3])
+    radii = regions._gallager_radii(GallagerParams(a, n, eps), pp, thetas)
+    for theta, r in zip(thetas, radii):
+        exact = gallager_radius_mp(a, n, eps, pp.p1, pp.p2, float(theta))
+        tol = max(1e-9 * exact, 1e-14)
+        assert abs(r - exact) <= tol, (theta, r, exact)
+        assert abs(gallager_ray(GallagerParams(a, n, eps), pp, float(theta)) - exact) <= tol
+
+
+@pytest.mark.parametrize("a", [1e-6, 1e-12])
+def test_gallager_curve_stays_inside_the_pentagon(a):
+    # above capacity every exponent is 0, so with a small prefactor the budget meets eps past the
+    # pentagon: there the radius is the pentagon radius, never more
+    thetas = ray_angles(64)
+    rb = gallager_boundary(GallagerParams(a, 500, 1e-3), PP, 64)
+    radii = np.hypot(*rb.points[::-1].T)
+    cv = capacity_vector(PP)
+    pentagon = pentagon_ray(thetas, cv.c1, cv.c2, cv.c3)
+    assert (radii <= pentagon * (1.0 + 1e-12)).all()
+    assert np.isclose(radii, pentagon, rtol=1e-12, atol=0.0).any()
 
 
 def test_individual_exponent_zero_rate_value():
@@ -535,6 +609,20 @@ def test_tdma_settles_the_splits_without_a_balance(monkeypatch):
         counts.append(len(calls))
     assert (rb.points == 0.0).all()
     assert counts[1] <= counts[0]
+
+
+def test_newton_roots_breaks_the_two_cycle_of_a_convex_then_concave_map():
+    # linear (slope 1) up to 0.5, concave past it: from the line every Newton step lands on 1.0, and from
+    # 1.0 on 0.5, so the steps cycled between the bracket ends until the step cap; the log Gallager budget
+    # does this at 10/0 dB, where a 256-ray curve then failed its monotone check
+    def f(x):
+        y = x - 0.5
+        return np.where(y <= 0.0, x - 1.0, -0.5 + 4.0 * y - 2.0 * y * y), np.where(y <= 0.0, 1.0, 4.0 - 4.0 * y)
+
+    root = regions._newton_roots(f, 0.0, 2.0, np.array([0.25]))
+    assert root[0] == pytest.approx(1.5 - math.sqrt(3.0) / 2.0, abs=1e-14)
+    rb = gallager_boundary(GallagerParams(1.0, 500, 1e-3), PowerPair(10.0, 1.0), 256)
+    assert rb.points.shape == (256, 2)
 
 
 def test_tdma_below_joint_sum_rate():
