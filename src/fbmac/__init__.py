@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`fbmac.core`      -- domain types, capacity/dispersion formulas.
+* :mod:`fbmac.core`      -- power pairs, capacity/dispersion formulas.
 * :mod:`fbmac.gaussquad` -- Gaussian tails and the trivariate orthant probability.
 * :mod:`fbmac.regions`   -- rate-region boundaries (joint outage, splitting,
   i.i.d. Gaussian, error exponent, TDMA, outer bounds).
@@ -15,12 +15,8 @@ Library layout:
 __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
-    CapacityVector,
-    DispersionKind,
-    DispersionMatrix,
     DomainError,
     PowerPair,
-    SecondOrderParams,
     capacity,
     capacity_vector,
     db_to_linear,

@@ -1,4 +1,4 @@
-"""Domain types and closed-form capacity/dispersion formulas.
+"""Power pairs, domain checks and the closed-form capacity/dispersion formulas.
 
 Conventions
 -----------
@@ -7,11 +7,12 @@ nats per channel use, dispersions in nats^2 per channel use.  SNRs are linear
 and dimensionless; dB enters only at the CLI boundary via :func:`db_to_linear`.
 
 The two-user Gaussian MAC with unit noise variance and powers ``(P1, P2)`` is
-summarized to second order by the capacity vector
+summarized to second order by the capacity vector, a length-3 array,
 
     C = (C(P1), C(P2), C(P1 + P2)),      C(P) = ln(1 + P) / 2,
 
-and a 3x3 dispersion matrix whose flavor depends on the input ensemble:
+and a 3x3 dispersion matrix, a plain symmetric PSD array, whose flavor
+depends on the input ensemble:
 
 * ``shell``        -- independent uniform inputs on the two power shells;
   the (3,3) entry carries an extra term from the variance of <X1, X2>.
@@ -19,20 +20,19 @@ and a 3x3 dispersion matrix whose flavor depends on the input ensemble:
 * ``sum-shell``    -- hypothetical ensemble whose superposition lands on the
   sum-power shell; equals ``shell`` with the inner-product term removed,
   which makes the matrix rank 2.
+
+The matrix builders refuse powers whose products overflow (from about 1e154)
+with a :class:`DomainError` that names them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 LN2 = math.log(2.0)
-
-#: relative eigenvalue tolerance when checking positive semidefiniteness
-PSD_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -62,62 +62,18 @@ class PowerPair:
         return self.p1 + self.p2
 
 
-@dataclass(frozen=True)
-class SecondOrderParams:
-    """Operating point: blocklength and target average error probability."""
-
-    n: int
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not (0.0 < self.eps < 1.0):
-            raise DomainError(f"eps must lie in (0, 1), got {self.eps!r}")
+def _require_operating_point(n, eps) -> None:
+    """Refuse a blocklength that is not a positive integer or an error probability outside (0, 1)."""
+    if not math.isfinite(n) or int(n) != n or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if not (0.0 < eps < 1.0):
+        raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
 
 
-@dataclass(frozen=True)
-class CapacityVector:
-    """Per-user and sum capacities in nats per channel use."""
-
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self) -> None:
-        slack = 1e-12 * max(1.0, abs(self.c3))
-        if self.c1 < 0 or self.c2 < 0:
-            raise DomainError("capacities must be nonnegative")
-        if self.c3 < max(self.c1, self.c2) - slack or self.c3 > self.c1 + self.c2 + slack:
-            raise DomainError("sum capacity must lie in [max(c1,c2), c1+c2]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3], dtype=float)
-
-
-class DispersionKind(Enum):
-    SHELL = "shell"
-    IID_GAUSSIAN = "iid-gaussian"
-    SUM_SHELL = "sum-shell"
-
-
-@dataclass(frozen=True, eq=False)
-class DispersionMatrix:
-    """Symmetric PSD 3x3 second-order covariance, nats^2 per channel use."""
-
-    entries: np.ndarray
-    kind: DispersionKind
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (3, 3):
-            raise DomainError(f"dispersion matrix must be 3x3, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-            raise DomainError("dispersion matrix must be symmetric")
-        floor = -PSD_TOL * max(1.0, float(np.trace(m)))
-        if np.linalg.eigvalsh(m).min() < floor:
-            raise DomainError("dispersion matrix must be positive semidefinite")
-        object.__setattr__(self, "entries", m)
+def _require_square_finite(name: str, p: float) -> None:
+    """Refuse a power whose (1 + p)^2 overflows (p above about 1.34e154), where the closed forms break."""
+    if not math.isfinite((1.0 + p) * (1.0 + p)):
+        raise DomainError(f"{name} = {p!r} is too large: (1 + {name})^2 overflows")
 
 
 def capacity(p: float) -> float:
@@ -138,12 +94,9 @@ def dispersion(p: float) -> float:
     return 0.5 * (p / (1.0 + p)) * ((p + 2.0) / (1.0 + p))  # past p ~ 1.3e154, where (1 + p)^2 overflows
 
 
-def capacity_vector(pp: PowerPair) -> CapacityVector:
-    return CapacityVector(capacity(pp.p1), capacity(pp.p2), capacity(pp.p_sum))
-
-
-def _cross_dispersion(p1: float, p2: float) -> float:
-    return 0.5 * p1 * p2 / ((1.0 + p1) * (1.0 + p2))
+def capacity_vector(pp: PowerPair) -> np.ndarray:
+    """(C(p1), C(p2), C(p1 + p2)) in nats per use."""
+    return np.array([capacity(pp.p1), capacity(pp.p2), capacity(pp.p_sum)])
 
 
 def _user_sum_dispersion(pu: float, ps: float) -> float:
@@ -153,55 +106,35 @@ def _user_sum_dispersion(pu: float, ps: float) -> float:
 def inner_product_dispersion(pp: PowerPair) -> float:
     """Variance term contributed by <X1, X2> to the sum information density."""
     ps = pp.p_sum
+    _require_square_finite("p1 + p2", ps)  # every other product of the shell matrix is below (1 + ps)^2
     return pp.p1 * pp.p2 / (1.0 + ps) ** 2
 
 
-def dispersion_matrix_shell(pp: PowerPair) -> DispersionMatrix:
+def dispersion_matrix_shell(pp: PowerPair) -> np.ndarray:
     """Dispersion matrix for independent power-shell inputs."""
     p1, p2, ps = pp.p1, pp.p2, pp.p_sum
-    v12 = _cross_dispersion(p1, p2)
-    v13 = _user_sum_dispersion(p1, ps)
-    v23 = _user_sum_dispersion(p2, ps)
-    m = np.array(
-        [
-            [dispersion(p1), v12, v13],
-            [v12, dispersion(p2), v23],
-            [v13, v23, dispersion(ps) + inner_product_dispersion(pp)],
-        ]
-    )
-    return DispersionMatrix(m, DispersionKind.SHELL)
+    v33 = dispersion(ps) + inner_product_dispersion(pp)
+    v12 = 0.5 * p1 * p2 / ((1.0 + p1) * (1.0 + p2))
+    v13, v23 = _user_sum_dispersion(p1, ps), _user_sum_dispersion(p2, ps)
+    return np.array([[dispersion(p1), v12, v13], [v12, dispersion(p2), v23], [v13, v23, v33]])
 
 
-def dispersion_matrix_sumshell(pp: PowerPair) -> DispersionMatrix:
+def dispersion_matrix_sumshell(pp: PowerPair) -> np.ndarray:
     """Rank-2 dispersion matrix of the hypothetical sum-power-shell ensemble."""
-    m = dispersion_matrix_shell(pp).entries.copy()
+    m = dispersion_matrix_shell(pp)
     m[2, 2] = dispersion(pp.p_sum)
-    return DispersionMatrix(m, DispersionKind.SUM_SHELL)
+    return m
 
 
-def dispersion_matrix_iid(pp: PowerPair) -> DispersionMatrix:
+def dispersion_matrix_iid(pp: PowerPair) -> np.ndarray:
     """Dispersion matrix for independent i.i.d. Gaussian inputs."""
     p1, p2, ps = pp.p1, pp.p2, pp.p_sum
-    m = np.array(
-        [
-            [
-                p1 / (1.0 + p1),
-                p1 * p2 / (2.0 * (1.0 + p1) * (1.0 + p2)),
-                p1 * (2.0 + 2.0 * p1 + p2) / (2.0 * (1.0 + p1) * (1.0 + ps)),
-            ],
-            [
-                p1 * p2 / (2.0 * (1.0 + p1) * (1.0 + p2)),
-                p2 / (1.0 + p2),
-                p2 * (2.0 + p1 + 2.0 * p2) / (2.0 * (1.0 + p2) * (1.0 + ps)),
-            ],
-            [
-                p1 * (2.0 + 2.0 * p1 + p2) / (2.0 * (1.0 + p1) * (1.0 + ps)),
-                p2 * (2.0 + p1 + 2.0 * p2) / (2.0 * (1.0 + p2) * (1.0 + ps)),
-                ps / (1.0 + ps),
-            ],
-        ]
-    )
-    return DispersionMatrix(m, DispersionKind.IID_GAUSSIAN)
+    d1, d2 = 2.0 * (1.0 + p1) * (1.0 + ps), 2.0 * (1.0 + p2) * (1.0 + ps)  # the largest products
+    if not math.isfinite(max(d1, d2)):
+        raise DomainError(f"p1 = {p1!r}, p2 = {p2!r} are too large: 2 (1 + p) (1 + p1 + p2) overflows")
+    v12 = p1 * p2 / (2.0 * (1.0 + p1) * (1.0 + p2))
+    v13, v23 = p1 * (2.0 + 2.0 * p1 + p2) / d1, p2 * (2.0 + p1 + 2.0 * p2) / d2
+    return np.array([[p1 / (1.0 + p1), v12, v13], [v12, p2 / (1.0 + p2), v23], [v13, v23, ps / (1.0 + ps)]])
 
 
 def nats_to_bits(x: float) -> float:

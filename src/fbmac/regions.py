@@ -25,8 +25,9 @@ from .core import (
     LN2,
     DomainError,
     PowerPair,
-    SecondOrderParams,
     _require_finite_positive,
+    _require_operating_point,
+    _require_square_finite,
     capacity,
     capacity_vector,
     dispersion,
@@ -94,11 +95,12 @@ class GallagerParams:
 
     def __post_init__(self) -> None:
         _require_finite_positive("a", self.a)
-        SecondOrderParams(self.n, self.eps)
+        _require_operating_point(self.n, self.eps)
 
 
-#: most rays a curve is sampled on: a quantile-set ray is a lattice solve of about 12 ms, so this
-#: many take about 50 s per region at one worker (half that at equal powers, which solve half the rays)
+#: most rays a curve is sampled on: a quantile-set ray is a lattice solve of about 7 ms at one worker (the
+#: 99 solves of a 64-ray figure1 round took 0.72 s on 2 cores), so this many take about 30 s per region
+#: (half that at equal powers, which solve half the rays)
 _MAX_RAYS = 1 << 12
 
 
@@ -126,7 +128,7 @@ def _penalty(level):
 
 def p2p_second_order_rate(n: int, eps: float, p: float) -> float:
     """C(p) - sqrt(V(p)/n) Qinv(eps), clamped at zero; nats per use."""
-    SecondOrderParams(n, eps)
+    _require_operating_point(n, eps)
     return float(_normal_rate(capacity(p), dispersion(p), n, q_inv_scalar(eps)))
 
 
@@ -138,17 +140,15 @@ def p2p_second_order_rate(n: int, eps: float, p: float) -> float:
 def _quantile_region_setup(kind: str, pp: PowerPair, delta: float):
     """(capacity vector, covariance) of the quantile set that ray ``kind`` is solved against."""
     if kind == "shell":
-        cvec, sigma = capacity_vector(pp).as_array(), dispersion_matrix_shell(pp).entries
-    elif kind == "sumshell":
-        cvec, sigma = capacity_vector(pp).as_array(), dispersion_matrix_sumshell(pp).entries
-    elif kind == "iid":
+        return capacity_vector(pp), dispersion_matrix_shell(pp)
+    if kind == "sumshell":
+        return capacity_vector(pp), dispersion_matrix_sumshell(pp)
+    if kind == "iid":
         if delta >= 1.0:
             raise DomainError("power back-off delta must be < 1")
         ppb = PowerPair(pp.p1 * (1.0 - delta), pp.p2 * (1.0 - delta))
-        cvec, sigma = capacity_vector(ppb).as_array(), dispersion_matrix_iid(ppb).entries
-    else:
-        raise DomainError(f"unknown quantile-region kind {kind!r}")
-    return cvec, sigma
+        return capacity_vector(ppb), dispersion_matrix_iid(ppb)
+    raise DomainError(f"unknown quantile-region kind {kind!r}")
 
 
 def resolve_delta(delta_rule, n: int) -> float:
@@ -183,7 +183,7 @@ def second_order_ray(
     quantile set by Bonferroni; for eps < 1/2 the ray is outside past the single-constraint
     radius (one marginal outage alone eps).
     """
-    SecondOrderParams(n, eps)
+    _require_operating_point(n, eps)
     cvec, sigma = _quantile_region_setup(kind, pp, delta)
     c, s = math.cos(theta), math.sin(theta)
     direction = math.sqrt(n) * np.array([c, s, c + s])  # the ray's step in (r1, r2, r1 + r2), normalized
@@ -248,7 +248,7 @@ def iid_gaussian_boundary(
     seed=0,
 ) -> RegionBoundary:
     """i.i.d.-Gaussian-input region boundary at backed-off powers."""
-    SecondOrderParams(n, eps)
+    _require_operating_point(n, eps)
     delta = resolve_delta(delta_rule, n)
     return _quantile_boundary(
         "iid", "iid", n, eps, pp, num_points, samples, seed, delta=delta, extra_params={"delta": delta}
@@ -320,7 +320,7 @@ def union_bound_radius(cvec, vdiag, n: int, eps: float, thetas) -> np.ndarray:
 
 
 def _splitting_radius(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
-    SecondOrderParams(n, eps)
+    _require_operating_point(n, eps)
     cvec, sigma = _quantile_region_setup("shell", pp, 0.0)
     return union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)
 
@@ -377,7 +377,10 @@ def gallager_individual_exponent(rate, p: float) -> ExponentValue:
     """
     _require_finite_positive("p", p)
     h, cap = math.hypot(2.0, p), 0.5 * math.log1p(p)
-    g = p * (2.0 + h + p) / (2.0 + h)  # 4(beta - 1) with beta = (2 + p + h)/4, and beta - p/2 - 1 = -g/(2(h + p))
+    top = p * (2.0 + h + p)
+    if not math.isfinite(top):
+        raise DomainError(f"p = {p!r} is too large: p (2 + sqrt(4 + p^2) + p) overflows")
+    g = top / (2.0 + h)  # 4(beta - 1) with beta = (2 + p + h)/4, and beta - p/2 - 1 = -g/(2(h + p))
     line0 = p * (0.5 + 1.0 / (h + p)) / (2.0 + h) + 0.5 * (math.log1p(g / 4.0) + math.log1p(-g / (2.0 * (h + p))))
 
     def curve(r):
@@ -506,7 +509,9 @@ def _tdma_radii(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
     the share, which held on every ray at 180 operating points (n from 20 to 1e6, eps from 1e-9 to 0.9,
     each SNR from -20 to 20 dB; 2000 shares, 64 rays).
     """
-    SecondOrderParams(n, eps)
+    _require_operating_point(n, eps)
+    _require_square_finite("p1", pp.p1)  # then (1 + p/share)^2 overflows at every time share
+    _require_square_finite("p2", pp.p2)
     thetas = np.asarray(thetas, dtype=float)
     c, s = np.cos(thetas), np.sin(thetas)
     g = (math.sqrt(5.0) - 1.0) / 2.0
@@ -569,7 +574,7 @@ def pentagon_ray(theta, b1, b2, bs):
 
 def su_outer_box(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
     """Single-user outer rectangle (full error budget on each outage)."""
-    SecondOrderParams(n, eps)
+    _require_operating_point(n, eps)
     b1 = p2p_second_order_rate(n, eps, pp.p1)
     b2 = p2p_second_order_rate(n, eps, pp.p2)
     pts = np.array([[0.0, b2], [b1, b2], [b1, 0.0]])
@@ -579,7 +584,7 @@ def su_outer_box(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
 
 def conjectured_sum_outer_boundary(n: int, eps: float, pp: PowerPair) -> RegionBoundary:
     """Scalar sum-rate cap intersected with the single-user box; conjecture only."""
-    SecondOrderParams(n, eps)
+    _require_operating_point(n, eps)
     b1, b2, bs = (p2p_second_order_rate(n, eps, p) for p in (pp.p1, pp.p2, pp.p_sum))
     params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2, "conjecture": True}
     return RegionBoundary("conjectured-sum-outer", params, _pentagon_polyline(b1, b2, bs))

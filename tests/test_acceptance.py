@@ -147,7 +147,7 @@ def test_criterion_3_dispersion_oracle():
     trials = 100_000
     iv = direct_densities(1000, (PP.p1, PP.p2), trials, seed=777)
     emp = np.cov(iv) / 1000.0
-    target = dispersion_matrix_shell(PP).entries
+    target = dispersion_matrix_shell(PP)
     rel = np.abs(emp / target - 1.0)
     elapsed = time.monotonic() - start
     ok = rel.max() <= 0.02 and elapsed < 120

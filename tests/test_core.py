@@ -7,11 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmac.core import (
-    CapacityVector,
-    DispersionKind,
     DomainError,
     PowerPair,
-    SecondOrderParams,
+    _require_operating_point,
     capacity,
     capacity_vector,
     db_to_linear,
@@ -26,6 +24,9 @@ from fbmac.simlink import CodebookSpec, default_thresholds
 from oracles import direct_densities
 
 POWER_GRID = [0.01, 0.1, 1.0, 10.0, 100.0]
+#: powers from 1e-300 to 1e153 in steps of 6 decades, all below the overflow the matrix builders refuse
+#: (from about p1 + p2 = 6.7e153 for the i.i.d. matrix at equal powers, 1.34e154 for the shell one)
+EXTREME_GRID = np.logspace(-300, 153, 76)
 
 
 def test_capacity_values():
@@ -75,21 +76,24 @@ def test_capacity_and_dispersion_monotone():
 
 
 def test_capacity_vector_values():
-    cv = capacity_vector(PowerPair(1.0, 1.0))
-    assert cv.c1 == pytest.approx(0.346574, abs=5e-7)
-    assert cv.c2 == cv.c1
-    assert cv.c3 == pytest.approx(0.549306, abs=5e-7)
+    c1, c2, c3 = capacity_vector(PowerPair(1.0, 1.0))
+    assert c1 == pytest.approx(0.346574, abs=5e-7)
+    assert c2 == c1
+    assert c3 == pytest.approx(0.549306, abs=5e-7)
     cv13 = capacity_vector(PowerPair(1.0, 3.0))
-    assert cv13.c3 == pytest.approx(float(mp.log(5) / 2), abs=1e-14)
-    assert cv13.c3 == pytest.approx(0.804719, abs=5e-7)
+    assert cv13.shape == (3,)
+    assert cv13[2] == pytest.approx(float(mp.log(5) / 2), abs=1e-14)
+    assert cv13[2] == pytest.approx(0.804719, abs=5e-7)
 
 
 def test_capacity_vector_inequalities():
-    for p1 in POWER_GRID:
-        for p2 in POWER_GRID:
-            cv = capacity_vector(PowerPair(p1, p2))
-            assert cv.c3 <= cv.c1 + cv.c2 + 1e-12
-            assert cv.c3 >= max(cv.c1, cv.c2) - 1e-12
+    # c3 in [max(c1, c2), c1 + c2], within 1e-12 max(1, c3)
+    for p1 in EXTREME_GRID:
+        for p2 in EXTREME_GRID:
+            c1, c2, c3 = capacity_vector(PowerPair(p1, p2))
+            slack = 1e-12 * max(1.0, c3)
+            assert min(c1, c2) >= 0.0
+            assert max(c1, c2) - slack <= c3 <= c1 + c2 + slack
 
 
 def test_power_pair_invariants():
@@ -102,20 +106,13 @@ def test_power_pair_invariants():
 
 
 def test_second_order_params_invariants():
-    SecondOrderParams(1, 0.5)
+    _require_operating_point(1, 0.5)
     with pytest.raises(DomainError):
-        SecondOrderParams(0, 0.5)
+        _require_operating_point(0, 0.5)
     with pytest.raises(DomainError):
-        SecondOrderParams(100, 0.0)
+        _require_operating_point(100, 0.0)
     with pytest.raises(DomainError):
-        SecondOrderParams(100, 1.0)
-
-
-def test_capacity_vector_type_invariants():
-    with pytest.raises(DomainError):
-        CapacityVector(0.3, 0.3, 0.7)  # c3 > c1 + c2
-    with pytest.raises(DomainError):
-        CapacityVector(0.3, 0.3, 0.2)  # c3 < max
+        _require_operating_point(100, 1.0)
 
 
 def _positive_slots(v):
@@ -124,8 +121,8 @@ def _positive_slots(v):
     return {
         "PowerPair.p1": lambda: PowerPair(v, 1.0),
         "PowerPair.p2": lambda: PowerPair(1.0, v),
-        "SecondOrderParams.n": lambda: SecondOrderParams(v, 1e-3),
-        "SecondOrderParams.eps": lambda: SecondOrderParams(500, v),
+        "operating_point.n": lambda: _require_operating_point(v, 1e-3),
+        "operating_point.eps": lambda: _require_operating_point(500, v),
         "CodebookSpec.p1": lambda: CodebookSpec(n=10, m1=4, p1=v),
         "CodebookSpec.p2": lambda: CodebookSpec(n=10, m1=4, m2=4, p1=1.0, p2=v),
         "GallagerParams.a": lambda: GallagerParams(v, 500, 1e-3),
@@ -158,7 +155,7 @@ def test_domain_checks_refuse_nonfinite_and_nonpositive(v):
 
 
 def test_shell_matrix_values():
-    m = dispersion_matrix_shell(PowerPair(1.0, 1.0)).entries
+    m = dispersion_matrix_shell(PowerPair(1.0, 1.0))
     assert m[0, 1] == pytest.approx(0.125, abs=1e-15)
     assert m[0, 2] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert m[1, 2] == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -167,27 +164,35 @@ def test_shell_matrix_values():
 
 
 def test_shell_matrix_degenerates_to_p2p():
-    m = dispersion_matrix_shell(PowerPair(1.0, 1e-12)).entries
+    m = dispersion_matrix_shell(PowerPair(1.0, 1e-12))
     assert abs(m[0, 1]) < 1e-12
     assert abs(m[2, 2] - dispersion(1.0)) < 1e-11
 
 
 def test_all_matrix_kinds_symmetric_psd():
-    for p1 in POWER_GRID:
-        for p2 in POWER_GRID:
+    # finite, exactly symmetric, and no eigenvalue below -1e-12 max(1, trace)
+    for p1 in EXTREME_GRID:
+        for p2 in EXTREME_GRID:
             pp = PowerPair(p1, p2)
-            for dm in (
-                dispersion_matrix_shell(pp),
-                dispersion_matrix_iid(pp),
-                dispersion_matrix_sumshell(pp),
-            ):
-                m = dm.entries
-                assert np.allclose(m, m.T, atol=0)
-                assert np.linalg.eigvalsh(m).min() >= -1e-12
+            for m in (dispersion_matrix_shell(pp), dispersion_matrix_iid(pp), dispersion_matrix_sumshell(pp)):
+                assert m.shape == (3, 3) and np.isfinite(m).all()
+                assert np.array_equal(m, m.T)
+                assert np.linalg.eigvalsh(m).min() >= -1e-12 * max(1.0, np.trace(m))
+
+
+def test_matrix_builders_refuse_powers_whose_products_overflow():
+    # every builder refuses where (1 + p1 + p2)^2 overflows; the i.i.d. one already where its denominators
+    # 2 (1 + p)(1 + p1 + p2) overflow, which at 1538.6 dB each zeroed two entries of a finite matrix
+    for pp in (PowerPair(1.4e154, 1.0), PowerPair(1.0, 1e160), PowerPair(1e300, 1e300)):
+        for build in (dispersion_matrix_shell, dispersion_matrix_sumshell, dispersion_matrix_iid):
+            with pytest.raises(DomainError, match="too large"):
+                build(pp)
+    with pytest.raises(DomainError, match="too large"):
+        dispersion_matrix_iid(PowerPair(7.25e153, 7.25e153))
 
 
 def test_iid_matrix_values():
-    m = dispersion_matrix_iid(PowerPair(1.0, 1.0)).entries
+    m = dispersion_matrix_iid(PowerPair(1.0, 1.0))
     assert m[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert m[2, 2] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -195,8 +200,8 @@ def test_iid_matrix_values():
 def test_iid_matrix_user_swap_symmetry():
     perm = np.array([1, 0, 2])
     for p1, p2 in [(0.3, 2.0), (1.0, 10.0), (5.0, 0.2)]:
-        a = dispersion_matrix_iid(PowerPair(p1, p2)).entries
-        b = dispersion_matrix_iid(PowerPair(p2, p1)).entries
+        a = dispersion_matrix_iid(PowerPair(p1, p2))
+        b = dispersion_matrix_iid(PowerPair(p2, p1))
         assert np.allclose(a, b[np.ix_(perm, perm)], atol=1e-15)
 
 
@@ -217,7 +222,7 @@ def test_iid_matrix_monte_carlo_oracle():
         np.einsum("ij,ij->i", x1 + x2, x1 + x2) - n * ps + ps * (n - zsq)
         + 2 * np.einsum("ij,ij->i", x1 + x2, z)
     ) / (2 * (1 + ps))
-    m = dispersion_matrix_iid(PowerPair(p1, p2)).entries
+    m = dispersion_matrix_iid(PowerPair(p1, p2))
     assert i1.var(ddof=1) / n == pytest.approx(m[0, 0], rel=0.05)
     assert i3.var(ddof=1) / n == pytest.approx(m[2, 2], rel=0.05)
 
@@ -225,20 +230,19 @@ def test_iid_matrix_monte_carlo_oracle():
 def test_sumshell_matrix():
     pp = PowerPair(1.0, 1.0)
     m = dispersion_matrix_sumshell(pp)
-    assert m.kind is DispersionKind.SUM_SHELL
-    assert m.entries[2, 2] == pytest.approx(4.0 / 9.0, abs=1e-15)
-    diff = dispersion_matrix_shell(pp).entries - m.entries
+    assert m[2, 2] == pytest.approx(4.0 / 9.0, abs=1e-15)
+    diff = dispersion_matrix_shell(pp) - m
     expect = np.zeros((3, 3))
     expect[2, 2] = 1.0 / 9.0
     assert np.allclose(diff, expect, atol=1e-15)
-    assert np.linalg.eigvalsh(m.entries).min() < 1e-10  # rank 2
+    assert np.linalg.eigvalsh(m).min() < 1e-10  # rank 2
 
 
 def test_shell_minus_sumshell_positive_everywhere():
     for p1 in POWER_GRID:
         for p2 in POWER_GRID:
             pp = PowerPair(p1, p2)
-            d = dispersion_matrix_shell(pp).entries - dispersion_matrix_sumshell(pp).entries
+            d = dispersion_matrix_shell(pp) - dispersion_matrix_sumshell(pp)
             assert d[2, 2] > 0
             d[2, 2] = 0.0
             assert np.allclose(d, 0.0, atol=0)

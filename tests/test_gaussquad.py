@@ -125,7 +125,7 @@ def test_orthant_bounds_and_neg_inf():
 
 
 def test_orthant_deterministic():
-    sigma = dispersion_matrix_shell(PowerPair(1.0, 2.0)).entries
+    sigma = dispersion_matrix_shell(PowerPair(1.0, 2.0))
     z = np.array([0.3, 0.1, 0.5])
     a = lower_orthant_prob(OrthantQuery(sigma, z), samples=1 << 13, seed=9)
     b = lower_orthant_prob(OrthantQuery(sigma, z), samples=1 << 13, seed=9)
@@ -145,7 +145,7 @@ def test_orthant_rank_deficient_ok():
     for p1, p2, z in points:
         ref = sumshell_orthant(p1, p2, z)
         assert sumshell_orthant(p2, p1, (z[1], z[0], z[2])) == pytest.approx(ref, abs=1e-10)
-        sigma = dispersion_matrix_sumshell(PowerPair(p1, p2)).entries
+        sigma = dispersion_matrix_sumshell(PowerPair(p1, p2))
         for samples, tol in ((1 << 12, 1e-4), (1 << 16, 1e-5)):
             est = lower_orthant_prob(OrthantQuery(sigma, np.array(z)), samples=samples, seed=2)
             assert abs(est.value - ref) <= tol
@@ -170,8 +170,9 @@ def test_orthant_degenerate_factors():
 
 
 def test_orthant_refuses_collinear_leading_coordinates():
-    # the two largest variances belong to one direction, so the leading block has no Cholesky factor;
-    # no region kind builds such a matrix
+    # the two largest variances belong to one direction, so the leading block has no Cholesky factor.
+    # The i.i.d. matrix is such a matrix at p1 = 1e30, p2 = 1: its r1 and r1 + r2 entries all round
+    # to 1, so `region --kind iid --n 500 --eps 1e-3 --p1-db 300 --p2-db 0` exits 2 with this refusal
     sigma = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
     with pytest.raises(DomainError):
         lower_orthant_prob(OrthantQuery(sigma, np.zeros(3)), samples=1 << 12)
@@ -211,7 +212,7 @@ def test_lattice_is_shared_per_samples_seed_and_rank():
     # the rays of a curve read one cached, read-only lattice; it depends on nothing but the sample
     # count, the seed and the rank, and a change of any of the three gets its own
     active = np.ones(3, dtype=bool)
-    shell, sumshell = (m(PowerPair(1.0, 1.0)).entries for m in (dispersion_matrix_shell, dispersion_matrix_sumshell))
+    shell, sumshell = (m(PowerPair(1.0, 1.0)) for m in (dispersion_matrix_shell, dispersion_matrix_sumshell))
     x = _OrthantIntegrator(shell, active, 1 << 12, 5).x
     assert _OrthantIntegrator(np.eye(3), active, 1 << 12, 5).x is x and not x.flags.writeable
     assert _OrthantIntegrator(shell, active, 1 << 12, (5,)).x is x  # the same seed path
@@ -248,7 +249,7 @@ def test_quantile_set_member_examples():
 
 
 def test_quantile_membership_monotone():
-    sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0)).entries
+    sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0))
     z = np.array([0.6, 0.6, 1.1])
     assert quantile_set_member(0.2, sigma, z, samples=1 << 13, seed=0) <= quantile_set_member(
         0.2, sigma, z + 0.5, samples=1 << 13, seed=0
@@ -265,7 +266,7 @@ def test_boundary_scale_degenerate_axis():
 
 
 def test_boundary_scale_monotone_in_eps():
-    sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0)).entries
+    sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0))
     d = np.array([1.0, 1.0, 2.0])
     origin = np.array([4.0, 4.0, 8.0])
     ts = [
@@ -299,7 +300,7 @@ def test_boundary_scale_frees_its_integrator():
     # the root finder reaches the ray's integrator through a closure; no reference cycle may keep
     # the lattice alive once the solve returns
     pp = PowerPair(1.0, 1.0)
-    sigma = dispersion_matrix_shell(pp).entries
+    sigma = dispersion_matrix_shell(pp)
     d = np.array([1.0, 1.0, 2.0])
     gc.collect()
     gc.disable()
@@ -400,7 +401,7 @@ def test_boundary_scale_finds_roots_below_the_start():
     origin, d = np.array([4.0, np.inf, np.inf]), np.array([1.0, 0.0, 0.0])
     t = boundary_scale(1e-3, np.eye(3), d, origin, 2.0, samples=1 << 12, seed=0)
     assert t == pytest.approx(4.0 - 3.090232, abs=5e-6)
-    sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0)).entries
+    sigma = dispersion_matrix_shell(PowerPair(1.0, 1.0))
     args = (1e-3, sigma, np.array([1.0, 1.0, 2.0]), np.array([4.0, 4.0, 8.0]), 2.5, 1 << 12, 0)
     t = boundary_scale(*args)
     assert t < 2.5

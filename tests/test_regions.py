@@ -97,9 +97,9 @@ def test_p2p_rate_clamps_at_zero():
 def test_joint_region_contains_pentagon_corner_at_large_eps():
     # eps -> 1 expands the region past the asymptotic corner
     cv = capacity_vector(PP)
-    corner = np.array([cv.c3 / 2.0, cv.c3 / 2.0, cv.c3])
-    z = math.sqrt(500) * (cv.as_array() - corner)
-    sigma = dispersion_matrix_shell(PP).entries
+    corner = np.array([cv[2] / 2.0, cv[2] / 2.0, cv[2]])
+    z = math.sqrt(500) * (cv - corner)
+    sigma = dispersion_matrix_shell(PP)
     assert quantile_set_member(0.999, sigma, z, samples=1 << 13, seed=0)
     assert not quantile_set_member(1e-3, sigma, z, samples=1 << 13, seed=0)
 
@@ -164,7 +164,7 @@ def test_joint_converges_to_pentagon():
     cv = capacity_vector(PP)
     for theta in ray_angles(8):
         r = second_order_ray(n, 1e-3, PP, theta, "shell", samples=1 << 12, seed=1)
-        assert abs(r - pentagon_ray(theta, cv.c1, cv.c2, cv.c3)) < 1e-3
+        assert abs(r - pentagon_ray(theta, *cv)) < 1e-3
 
 
 def test_doubling_eps_enlarges_regions():
@@ -249,7 +249,7 @@ def test_equal_power_curves_stay_near_the_union_bound_radius():
 
 def test_splitting_equal_weights_constraints():
     n, eps = 500, 1e-3
-    v_sum = dispersion_matrix_shell(PP).entries[2, 2]
+    v_sum = dispersion_matrix_shell(PP)[2, 2]
     assert v_sum == pytest.approx(0.555556, abs=5e-7)
     b3 = capacity(2.0) - math.sqrt(v_sum / n) * q_inv_scalar(eps / 3.0)
     # the equal-split sum constraint is attained by the union over the weight simplex
@@ -259,8 +259,8 @@ def test_splitting_equal_weights_constraints():
 
 def test_splitting_contained_in_joint():
     rb = outage_splitting_boundary(pp=PP, num_points=20, **FIG1)
-    sigma = dispersion_matrix_shell(PP).entries
-    cv = capacity_vector(PP).as_array()
+    sigma = dispersion_matrix_shell(PP)
+    cv = capacity_vector(PP)
     for r1, r2 in rb.points:
         z = math.sqrt(FIG1["n"]) * (cv - np.array([r1, r2, r1 + r2]) + 2e-3)
         assert quantile_set_member(FIG1["eps"], sigma, z, samples=1 << 13, seed=3)
@@ -448,7 +448,7 @@ def test_gallager_curve_stays_inside_the_pentagon(a):
     rb = gallager_boundary(GallagerParams(a, 500, 1e-3), PP, 64)
     radii = np.hypot(*rb.points[::-1].T)
     cv = capacity_vector(PP)
-    pentagon = pentagon_ray(thetas, cv.c1, cv.c2, cv.c3)
+    pentagon = pentagon_ray(thetas, *cv)
     assert (radii <= pentagon * (1.0 + 1e-12)).all()
     assert np.isclose(radii, pentagon, rtol=1e-12, atol=0.0).any()
 
@@ -514,7 +514,7 @@ def test_gallager_converges_to_pentagon_at_1e6():
     gp = GallagerParams(1.0, 10**6, 1e-3)
     cv = capacity_vector(PP)
     for theta in np.linspace(0.1, math.pi / 2 - 0.1, 5):
-        gap = pentagon_ray(theta, cv.c1, cv.c2, cv.c3) - gallager_ray(gp, PP, float(theta))
+        gap = pentagon_ray(theta, *cv) - gallager_ray(gp, PP, float(theta))
         assert 0.0 < gap < 5e-3
 
 
