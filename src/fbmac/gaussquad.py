@@ -1,5 +1,9 @@
 """Gaussian tails, quantiles, and the trivariate lower-orthant probability.
 
+The scalar tail :func:`q_scalar` and its inverse :func:`q_inv_scalar` come from the standard library
+(``math.erfc`` and ``statistics.NormalDist``, Wichura's AS241), so the Monte Carlo layer that calls them
+imports no scipy; only the orthant lattice below loads ``scipy.special``, when it is built.
+
 The set-valued quantile of a centered trivariate Gaussian,
 
     Qinv(eps; Sigma) = { z : Pr[N(0, Sigma) <= z] >= 1 - eps },
@@ -27,10 +31,10 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._rng import seed_path, seed_sequence
 from .core import DomainError
@@ -64,11 +68,11 @@ def q_scalar(x: float) -> float:
 
 
 def q_inv_scalar(eps: float) -> float:
-    """Functional inverse of :func:`q_scalar` on (0, 1)."""
+    """Functional inverse of :func:`q_scalar` on (0, 1): within a few ulps of the exact root down to 1e-300."""
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
-    return float(-ndtri(eps))
+    return -statistics.NormalDist().inv_cdf(eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +136,9 @@ class _OrthantIntegrator:
     """
 
     def __init__(self, sigma: np.ndarray, active: np.ndarray, samples: int, seed):
+        from scipy.special import ndtr, ndtri  # the lattice alone needs scipy; the Monte Carlo layer runs without it
+
+        self.ndtr, self.ndtri = ndtr, ndtri
         if not 1000 <= samples <= _MAX_SAMPLES:
             raise DomainError(f"samples must lie in [1000, {_MAX_SAMPLES}], got {samples}")
         self.active = active
@@ -158,14 +165,14 @@ class _OrthantIntegrator:
             c, t = self.factor[j, r - 1], zz[j] - np.einsum("j,j...->...", self.factor[j, : r - 1], y)
             bound = t / c if c else np.where(t >= 0.0, np.inf, -np.inf)
             hi, lo = (np.minimum(hi, bound), lo) if c >= 0.0 else (hi, np.maximum(lo, bound))
-        return np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+        return np.maximum(self.ndtr(hi) - self.ndtr(lo), 0.0)
 
     def __call__(self, z: np.ndarray) -> tuple[float, float]:
         zz = z[self.active][self.order]
         f, r = self.factor, self.rank
         if r <= 1:  # closed form: no free coordinate, or one that every row bounds
             return float(self._last(zz, zz[0] / f[0, 0], np.empty(0)) if r else (zz >= 0.0).all()), 0.0
-        e0 = float(ndtr(zz[0] / f[0, 0]))
+        e0 = float(self.ndtr(zz[0] / f[0, 0]))
         # all randomization replicates in one (R, N) block, updated in place
         prob = np.full((_RANDOMIZATIONS, self.samples), e0)
         e_prev = prob
@@ -173,10 +180,10 @@ class _OrthantIntegrator:
         shift = np.empty_like(prob)  # once e_prev is read, its block holds the next shift
         for i in range(1, r):
             yi = np.multiply(self.x[:, :, i - 1], e_prev, out=y[i - 1])
-            ndtri(np.clip(yi, _TINY, _ONE_MINUS, out=yi), out=yi)
+            self.ndtri(np.clip(yi, _TINY, _ONE_MINUS, out=yi), out=yi)
             np.einsum("j,jrn->rn", f[i, :i], y[:i], out=shift)
             hi = np.divide(np.subtract(zz[i], shift, out=shift), f[i, i], out=shift)
-            e_prev = ndtr(hi, out=shift) if i < r - 1 or r == self.dim else self._last(zz, hi, y)
+            e_prev = self.ndtr(hi, out=shift) if i < r - 1 or r == self.dim else self._last(zz, hi, y)
             prob *= e_prev
         means = prob.mean(axis=1)
         value = float(np.clip(means.mean(), 0.0, 1.0))

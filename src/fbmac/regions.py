@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, softmax
+from scipy.special import log_ndtr, logsumexp, ndtr, softmax
 
 from ._rng import thread_map
 from .core import (
@@ -121,9 +121,9 @@ def _normal_rate(c, v, n: int, penalty):
     return np.maximum(c - np.sqrt(v / n) * penalty, 0.0)
 
 
-def _penalty(level):
+def _penalty(level: float) -> float:
     """Q^{-1}(level) clamped at zero: an error budget past 1/2 earns no rate bonus."""
-    return np.maximum(-ndtri(level), 0.0)
+    return max(q_inv_scalar(level), 0.0)
 
 
 def p2p_second_order_rate(n: int, eps: float, p: float) -> float:
@@ -388,7 +388,8 @@ def gallager_individual_exponent(rate, p: float) -> ExponentValue:
         s = 1.0 + u
         root = np.sqrt(1.0 + 4.0 * s / (p * u))
         below = (1.0 + p) * np.expm1(2.0 * (r - cap))  # u - p
-        w = 4.0 * s * below / (p * (1.0 + root) * (u * root + s + 1.0))  # s - alpha - 1
+        # s - alpha - 1; below / p is O(1), so neither product reaches p^2, which overflows from p ~ 1.3e154
+        w = 4.0 * s * (below / p) / ((1.0 + root) * (u * root + s + 1.0))
         return (w - below) / (2.0 * s) + 0.5 * np.log1p(w), (below - w) * (1.0 + root) / (2.0 * s)
 
     return _exponent(rate, cap, 0.5 * math.log1p(g / 4.0), line0, curve)
@@ -410,10 +411,12 @@ def gallager_sum_exponent(rate_sum, ps: float) -> ExponentValue:
     def curve(r):
         u = np.expm1(2.0 * r)
         s = 1.0 + u
-        rho = (q * (q + 4.0 * s + np.sqrt(q * q + 8.0 * s * q + 16.0 * s)) / (8.0 * s * u)) ** 0.5 - 1.0
-        h = np.sqrt(q * (q + 2.0) + (1.0 + rho) ** 2)
-        tau = -rho * q * (q + 2.0) * (2.0 * q + (1.0 + rho) ** 2) / (  # t - 1
-            (1.0 + rho) * (1.0 + rho + h) * (h + q) * ((1.0 - rho) * h + (1.0 + rho) * (1.0 + rho + q))
+        c = q / s  # O(1) like q / u: the products q^2 and s q overflow from q ~ 4.7e153
+        rho = np.sqrt((q / u) * (c + 4.0 + np.sqrt(c * c + 8.0 * c + 16.0 / s)) / 8.0) - 1.0
+        h = np.hypot(math.sqrt(q) * math.sqrt(q + 2.0), 1.0 + rho)  # q (q + 2) overflows from q ~ 1.3e154
+        # t - 1, in O(1) ratios: its numerator and denominator are each of order q^3
+        tau = -rho / (1.0 + rho) * (q / (h + q)) * ((q + 2.0) / (1.0 + rho + h)) * (
+            (2.0 * q + (1.0 + rho) ** 2) / ((1.0 - rho) * h + (1.0 + rho) * (1.0 + rho + q))
         )
         return np.log1p(tau) - (1.0 + rho) * tau, -rho
 
@@ -473,7 +476,8 @@ def _tdma_shares(n, pp: PowerPair, alpha):
     shares = []
     for share, p in ((alpha, pp.p1), (1.0 - alpha, pp.p2)):
         q = p / share  # the power of a user silent outside its share
-        shares.append((share * 0.5 * np.log1p(q), np.sqrt(share * 0.5 * q * (q + 2.0) / (1.0 + q) ** 2 / n)))
+        v = (q / (1.0 + q)) * ((q + 2.0) / (1.0 + q))  # 2 V(q), in ratios: (1 + q)^2 overflows from q ~ 1.3e154
+        shares.append((share * 0.5 * np.log1p(q), np.sqrt(share * 0.5 * v / n)))
     return shares
 
 

@@ -32,6 +32,10 @@ squared deviations), combined in chunk order, so their memory does not grow
 with the number of trials.  The CLT check draws its chunks twice: the first
 pass fills a histogram of each row, the second keeps only the draws of the
 bins that can hold the KS maximum, so its memory grows like trials^(2/3).
+
+The module needs no scipy: the CLT check's Gaussian cdf (at the KS bin edges
+and the kept draws) is ``0.5 erfc(-x / sqrt 2)`` from ``math.erfc``, and the
+Bessel series' log-gamma is ``math.lgamma``, each mapped over its array.
 """
 
 from __future__ import annotations
@@ -43,13 +47,22 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from ._rng import chunk_sizes, substream, thread_map
 from .core import DomainError, PowerPair, _require_finite_positive, capacity, capacity_vector, dispersion
 from .core import dispersion_matrix_shell
 
 _CHUNK = 1 << 16
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """The scalar ``fn`` of each element of the float array ``x``: the standard library's math in place of scipy."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Standard Gaussian cdf of each element, 0.5 erfc(-x / sqrt 2): :func:`fbmac.gaussquad.q_scalar` at -x."""
+    return 0.5 * _elementwise(math.erfc, x / -math.sqrt(2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +285,7 @@ def _ks_and_cov(stream, trials: int, sigma: np.ndarray) -> tuple[float, np.ndarr
 
     mean = sum(stream(count)) / trials  # in chunk order
     # the draws of a bin lie in [lo, hi) and hold the ranks below + 1 to below + count
-    edges = ndtr(-_KS_SPAN + np.arange(bins + 1) * (2.0 * _KS_SPAN / bins))
+    edges = _phi(-_KS_SPAN + np.arange(bins + 1) * (2.0 * _KS_SPAN / bins))
     lo, hi = np.r_[0.0, edges], np.r_[edges, 1.0]
 
     def bounds(h):
@@ -302,7 +315,7 @@ def _ks_and_cov(stream, trials: int, sigma: np.ndarray) -> tuple[float, np.ndarr
         xs.sort()
         for start in range(0, xs.size, _CHUNK):
             block = xs[start : start + _CHUNK]
-            cdf = ndtr(block / sigma[i])
+            cdf = _phi(block / sigma[i])
             ranks = np.arange(start + 1, start + block.size + 1) + skipped[i, _ks_bin(block, sigma[i], bins)]
             grid = ranks / trials
             dist = max(dist, (grid - cdf).max(), (cdf - grid + 1.0 / trials).max())
@@ -502,7 +515,7 @@ def _log_bessel_series(k: float, z: float) -> float:
     peak = 0.5 * (-(k + 1.0) + math.sqrt((k + 1.0) ** 2 + z * z))
     mmax = int(peak + 12.0 * math.sqrt(peak + 4.0) + 24.0)
     m = np.arange(mmax + 1, dtype=float)
-    logs = (k + 2.0 * m) * lz - gammaln(m + 1.0) - gammaln(m + k + 1.0)
+    logs = (k + 2.0 * m) * lz - _elementwise(math.lgamma, m + 1.0) - _elementwise(math.lgamma, m + k + 1.0)
     top = logs.max()
     return float(top + math.log(np.exp(logs - top).sum()))
 

@@ -45,6 +45,22 @@ def q_tail_inv(eps: float, tol: float = 1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
+def q_tail_inv_mp(eps: float):
+    """Q^{-1}(eps) at mpmath's working precision: Newton's method on log Q(t) = log eps from t = 0.
+
+    log Q is concave and decreasing, so past the first step every iterate lies at or beyond the root
+    and the steps fall monotonically onto it.
+    """
+    log_eps, t = mp.log(mp.mpf(eps)), mp.mpf(0)
+    for _ in range(200):
+        tail = mp.erfc(t / mp.sqrt(2)) / 2
+        step = (mp.log(tail) - log_eps) * tail / mp.npdf(t)  # -g/g' for g = log Q - log eps
+        t += step
+        if abs(step) <= 1e-30 * (1 + abs(t)):  # the precision's last digits only round
+            return t
+    raise ArithmeticError(f"no Newton convergence at eps={eps!r}")
+
+
 def log_bessel_i_mp(order: float, z: float) -> float:
     """ln I_order(z) at 40 significant digits."""
     return float(mp.log(mp.besseli(order, z)))
@@ -226,48 +242,58 @@ def tdma_grid_radius(n: int, eps: float, p1: float, p2: float, thetas, size: int
     return np.minimum(r1[front] / np.cos(thetas), r2[front] / np.sin(thetas)).max(axis=1)
 
 
+def gallager_individual_exponent_mp(rate, p):
+    """Per-user error exponent (nats) of the truncated-Gaussian ensemble, in its textbook form at mpmath's
+    working precision (Gallager 1968, section 7.4): on the curved branch, with s = e^{2R},
+    alpha = (p (s - 1)/2)(sqrt(1 + 4s/(p (s - 1))) - 1) and E = (p - alpha)/(2s) + log(s - alpha)/2; below the
+    switch rate the slope -1 tangent line, and 0 at and above capacity.  The form cancels about
+    2 |log10 p| digits at extreme p, so the caller's working precision must cover them."""
+    rate, p = mp.mpf(rate), mp.mpf(p)
+    if rate >= mp.log1p(p) / 2:
+        return mp.mpf(0)
+    beta = (2 + p + mp.sqrt(4 + p * p)) / 4
+    if rate >= mp.log(beta) / 2:
+        s = mp.exp(2 * rate)
+        alpha = (p * (s - 1) / 2) * (mp.sqrt(1 + 4 * s / (p * (s - 1))) - 1)
+        return (p - alpha) / (2 * s) + mp.log(s - alpha) / 2
+    return (1 - beta + p / 2) + mp.log(beta * (beta - p / 2)) / 2 - rate
+
+
+def gallager_sum_exponent_mp(rate, ps):
+    """Sum-rate error exponent (nats) of the truncated-Gaussian ensemble, in its textbook form at mpmath's
+    working precision: on the curved branch the tilt rho = bracket^(-1/2) - 1 with
+    bracket = 1/2 + 2s/ps - sqrt(1 + 8s/ps + 16s/ps^2)/2, s = e^{2R}; below the switch rate the slope -1
+    tangent line, and 0 at and above capacity.  Cancels digits at extreme ps as
+    :func:`gallager_individual_exponent_mp` does."""
+    rate, ps = mp.mpf(rate), mp.mpf(ps)
+    half = mp.mpf(1) / 2
+    if rate >= mp.log1p(ps) / 2:
+        return mp.mpf(0)
+    s_c = half * (1 + ps / 4 + mp.sqrt(1 + ps / 2 + ps * ps / 4))
+    r_c = mp.log(s_c) / 2
+    if rate >= r_c:
+        s = mp.exp(2 * rate)
+        bracket = half + 2 * s / ps - half * mp.sqrt(1 + 8 * s / ps + 16 * s / (ps * ps))
+        rho = bracket**-half - 1
+        theta1 = (1 + rho - ps) / 2 + half * mp.sqrt(ps * ps + 2 * ps + (1 + rho) ** 2)
+        return (1 + rho - theta1) + mp.log(theta1 / (1 + rho))
+    theta2 = 1 - ps / 2 + half * mp.sqrt(ps * ps + 2 * ps + 4)
+    return (2 - theta2) + mp.log(theta2 / 2) + r_c - rate
+
+
 def gallager_radius_mp(a: float, n: int, eps: float, p1: float, p2: float, theta: float) -> float:
     """Ray radius of the Gallager exponent-budget region, by bisection at 60 digits, capped at the pentagon.
 
-    The exponents are the truncated-Gaussian ensemble's (Gallager 1968, section 7.4) in their textbook
-    forms: on the curved individual branch, with s = e^{2R}, alpha = (p (s - 1)/2)(sqrt(1 + 4s/(p (s - 1))) - 1)
-    and E = (p - alpha)/(2s) + log(s - alpha)/2; on the curved sum branch the tilt
-    rho = bracket^(-1/2) - 1 with bracket = 1/2 + 2s/ps - sqrt(1 + 8s/ps + 16s/ps^2)/2; below each switch rate
-    the slope -1 tangent line, and 0 at and above capacity.  The radius is the largest r whose log budget
-    log(a n e^{-n E1} + a n e^{-n E2} + a n^2 e^{-n E3}) is at most log eps: 0 if the origin fails, the
-    pentagon radius if the budget meets eps there.  The textbook forms cancel about 2 |log10 p| digits at
-    extreme powers p, so those come on top of the 60.
+    The exponents are :func:`gallager_individual_exponent_mp` and :func:`gallager_sum_exponent_mp`.  The
+    radius is the largest r whose log budget log(a n e^{-n E1} + a n e^{-n E2} + a n^2 e^{-n E3}) is at most
+    log eps: 0 if the origin fails, the pentagon radius if the budget meets eps there.  The textbook forms
+    cancel about 2 |log10 p| digits at extreme powers p, so those come on top of the 60.
     """
     with mp.workdps(60 + 2 * math.ceil(max(abs(math.log10(p)) for p in (p1, p2, p1 + p2)))):
-        half = mp.mpf(1) / 2
-
-        def individual(rate, p):
-            if rate >= mp.log1p(p) / 2:
-                return mp.mpf(0)
-            beta = (2 + p + mp.sqrt(4 + p * p)) / 4
-            if rate >= mp.log(beta) / 2:
-                s = mp.exp(2 * rate)
-                alpha = (p * (s - 1) / 2) * (mp.sqrt(1 + 4 * s / (p * (s - 1))) - 1)
-                return (p - alpha) / (2 * s) + mp.log(s - alpha) / 2
-            return (1 - beta + p / 2) + mp.log(beta * (beta - p / 2)) / 2 - rate
-
-        def total(rate, ps):
-            if rate >= mp.log1p(ps) / 2:
-                return mp.mpf(0)
-            s_c = half * (1 + ps / 4 + mp.sqrt(1 + ps / 2 + ps * ps / 4))
-            r_c = mp.log(s_c) / 2
-            if rate >= r_c:
-                s = mp.exp(2 * rate)
-                bracket = half + 2 * s / ps - half * mp.sqrt(1 + 8 * s / ps + 16 * s / (ps * ps))
-                rho = bracket ** -half - 1
-                theta1 = (1 + rho - ps) / 2 + half * mp.sqrt(ps * ps + 2 * ps + (1 + rho) ** 2)
-                return (1 + rho - theta1) + mp.log(theta1 / (1 + rho))
-            theta2 = 1 - ps / 2 + half * mp.sqrt(ps * ps + 2 * ps + 4)
-            return (2 - theta2) + mp.log(theta2 / 2) + r_c - rate
-
         a_mp, n_mp, q1, q2 = mp.mpf(a), mp.mpf(n), mp.mpf(p1), mp.mpf(p2)
         c, s = mp.cos(mp.mpf(theta)), mp.sin(mp.mpf(theta))
         log_eps = mp.log(mp.mpf(eps))
+        individual, total = gallager_individual_exponent_mp, gallager_sum_exponent_mp
 
         def excess(r):
             budget = a_mp * n_mp * (mp.exp(-n_mp * individual(r * c, q1)) + mp.exp(-n_mp * individual(r * s, q2)))

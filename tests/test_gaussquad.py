@@ -20,7 +20,7 @@ from fbmac.gaussquad import (
 )
 from fbmac import regions
 from fbmac.regions import resolve_delta, second_order_ray
-from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv, sumshell_orthant
+from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv, q_tail_inv_mp, sumshell_orthant
 
 
 def test_q_scalar_values():
@@ -42,6 +42,16 @@ def test_q_inv_values():
     for eps in [1e-6, 0.01, 0.2, 0.4]:
         # 1 - eps is itself rounded, so compare absolutely
         assert q_inv_scalar(eps) == pytest.approx(-q_inv_scalar(1.0 - eps), abs=1e-10)
+
+
+def test_q_inv_matches_mpmath_from_1e_300_to_one():
+    # Wichura's AS241 in the standard library: within a few ulps of the 40-digit root, down to 1e-300
+    grid = np.concatenate([np.logspace(-300.0, -1.0, 150), np.linspace(0.1, 1.0 - 1e-16, 60), [1.0 - 1e-16]])
+    for eps in map(float, grid):
+        ref = q_tail_inv_mp(eps)
+        assert abs(q_inv_scalar(eps) - ref) <= 1e-15 * abs(ref), eps
+    # the figure's and the sweep's error levels; scipy's ndtri gave these same doubles
+    assert [q_inv_scalar(e) for e in (1e-3, 1e-6, 1e-9)] == [3.090232306167813, 4.753424308822899, 5.9978070150076865]
 
 
 def test_q_inv_domain():

@@ -47,7 +47,9 @@ from fbmac.regions import (
     union_bound_radius,
 )
 from oracles import (
+    gallager_individual_exponent_mp,
     gallager_radius_mp,
+    gallager_sum_exponent_mp,
     q_tail_inv,
     shell_setup,
     splitting_grid_radius,
@@ -440,6 +442,27 @@ def test_gallager_radius_matches_mpmath_oracle(a, n, eps, p1_db, p2_db):
         assert abs(gallager_ray(GallagerParams(a, n, eps), pp, float(theta)) - exact) <= tol
 
 
+@pytest.mark.parametrize(
+    "exponent, exponent_mp, p, gaps",
+    [
+        (gallager_sum_exponent, gallager_sum_exponent_mp, 1e103, (1e-3, 1e-1, 1.0)),
+        (gallager_sum_exponent, gallager_sum_exponent_mp, 1e110, (1e-3, 1e-1, 1.0)),
+        (gallager_sum_exponent, gallager_sum_exponent_mp, 1e150, (1e-3, 1e-1, 1.0)),
+        (gallager_sum_exponent, gallager_sum_exponent_mp, 1.87e154, (1e-3, 1e-1, 1.0)),  # two users near 9.5e153
+        (gallager_individual_exponent, gallager_individual_exponent_mp, 8e153, (1e-6, 1e-3, 1e-1)),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gallager_exponents_match_mpmath_at_extreme_powers(exponent, exponent_mp, p, gaps):
+    # products of order p^2 and p^3 overflowed here: the sum exponent read 0 at 1e103 and 1.87e154 and NaN
+    # at 1e110, the individual one 1e-6 at 8e153 where 1e-12 is due; the textbook forms cancel 2 log10 p digits
+    cap = 0.5 * math.log1p(p)
+    with mp.workdps(100 + 2 * math.ceil(math.log10(p))):
+        for gap in gaps:
+            ref = exponent_mp(cap - gap, p)
+            assert 0.0 < ref and float(abs(exponent(cap - gap, p).value - ref) / ref) <= 1e-9, gap
+
+
 @pytest.mark.parametrize("a", [1e-6, 1e-12])
 def test_gallager_curve_stays_inside_the_pentagon(a):
     # above capacity every exponent is 0, so with a small prefactor the budget meets eps past the
@@ -623,6 +646,19 @@ def test_newton_roots_breaks_the_two_cycle_of_a_convex_then_concave_map():
     assert root[0] == pytest.approx(1.5 - math.sqrt(3.0) / 2.0, abs=1e-14)
     rb = gallager_boundary(GallagerParams(1.0, 500, 1e-3), PowerPair(10.0, 1.0), 256)
     assert rb.points.shape == (256, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tdma_curve_holds_up_to_the_power_limit():
+    # q (q + 2) / (1 + q)^2 overflowed for a user silent outside a small share from about 1500 dB, and from
+    # about 1530 dB the NaN scales steered the curve away (the largest r2 read 0.238389 at 1540 dB); user 2's
+    # largest rate rises with user 1's power toward its single-user rate and never past it
+    single = p2p_second_order_rate(500, 1e-3, 1.0)
+    tops = [
+        tdma_boundary(500, 1e-3, PowerPair(db_to_linear(db), 1.0), 32).points[:, 1].max()
+        for db in (1300, 1400, 1495, 1500, 1510, 1520, 1530, 1535, 1540, 1541)
+    ]
+    assert np.all(np.diff(tops) >= 0.0) and tops[-1] <= single and tops[-1] - tops[0] < 1e-6, tops
 
 
 def test_tdma_below_joint_sum_rate():

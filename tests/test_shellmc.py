@@ -1,11 +1,14 @@
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import betainc, gammaln, ndtr
+from scipy.special import betainc, gammaln
 from scipy.stats import kstest
 
 from fbmac._rng import substream, thread_map
@@ -16,6 +19,7 @@ from fbmac.shellmc import (
     _ks_bin,
     _log_sin_sq,
     _mac_densities,
+    _phi,
     bessel_ratio_bound_check,
     ConfusionScalePoint,
     ExtremeReport,
@@ -327,12 +331,15 @@ def _clt_rows(case, n, trials, seed, p=1.0, pp=PowerPair(1.0, 1.0)):
 
 
 def _sorted_ks(vals, sigma):
-    """The worst KS distance of the rows to N(0, sigma_i^2), from a sorted copy of every row."""
+    """The worst KS distance of the rows to N(0, sigma_i^2), from a sorted copy of every row.
+
+    It takes the check's own Gaussian cdf, so that the two agree bit for bit: this compares the two-pass
+    ranks with a sort, and the cdf is checked against mpmath on its own."""
     k = vals.shape[1]
     grid = np.arange(1, k + 1) / k
     ks = []
     for row, s in zip(vals, sigma):
-        cdf = ndtr(np.sort(row) / s)
+        cdf = _phi(np.sort(row) / s)
         ks.append(max((grid - cdf).max(), (cdf - grid + 1.0 / k).max()))
     return max(ks)
 
@@ -626,6 +633,61 @@ def test_log_bessel_branch_boundaries_continuous():
     for z in (399.0, 399.999, 400.0, 400.001, 401.0):
         for k in (0.0, 3.0, 9.5, 15.0):
             assert log_bessel_i(k, z) == pytest.approx(log_bessel_i_mp(k, z), rel=5e-7, abs=5e-7)
+
+
+def test_phi_matches_mpmath_from_minus_38_to_8():
+    # 0.5 erfc(-x / sqrt 2) rounds x / sqrt 2 once, which moves the tail by up to x^2 ulps relative; below
+    # the least normal double (x < -37.5) erfc underflows gradually and keeps an absolute accuracy
+    x = np.linspace(-38.0, 8.0, 921)
+    got = _phi(x)
+    with mp.workdps(40):
+        ref = np.array([float(mp.ncdf(mp.mpf(float(t)))) for t in x])
+        normal = ref >= sys.float_info.min
+        err = np.array([abs(mp.mpf(float(g)) - mp.ncdf(mp.mpf(float(t)))) for g, t in zip(got, x)], dtype=float)
+    assert normal.sum() > 900 and (~normal).any()
+    assert (err[normal] <= 2.0 * (1.0 + x[normal] ** 2) * 2.0**-53 * ref[normal]).all()
+    assert (err[~normal] <= 1e-320).all()
+    assert _phi(np.zeros((2, 3))).shape == (2, 3) and (_phi(np.zeros((2, 3))) == 0.5).all()
+
+
+_SCIPY_REFUSED = """
+import math, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+
+from fbmac.core import PowerPair
+from fbmac.gaussquad import q_inv_scalar
+from fbmac.shellmc import clt_function_check, clt_passes, confusion_scaling_check, empirical_outage_p2p
+from fbmac.shellmc import log_bessel_i, shell_rn_constants
+from fbmac.simlink import CodebookSpec, default_thresholds, mac_achievability_bound, simulate_mac, simulate_p2p
+
+pp = PowerPair(1.0, 1.0)
+mac, p2p = CodebookSpec(n=20, m1=4, m2=4, p1=1.0, p2=1.0), CodebookSpec(n=20, m1=4, p1=1.0)
+mac_th, p2p_th = default_thresholds(mac, *shell_rn_constants(pp)), default_thresholds(p2p, 1.0, 1.0, 1.0)
+assert 0 <= simulate_mac(mac, mac_th, 2000).errors <= 2000
+assert 0 <= simulate_p2p(p2p, p2p_th, 2000).errors <= 2000
+joint, splitting = (mac_achievability_bound(mac, mac_th, 4000, mode=m).value for m in ("joint", "splitting"))
+assert 0.0 < joint <= splitting
+assert q_inv_scalar(1e-3) == 3.090232306167813
+assert 0.0 < empirical_outage_p2p(100, 1.0, 100 * math.log(2.0) / 2.0, 10_000).value < 1.0
+assert clt_passes(clt_function_check("p2p", 64, 20_000))
+assert clt_passes(clt_function_check("mac-joint", 64, 20_000, pp=pp))
+assert all(q.value > 0.0 for q in confusion_scaling_check([100, 400], 1.0, trials=4096))
+assert math.isfinite(log_bessel_i(2.0, 30.0))  # the series branch, k < 16 and z <= 400
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+"""
+
+
+def test_monte_carlo_layer_runs_without_scipy():
+    # scipy.special costs about 25 MB of resident memory and 0.3 s of start-up; the Monte Carlo layer,
+    # its link simulator and the scalar Gaussian tails need none of it
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_REFUSED], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_log_bessel_edge_cases():
