@@ -50,30 +50,44 @@ from .regions import (  # noqa: F401
     tdma_boundary,
 )
 from .shellmc import (
-    bessel_ratio_bound_check,
-    bessel_ratio_bound_grid,
-    clt_function_check,
-    clt_passes,
-    confusion_scaling_check,
-    confusion_scaling_verdict,
-    inner_product_variance_ratio,
-    rn_bound_mac_check,
-    rn_bound_p2p_check,
-    rn_bound_passes,
-    variance_ratio_passes,
+    verify_bessel,
+    verify_clt,
+    verify_confusion_scaling,
+    verify_inner_product,
+    verify_rn_mac,
+    verify_rn_p2p,
 )
-from .simlink import (
-    CodebookSpec,
-    default_thresholds,
-    mac_achievability_bound,
-    p2p_achievability_bound,
-    shell_rn_constants,
-    simulate_mac,
-    simulate_p2p,
-)
+from .simlink import default_thresholds, link_spec, shell_rn_constants, simulate_mac, simulate_p2p, verify_bounds
 
-#: most checks ``verify bessel --grid N`` makes (N^2 of them, a few microseconds each)
-_BESSEL_GRID_CALLS = 1 << 20
+_SEED = ("--seed", int, None)
+
+#: every ``verify`` target: name -> (its options as (flag, type, default), its verdict function), where
+#: verdict(**options) returns the payload, ``pass`` included.  A default of ... makes an option required,
+#: a list default makes it take one or more values, and a tuple in place of the type lists the choices.
+VERIFY = {
+    "rn-p2p": ([("--p", float, ...)], verify_rn_p2p),
+    "rn-mac": ([("--p1", float, ...), ("--p2", float, ...)], verify_rn_mac),
+    "bessel": ([("--k", float, None), ("--z", float, None), ("--grid", int, 0), _SEED], verify_bessel),
+    "clt": (
+        [("--case", ("p2p", "mac-joint"), "p2p"), ("--n", int, ...), ("--trials", int, 100_000),
+         ("--p", float, 1.0), ("--p1", float, 1.0), ("--p2", float, 1.0), _SEED],
+        verify_clt,
+    ),
+    "inner-product": (
+        [("--n", int, 100), ("--p1", float, 1.0), ("--p2", float, 1.0), ("--pairs", int, 100_000), _SEED],
+        verify_inner_product,
+    ),
+    "confusion-scaling": (
+        [("--p", float, 1.0), ("--n-list", int, [400, 1600]), ("--trials", int, 1 << 17), _SEED],
+        verify_confusion_scaling,
+    ),
+    "bounds": (
+        [("--mode", ("p2p", "mac-joint", "mac-splitting"), ...), ("--n", int, ...), ("--m1", int, ...),
+         ("--m2", int, 1), ("--p1-db", float, ...), ("--p2-db", float, None), ("--sim-trials", int, 20_000),
+         ("--bound-trials", int, 200_000), _SEED],
+        verify_bounds,
+    ),
+}
 
 
 def emit_region(rb: RegionBoundary, fmt: str, config: dict) -> bytes:
@@ -244,54 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="numeric verification verdicts")
     vsub = vp.add_subparsers(dest="target", required=True)
-
-    v_rn1 = vsub.add_parser("rn-p2p")
-    v_rn1.add_argument("--p", type=float, required=True)
-
-    v_rn2 = vsub.add_parser("rn-mac")
-    v_rn2.add_argument("--p1", type=float, required=True)
-    v_rn2.add_argument("--p2", type=float, required=True)
-
-    v_bes = vsub.add_parser("bessel")
-    v_bes.add_argument("--k", type=float, default=None)
-    v_bes.add_argument("--z", type=float, default=None)
-    v_bes.add_argument("--grid", type=int, default=0, help="check an NxN (k, z) grid")
-    v_bes.add_argument("--seed", type=int, default=None)
-
-    v_clt = vsub.add_parser("clt")
-    v_clt.add_argument("--case", choices=["p2p", "mac-joint"], default="p2p")
-    v_clt.add_argument("--n", type=int, required=True)
-    v_clt.add_argument("--trials", type=int, default=100_000)
-    v_clt.add_argument("--p", type=float, default=1.0)
-    v_clt.add_argument("--p1", type=float, default=1.0)
-    v_clt.add_argument("--p2", type=float, default=1.0)
-    v_clt.add_argument("--seed", type=int, default=None)
-
-    v_ip = vsub.add_parser("inner-product")
-    v_ip.add_argument("--n", type=int, default=100)
-    v_ip.add_argument("--p1", type=float, default=1.0)
-    v_ip.add_argument("--p2", type=float, default=1.0)
-    v_ip.add_argument("--pairs", type=int, default=100_000)
-    v_ip.add_argument("--seed", type=int, default=None)
-
-    v_cs = vsub.add_parser("confusion-scaling")
-    v_cs.add_argument("--p", type=float, default=1.0)
-    v_cs.add_argument("--n-list", type=int, nargs="+", default=[400, 1600], dest="n_list")
-    v_cs.add_argument("--trials", type=int, default=1 << 17)
-    v_cs.add_argument("--seed", type=int, default=None)
-
-    v_b = vsub.add_parser("bounds")
-    v_b.add_argument("--mode", choices=["p2p", "mac-joint", "mac-splitting"], required=True)
-    v_b.add_argument("--n", type=int, required=True)
-    v_b.add_argument("--m1", type=int, required=True)
-    v_b.add_argument("--m2", type=int, default=1)
-    v_b.add_argument("--p1-db", type=float, required=True, dest="p1_db")
-    v_b.add_argument("--p2-db", type=float, default=None, dest="p2_db")
-    v_b.add_argument("--sim-trials", type=int, default=20_000, dest="sim_trials")
-    v_b.add_argument("--bound-trials", type=int, default=200_000, dest="bound_trials")
-    v_b.add_argument("--seed", type=int, default=None)
-    for target in vsub.choices.values():  # every verdict goes to stdout or --out
-        target.add_argument("--out", default=None)
+    for target, (options, _) in VERIFY.items():
+        tp = vsub.add_parser(target)
+        for flag, kind, default in options:
+            kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            kw.update({"required": True} if default is ... else {"default": default})
+            tp.add_argument(flag, nargs="+" if isinstance(default, list) else None, **kw)
+        tp.add_argument("--out", default=None)  # every verdict goes to stdout or --out
 
     fp = sub.add_parser("figure1", help="emit the full comparison bundle")
     fp.add_argument("--n", type=int, default=500)
@@ -333,19 +306,9 @@ def _cmd_p2p(args) -> int:
     return 0
 
 
-def _link_spec(args, seed: int) -> CodebookSpec:
-    """The codebooks of ``simulate`` and ``verify bounds``: one user in p2p mode, two otherwise."""
-    p1 = db_to_linear(args.p1_db)
-    if args.mode == "p2p":
-        return CodebookSpec(n=args.n, m1=args.m1, p1=p1, seed=seed)
-    if args.p2_db is None:
-        raise DomainError(f"--p2-db is required in {args.mode} mode")
-    return CodebookSpec(n=args.n, m1=args.m1, m2=args.m2, p1=p1, p2=db_to_linear(args.p2_db), seed=seed)
-
-
 def _cmd_simulate(args) -> int:
     seed = _resolved_seed(args)
-    spec = _link_spec(args, seed)
+    spec = link_spec(args.mode, args.n, args.m1, args.m2, args.p1_db, args.p2_db, seed)
     if args.mode == "p2p":
         th = default_thresholds(spec, args.k1, args.k1, args.k1)
         res = simulate_p2p(spec, th, args.trials)
@@ -379,108 +342,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = _resolved_seed(args)
-    if args.target in ("rn-p2p", "rn-mac"):
-        if args.target == "rn-p2p":
-            inputs = {"p": args.p}
-            expected = 1.0 + args.p
-            rep = rn_bound_p2p_check(args.p)
-        else:
-            inputs = {"p1": args.p1, "p2": args.p2}
-            expected = args.p1 + args.p2
-            rep = rn_bound_mac_check(PowerPair(args.p1, args.p2))
-        verdict = {
-            "target": args.target,
-            **inputs,
-            "max": rep.max_value,
-            "argmax": rep.argmax,
-            "expected_argmax": expected,
-            "constants": rep.constants,
-            "pass": rn_bound_passes(rep, expected),
-        }
-    elif args.target == "bessel":
-        if args.grid:
-            if not 0 < args.grid <= math.isqrt(_BESSEL_GRID_CALLS):
-                raise DomainError(f"--grid N makes N^2 checks, at most {_BESSEL_GRID_CALLS}")
-            verdict = {"target": "bessel", "grid": args.grid, "pass": bessel_ratio_bound_grid(args.grid, seed)}
-        else:
-            if args.k is None or args.z is None:
-                raise DomainError("need --k and --z (or --grid)")
-            rep = bessel_ratio_bound_check(args.k, args.z)
-            verdict = {
-                "target": "bessel",
-                "k": args.k,
-                "z": args.z,
-                "log_lhs": rep.log_lhs,
-                "log_rhs": rep.log_rhs,
-                "pass": bool(rep.holds),
-            }
-    elif args.target == "clt":
-        pp = PowerPair(args.p1, args.p2)
-        rep = clt_function_check(args.case, args.n, args.trials, seed, p=args.p, pp=pp)
-        verdict = {
-            "target": "clt",
-            "case": args.case,
-            "n": args.n,
-            "trials": args.trials,
-            "ks_distance": rep.ks_distance,
-            "cov_rel_err": rep.cov_rel_err,
-            "pass": clt_passes(rep),
-        }
-    elif args.target == "inner-product":
-        ratio = inner_product_variance_ratio(args.n, PowerPair(args.p1, args.p2), args.pairs, seed)
-        verdict = {
-            "target": "inner-product",
-            "n": args.n,
-            "pairs": args.pairs,
-            "variance_ratio": ratio,
-            "pass": variance_ratio_passes(ratio),
-        }
-    elif args.target == "confusion-scaling":
-        pts = confusion_scaling_check(args.n_list, args.p, seed, args.trials)
-        payload = [{"n": q.n, "value": q.value, "std_err": q.std_err} for q in pts]
-        ratio, expected, ok = confusion_scaling_verdict(pts)
-        verdict = {
-            "target": "confusion-scaling",
-            "points": payload,
-            "ratio_first_last": ratio,
-            "expected_sqrt_ratio": expected,
-            "pass": ok,
-        }
-    elif args.target == "bounds":
-        verdict = _verify_bounds(args, seed)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown verify target {args.target!r}")
-    _emit_json(verdict, getattr(args, "out", None))
+    seed = _resolved_seed(args)  # FBMAC_SEED is checked on every target, seeded or not
+    inputs = {k: seed if k == "seed" else v for k, v in vars(args).items() if k not in ("command", "target", "out")}
+    _emit_json({"target": args.target, **VERIFY[args.target][1](**inputs)}, args.out)
     return 0
-
-
-def _verify_bounds(args, seed: int) -> dict:
-    # the bound runs first, so an over-budget --bound-trials is refused before the simulation draws
-    spec = _link_spec(args, seed)
-    if args.mode == "p2p":
-        th = default_thresholds(spec, 1.0, 1.0, 1.0)
-        rhs = p2p_achievability_bound(spec, th, args.bound_trials)
-        sim = simulate_p2p(spec, th, args.sim_trials)
-    else:
-        th = default_thresholds(spec, *shell_rn_constants(PowerPair(spec.p1, spec.p2)))
-        mode = "joint" if args.mode == "mac-joint" else "splitting"
-        rhs = mac_achievability_bound(spec, th, args.bound_trials, mode=mode)
-        sim = simulate_mac(spec, th, args.sim_trials)
-    sim_se = math.sqrt(max(sim.eps_hat * (1 - sim.eps_hat), 1e-300) / sim.trials)
-    margin = 2.0 * math.hypot(sim_se, rhs.std_err)
-    return {
-        "target": "bounds",
-        "mode": args.mode,
-        "eps_hat": sim.eps_hat,
-        "bound": rhs.value,
-        "outage": rhs.outage,
-        "confusion": rhs.confusion,
-        "sim_std_err": sim_se,
-        "bound_std_err": rhs.std_err,
-        "margin": margin,
-        "pass": bool(sim.eps_hat <= rhs.value + margin),
-    }
 
 
 def _cmd_figure1(args) -> int:

@@ -20,7 +20,10 @@ Gaussian densities.
 
 Everything here is run by the ``fbmac`` command, but for
 :func:`empirical_outage_p2p`, which the acceptance suite and the benchmark
-run.  The CLT check takes its Gaussian target from the dispersions in
+run.  Each ``verify_*`` function is the verdict of one ``fbmac verify``
+target: it returns the payload the command prints under the target name,
+whose ``pass`` is decided by the rule written in it, beside the estimator it
+judges.  The CLT check takes its Gaussian target from the dispersions in
 :mod:`fbmac.core`, so the shell dispersion matrix is written once.  The
 references that only check this code (the paper's CLT-for-functions
 construction and its Jacobian, the density of the superimposed input
@@ -87,22 +90,6 @@ class OutageEstimate:
     trials: int
     ci95_low: float
     ci95_high: float
-
-
-@dataclass(frozen=True)
-class ExtremeReport:
-    """Maximum of a divergence-bound function and where it occurs."""
-
-    max_value: float
-    argmax: float
-    constants: dict
-
-
-@dataclass(frozen=True)
-class BesselBoundReport:
-    holds: bool
-    log_lhs: float
-    log_rhs: float
 
 
 def _density(n, p, zsq, xz):
@@ -376,9 +363,12 @@ def clt_function_check(
     return KsReport(n, trials, ks, target, rel)
 
 
-def clt_passes(rep: KsReport) -> bool:
-    """The ``verify clt`` rule: KS distance at most max(0.01, 3/sqrt(n))."""
-    return bool(rep.ks_distance <= max(0.01, 3.0 / math.sqrt(rep.n)))
+def verify_clt(case: str, n: int, trials: int, p: float, p1: float, p2: float, seed=0) -> dict:
+    """The ``verify clt`` verdict on :func:`clt_function_check`: a KS distance up to max(0.01, 3/sqrt(n)) passes."""
+    rep = clt_function_check(case, n, trials, seed, p=p, pp=PowerPair(p1, p2))
+    ok = rep.ks_distance <= max(0.01, 3.0 / math.sqrt(n))
+    return {"case": case, "n": n, "trials": trials, "ks_distance": rep.ks_distance, "cov_rel_err": rep.cov_rel_err,
+            "pass": bool(ok)}
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +435,19 @@ def _golden_max(fn, grid: np.ndarray, tol: float) -> tuple[float, float]:
     return fn(x), x
 
 
+def _peak_verdict(profile, grid: np.ndarray, tol: float, expected: float, constants: dict) -> dict:
+    """The ``verify rn-p2p``/``rn-mac`` verdict: a maximum <= 1e-9 at ``expected``, to 1e-6 relative, passes."""
+    fmax, argmax = _golden_max(profile, grid, tol)
+    ok = fmax <= 1e-9 and abs(argmax - expected) <= 1e-6 * expected
+    return {"max": fmax, "argmax": argmax, "expected_argmax": expected, "constants": constants, "pass": bool(ok)}
+
+
 #: grid points the divergence-bound maxima are scanned on before golden-section refinement
 _T_GRID = 4096
 
 
-def rn_bound_p2p_check(p: float) -> ExtremeReport:
-    """Maximize the p2p divergence-bound profile over (0, 20(1+p)].
+def verify_rn_p2p(p: float) -> dict:
+    """Maximize the p2p divergence-bound profile over (0, 20(1+p)]: the ``verify rn-p2p`` verdict.
 
     Reports the realized uniform constants alongside: the large-n constant
     uses c_gamma = ln sqrt(2 pi) (giving a bound <= 1), the finite-n variant
@@ -461,14 +458,11 @@ def rn_bound_p2p_check(p: float) -> ExtremeReport:
     if not math.isfinite(4.0 * p * hi):  # the profile's sqrt(1 + 4 p t) must stay finite
         raise DomainError(f"p = {p!r} is too large: the search interval (0, 20(1+p)] overflows")
     grid = np.linspace(hi / _T_GRID, hi, _T_GRID)
-    fmax, argmax = _golden_max(lambda t: rn_bound_function_p2p(t, p), grid, 1e-9 * (1.0 + p))
     c_asym = math.log(0.5) + math.log(math.sqrt(2.0 * math.pi)) + math.log(math.sqrt(math.pi / 8.0))
     c_fin = math.log(0.5) + 2.0 + math.log(math.sqrt(math.pi / 8.0))
-    constants = {
-        "k_asymptotic": math.exp(c_asym),
-        "k_finite_n": math.exp(c_fin),
-    }
-    return ExtremeReport(fmax, argmax, constants)
+    constants = {"k_asymptotic": math.exp(c_asym), "k_finite_n": math.exp(c_fin)}
+    profile = functools.partial(rn_bound_function_p2p, p=p)
+    return {"p": p, **_peak_verdict(profile, grid, 1e-9 * (1.0 + p), 1.0 + p, constants)}
 
 
 def shell_rn_constants(pp: PowerPair) -> tuple[float, float, float]:
@@ -476,14 +470,14 @@ def shell_rn_constants(pp: PowerPair) -> tuple[float, float, float]:
     return 1.0, 1.0, math.exp(2.0) * pp.p2 / math.sqrt(2.0 * math.pi * pp.p1)
 
 
-def rn_bound_mac_check(pp: PowerPair) -> ExtremeReport:
-    """Maximize the MAC divergence-bound profile over its open interval.
+def verify_rn_mac(p1: float, p2: float) -> dict:
+    """Maximize the MAC divergence-bound profile over its open interval: the ``verify rn-mac`` verdict.
 
     Also reports the sum-density uniform constant K3 = e^{c_gamma} p2 /
     sqrt(2 pi p1) for the finite-n choice c_gamma = 2 and the asymptotic
     choice c_gamma = ln sqrt(2 pi).
     """
-    p1, p2 = pp.p1, pp.p2
+    pp = PowerPair(p1, p2)
     lo, hi = _hollow_sphere(p1, p2)
     if not math.isfinite(4.0 * hi * (hi + pp.p_sum)):  # bounds (t + p1 - p2)^2 and 4 p1 t on the interval
         raise DomainError(f"p1 + p2 = {pp.p_sum!r} is too large: the profile's (t + p1 - p2)^2 overflows")
@@ -492,17 +486,9 @@ def rn_bound_mac_check(pp: PowerPair) -> ExtremeReport:
     if not lo < lo + inset < hi - inset < hi:  # the grid must lie inside, where the profile is finite
         raise DomainError(f"p1 / p2 = {p1 / p2!r} is too extreme: the interval ({lo!r}, {hi!r}) rounds shut")
     grid = np.linspace(lo + inset, hi - inset, _T_GRID)
-    fmax, argmax = _golden_max(lambda t: rn_bound_function_mac(t, p1, p2), grid, 1e-9 * width)
-    constants = {
-        "k3_finite_n": shell_rn_constants(pp)[2],
-        "k3_asymptotic": p2 / math.sqrt(p1),
-    }
-    return ExtremeReport(fmax, argmax, constants)
-
-
-def rn_bound_passes(rep: ExtremeReport, expected_argmax: float) -> bool:
-    """The ``verify rn-p2p``/``rn-mac`` rule: max <= 1e-9 at 1+P or P1+P2, to 1e-6 relative."""
-    return bool(rep.max_value <= 1e-9 and abs(rep.argmax - expected_argmax) <= 1e-6 * expected_argmax)
+    constants = {"k3_finite_n": shell_rn_constants(pp)[2], "k3_asymptotic": p2 / math.sqrt(p1)}
+    profile = functools.partial(rn_bound_function_mac, p1=p1, p2=p2)
+    return {"p1": p1, "p2": p2, **_peak_verdict(profile, grid, 1e-9 * width, pp.p_sum, constants)}
 
 
 # ---------------------------------------------------------------------------
@@ -566,28 +552,32 @@ def log_bessel_i(k: float, z: float) -> float:
     return _log_bessel_large_z(k, z)
 
 
-def bessel_ratio_bound_check(k: float, z: float) -> BesselBoundReport:
-    """Check z^{-k} I_k(z) <= sqrt(pi/8) (k^2+z^2)^{-1/4} (k+sqrt(k^2+z^2))^{-k} e^{sqrt(k^2+z^2)}."""
+#: most checks ``verify bessel --grid N`` makes (N^2 of them, a few microseconds each)
+_BESSEL_GRID_CALLS = 1 << 20
+
+
+def verify_bessel(k: float | None, z: float | None, grid: int = 0, seed=0) -> dict:
+    """The ``verify bessel`` verdict: z^{-k} I_k(z) <= sqrt(pi/8) r^{-1/2} (k + r)^{-k} e^r, r = sqrt(k^2 + z^2).
+
+    At one (k, z), or with ``grid = N`` at each of N random k in (0, 300) with each of N random z in (0, 600).
+    """
+    if grid:
+        if not 0 < grid <= math.isqrt(_BESSEL_GRID_CALLS):
+            raise DomainError(f"--grid N makes N^2 checks, at most {_BESSEL_GRID_CALLS}")
+        rng = substream(seed)
+        ks, zs = rng.uniform(0.0, 300.0, grid), rng.uniform(1e-6, 600.0, grid)
+        return {"grid": grid, "pass": all(verify_bessel(k, z)["pass"] for k in ks for z in zs)}
+    if k is None or z is None:
+        raise DomainError("need --k and --z (or --grid)")
+    if not 0.0 <= k < math.inf:  # before the overflow guard below, which would call a NaN too large
+        raise DomainError(f"k must be finite and >= 0, got {k!r}")
     z = _require_finite_positive("z", z)
     root = math.hypot(k, z)
     if not math.isfinite(k * math.log(k + root)):
         raise DomainError(f"k = {k!r} is too large: the bound's k ln(k + sqrt(k^2 + z^2)) overflows")
     log_lhs = log_bessel_i(k, z) - k * math.log(z)
-    log_rhs = (
-        0.5 * math.log(math.pi / 8.0)
-        - 0.5 * math.log(root)
-        - k * math.log(k + root)
-        + root
-    )
-    return BesselBoundReport(log_lhs <= log_rhs, log_lhs, log_rhs)
-
-
-def bessel_ratio_bound_grid(size: int, seed=0) -> bool:
-    """Whether the bound holds on a random size x size grid of (k, z) in (0, 300) x (0, 600)."""
-    rng = substream(seed)
-    ks = rng.uniform(0.0, 300.0, size)
-    zs = rng.uniform(1e-6, 600.0, size)
-    return all(bessel_ratio_bound_check(k, z).holds for k in ks for z in zs)
+    log_rhs = 0.5 * math.log(math.pi / 8.0) - 0.5 * math.log(root) - k * math.log(k + root) + root
+    return {"k": k, "z": z, "log_lhs": log_lhs, "log_rhs": log_rhs, "pass": bool(log_lhs <= log_rhs)}
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +599,10 @@ def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0, reduce
     return _stream(trials, seed, draw, reduce)
 
 
-def inner_product_variance_ratio(n: int, pp: PowerPair, pairs: int, seed=0) -> float:
-    """Var <x1, x2> over n p1 p2, its value for independent shell inputs, from ``pairs`` draws."""
+def verify_inner_product(n: int, p1: float, p2: float, pairs: int, seed=0) -> dict:
+    """Var <x1, x2> over n p1 p2, its value for independent shell inputs, from ``pairs`` draws: the ``verify
+    inner-product`` verdict, which passes within 1 +- 5%."""
+    pp = PowerPair(p1, p2)
     if pairs < 2:
         raise DomainError("need at least 2 pairs for a variance")
     # the draws lie below 2 (p1 + p2) and have variance 4 p1 p2 / n; their moments must stay normal doubles
@@ -619,12 +611,8 @@ def inner_product_variance_ratio(n: int, pp: PowerPair, pairs: int, seed=0) -> f
         raise DomainError(f"p1 = {pp.p1!r}, p2 = {pp.p2!r}: the draws' variance overflows or underflows")
     # <x1, x2> = (n/2)(t - p1 - p2) for the draws t, so Var <x1, x2> = (n/2)^2 Var t
     _, se = merge_moments(sum_inner_product_samples(n, pp, pairs, seed, reduce=moments))
-    return float(se * se * pairs * n / (4.0 * pp.p1 * pp.p2))
-
-
-def variance_ratio_passes(ratio: float) -> bool:
-    """The ``verify inner-product`` rule: the variance ratio within 1 +- 5%."""
-    return bool(abs(ratio - 1.0) <= 0.05)
+    ratio = float(se * se * pairs * n / (4.0 * p1 * p2))
+    return {"n": n, "pairs": pairs, "variance_ratio": ratio, "pass": bool(abs(ratio - 1.0) <= 0.05)}
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +664,14 @@ def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> 
     return out
 
 
-def confusion_scaling_verdict(points: list[ConfusionScalePoint]) -> tuple[float, float, bool]:
-    """(first/last value, sqrt(n_last/n_first), pass): the ratio must be 0.7 to 1.45 times the prediction."""
+def verify_confusion_scaling(p: float, n_list, trials: int, seed=0) -> dict:
+    """The ``verify confusion-scaling`` verdict on :func:`confusion_scaling_check`: the first value over the
+    last must be 0.7 to 1.45 times the predicted sqrt(n_last / n_first)."""
+    if not n_list or n_list[0] == n_list[-1]:  # the ratio 1 would match the prediction 1 whatever the values
+        raise DomainError(f"need a first and a last n that differ, got n_list {list(n_list)}")
+    points = confusion_scaling_check(n_list, p, seed, trials)
     ratio = points[0].value / points[-1].value if points[-1].value > 0 else math.inf
     expected = math.sqrt(points[-1].n / points[0].n)
-    return ratio, expected, bool(0.7 * expected <= ratio <= 1.45 * expected)
+    payload = [{"n": q.n, "value": q.value, "std_err": q.std_err} for q in points]
+    return {"points": payload, "ratio_first_last": ratio, "expected_sqrt_ratio": expected,
+            "pass": bool(0.7 * expected <= ratio <= 1.45 * expected)}

@@ -5,7 +5,10 @@ ensemble-average error probability), a uniform message, and Gaussian noise.
 The decoder accepts the first codeword (lexicographically first pair for the
 MAC) whose modified information density exceeds its threshold; the densities
 are those of ``shellmc``, fed each candidate's residual r = y - x (for the
-MAC, y - x1 - x2) through ||r||^2 and <x, r>.
+MAC, y - x1 - x2) through ||r||^2 and <x, r>.  ||r||^2 is summed from the
+codeword differences, which are exactly 0 at the sent codeword: the expansion
+||y||^2 - 2 <y, x> + n p loses the noise's order-n norm to rounding once
+n p >> n (at n = 100 it failed sent codewords from about 165 dB).
 A trial draws the Gram matrix of its k = m1 + m2 + 1 codeword and noise
 vectors, which is all the decoder reads: by Bartlett's decomposition of the
 Wishart law, k i.i.d. N(0, I_n) vectors are, in a basis of their span, the
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import chunk_sizes, substream, thread_map
-from .core import DomainError, PowerPair, _require_finite_positive
+from .core import DomainError, PowerPair, _require_finite_positive, db_to_linear
 from .shellmc import _mac_densities, _density, _wilson_ci, importance_weights, merge_moments, moments
 from .shellmc import mac_density_samples, p2p_density_samples, shell_rn_constants
 
@@ -157,10 +160,11 @@ def simulate_p2p(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
         w = _span_rows(rng, b, n, np.full(m, p))
         x, z = w[:, :m], w[:, m]
         msg = rng.integers(0, m, b)
-        y = x[np.arange(b), msg] + z
-        ysq = np.einsum("bn,bn->b", y, y)[:, None]
-        dot = np.einsum("bn,bmn->bm", y, x)
-        passing = _density(n, p, ysq - 2.0 * dot + n * p, dot - n * p) > th.log_gamma1
+        sent = x[np.arange(b), msg]
+        dot = np.einsum("bn,bmn->bm", sent + z, x)
+        x -= sent[:, None]  # x - y, each codeword's residual negated, in place: see the module docstring
+        x -= z[:, None]
+        passing = _density(n, p, np.einsum("bmn,bmn->bm", x, x), dot - n * p) > th.log_gamma1
         first = passing.argmax(axis=1)
         ok = passing.any(axis=1) & (first == msg)
         return int(b - np.count_nonzero(ok))
@@ -178,13 +182,20 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
         x1, x2, z = w[:, :m1], w[:, m1:-1], w[:, -1]
         j = rng.integers(0, m1, b)
         k = rng.integers(0, m2, b)
-        y = x1[np.arange(b), j] + x2[np.arange(b), k] + z
-        ysq = np.einsum("bn,bn->b", y, y)[:, None, None]
+        s1, s2 = x1[np.arange(b), j], x2[np.arange(b), k]
+        y = s1 + s2 + z
         d1 = np.einsum("bn,bmn->bm", y, x1)[:, :, None]
         d2 = np.einsum("bn,bmn->bm", y, x2)[:, None, :]
-        d12 = np.einsum("bim,bjm->bij", x1, x2)
-        # the residual r = y - x1 - x2 of every pair: ||r||^2, <x1, r>, <x2, r>
-        rsq = ysq - 2.0 * d1 - 2.0 * d2 + n * p1 + n * p2 + 2.0 * d12
+        d12 = x1 @ x2.transpose(0, 2, 1)
+        # every pair's residual r = y - x1 - x2 = u + e2, u = s1 - x1 + z and e2 = s2 - x2 held negated in x1
+        # and x2: ||r||^2 = ||u||^2 + ||e2||^2 + 2 <u, e2> (see the module docstring), <x1, r>, <x2, r>
+        x1 -= s1[:, None]
+        x1 -= z[:, None]
+        x2 -= s2[:, None]
+        rsq = x1 @ x2.transpose(0, 2, 1)
+        rsq *= 2.0
+        rsq += np.einsum("bim,bim->bi", x1, x1)[:, :, None]
+        rsq += np.einsum("bjm,bjm->bj", x2, x2)[:, None, :]
         it1, it2, it3 = _mac_densities(n, p1, p2, rsq, d1 - n * p1 - d12, d2 - n * p2 - d12, d12)
         passing = (it1 > th.log_gamma1) & (it2 > th.log_gamma2) & (it3 > th.log_gamma3)
         flat = passing.reshape(b, m1 * m2)
@@ -193,6 +204,16 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
         return int(b - np.count_nonzero(ok))
 
     return _count_errors(run, spec.seed, trials, _sim_chunk(n, m1, m2))
+
+
+def link_spec(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: float | None, seed=0) -> CodebookSpec:
+    """The codebooks of ``fbmac simulate`` and ``verify bounds``: one user in ``p2p`` mode, two otherwise."""
+    p1 = db_to_linear(p1_db)
+    if mode == "p2p":
+        return CodebookSpec(n=n, m1=m1, p1=p1, seed=seed)
+    if p2_db is None:
+        raise DomainError(f"--p2-db is required in {mode} mode")
+    return CodebookSpec(n=n, m1=m1, m2=m2, p1=p1, p2=db_to_linear(p2_db), seed=seed)
 
 
 def p2p_achievability_bound(spec: CodebookSpec, th: Thresholds, trials: int) -> BoundEstimate:
@@ -241,3 +262,32 @@ def mac_achievability_bound(
         mac_density_samples(spec.n, pp, trials, (spec.seed, 1), reduce=chunk_moments)
     )
     return BoundEstimate(float(value), float(se), float(outage), float(conf), trials)
+
+
+def verify_bounds(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: float | None, sim_trials: int,
+                  bound_trials: int, seed=0) -> dict:
+    """The ``verify bounds`` verdict: the simulated error passes when it exceeds its achievability bound
+    (``mode`` p2p, mac-joint or mac-splitting) by at most 2 hypot(se_sim, se_bound)."""
+    # the bound runs first, so an over-budget bound_trials is refused before the simulation draws
+    spec = link_spec(mode, n, m1, m2, p1_db, p2_db, seed)
+    if mode == "p2p":
+        th = default_thresholds(spec, 1.0, 1.0, 1.0)
+        rhs = p2p_achievability_bound(spec, th, bound_trials)
+        sim = simulate_p2p(spec, th, sim_trials)
+    else:
+        th = default_thresholds(spec, *shell_rn_constants(PowerPair(spec.p1, spec.p2)))
+        rhs = mac_achievability_bound(spec, th, bound_trials, mode=mode.removeprefix("mac-"))
+        sim = simulate_mac(spec, th, sim_trials)
+    sim_se = math.sqrt(max(sim.eps_hat * (1 - sim.eps_hat), 1e-300) / sim.trials)
+    margin = 2.0 * math.hypot(sim_se, rhs.std_err)
+    return {
+        "mode": mode,
+        "eps_hat": sim.eps_hat,
+        "bound": rhs.value,
+        "outage": rhs.outage,
+        "confusion": rhs.confusion,
+        "sim_std_err": sim_se,
+        "bound_std_err": rhs.std_err,
+        "margin": margin,
+        "pass": bool(sim.eps_hat <= rhs.value + margin),
+    }

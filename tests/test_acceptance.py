@@ -46,9 +46,8 @@ from fbmac.regions import (
 from fbmac.shellmc import (
     clt_function_check,
     empirical_outage_p2p,
-    rn_bound_mac_check,
-    rn_bound_p2p_check,
-    rn_bound_passes,
+    verify_rn_mac,
+    verify_rn_p2p,
 )
 from fbmac.simlink import (
     CodebookSpec,
@@ -203,13 +202,13 @@ def test_criterion_5_divergence_bound_numerics():
     start = time.monotonic()
     failures = []
     for p in (0.1, 1.0, 10.0):
-        rep = rn_bound_p2p_check(p)
-        if not rn_bound_passes(rep, 1 + p):
-            failures.append(f"p2p p={p}: max {rep.max_value:.2e} at {rep.argmax:.8f}")
+        rep = verify_rn_p2p(p)
+        if not (rep["pass"] and rep["expected_argmax"] == 1 + p):
+            failures.append(f"p2p p={p}: max {rep['max']:.2e} at {rep['argmax']:.8f}")
     for p1, p2 in ((1.0, 1.0), (1.0, 3.0), (0.5, 2.0)):
-        rep = rn_bound_mac_check(PowerPair(p1, p2))
-        if not rn_bound_passes(rep, p1 + p2):
-            failures.append(f"mac ({p1},{p2}): max {rep.max_value:.2e} at {rep.argmax:.8f}")
+        rep = verify_rn_mac(p1, p2)
+        if not (rep["pass"] and rep["expected_argmax"] == p1 + p2):
+            failures.append(f"mac ({p1},{p2}): max {rep['max']:.2e} at {rep['argmax']:.8f}")
     elapsed = time.monotonic() - start
     _report("criterion 5", not failures, f"all maxima <= 1e-9 at 1+P / P1+P2; runtime {elapsed:.1f}s")
     assert not failures, "; ".join(failures)

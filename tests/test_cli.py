@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fbmac.cli import build_parser, figure1_bundle, main
+from fbmac.cli import VERIFY, build_parser, figure1_bundle, main
 from fbmac.core import PowerPair
 from fbmac.regions import REGIONS, RegionBoundary, RegionOptions
 
@@ -198,7 +198,7 @@ def test_verify_bessel_grid_over_budget_exits_2(capsys):
     # refused before any check runs: the largest grid is computed, never run
     import math
 
-    from fbmac.cli import _BESSEL_GRID_CALLS
+    from fbmac.shellmc import _BESSEL_GRID_CALLS
 
     top = math.isqrt(_BESSEL_GRID_CALLS)
     for grid in (top + 1, 10**9, -1):
@@ -263,6 +263,19 @@ def test_confusion_scaling_refuses_a_small_n_anywhere_before_any_draw(capsys, mo
     code, out, err = run_cli(["verify", "confusion-scaling", "--n-list", "400", "1600", "1"], capsys)
     assert (code, out, drawn) == (2, "", [])
     assert "n >= 2" in err
+
+
+def test_confusion_scaling_refuses_equal_first_and_last_n_before_any_draw(capsys, monkeypatch):
+    # the verdict compares the first n's value with the last's: with one n the ratio 1 met the predicted
+    # sqrt(1) = 1 and printed a pass that judged nothing
+    from fbmac import shellmc
+
+    drawn = []
+    monkeypatch.setattr(shellmc, "substream", lambda *args: drawn.append(args))
+    for n_list in (["400"], ["400", "400"], ["400", "1600", "400"]):
+        code, out, err = run_cli(["verify", "confusion-scaling", "--n-list", *n_list], capsys)
+        assert (code, out, drawn) == (2, "", []), n_list
+        assert "a first and a last n that differ" in err
 
 
 def test_verify_inner_product(capsys):
@@ -360,6 +373,36 @@ def test_out_of_domain_powers_and_orders_exit_2(argv, named, capsys):
     assert "invalid arguments" in err and named in err
 
 
+#: each ``verify`` target's arguments inside its domain, then outside it
+_VERIFY_ARGS = {
+    "rn-p2p": (["--p", "2"], ["--p", "-1"]),
+    "rn-mac": (["--p1", "2", "--p2", "0.5"], ["--p1", "0", "--p2", "1"]),
+    "bessel": (["--k", "3", "--z", "40"], ["--k", "nan", "--z", "1"]),
+    "clt": (["--n", "64", "--trials", "2000"], ["--n", "8", "--trials", "2000"]),
+    "inner-product": (["--pairs", "2000"], ["--pairs", "1"]),
+    "confusion-scaling": (["--n-list", "100", "400", "--trials", "2000"], ["--n-list", "400"]),
+    "bounds": (
+        ["--mode", "mac-splitting", "--n", "30", "--m1", "2", "--m2", "2", "--p1-db", "0", "--p2-db", "0",
+         "--sim-trials", "1000", "--bound-trials", "1000"],
+        ["--mode", "mac-joint", "--n", "30", "--m1", "2", "--p1-db", "0"],  # a MAC with no second power
+    ),
+}
+
+
+@pytest.mark.parametrize("target", list(VERIFY))
+def test_every_verify_target_exits_0_with_a_boolean_pass_or_2(target, capsys):
+    # a target added to the table without arguments here fails its own case
+    assert list(_VERIFY_ARGS) == list(VERIFY)
+    inside, outside = _VERIFY_ARGS[target]
+    for argv, want in ((inside, 0), (outside, 2)):
+        code, out, err = run_cli(["verify", target, *argv], capsys)  # an exception fails the test
+        assert code == want and "Traceback" not in err, (argv, err)
+        if code == 0:
+            assert isinstance(_strict_json(out)["pass"], bool) and _strict_json(out)["target"] == target
+        else:
+            assert out == "" and "invalid arguments" in err, argv
+
+
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
     assert run_cli(["region", "--kind", "bogus"], capsys)[0] == 2
     assert run_cli(["nonsense"], capsys)[0] == 2
@@ -431,6 +474,8 @@ def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, ""), argv
         assert "invalid" in err, argv
+        if argv[:2] == ["verify", "bessel"] and argv[3] in ("nan", "inf"):  # named by its domain, not as too large
+            assert "k must be finite and >= 0" in err, argv
     assert not (tmp_path / "f1").exists()
     monkeypatch.setenv("FBMAC_SEED", "abc")
     code, _, err = run_cli(["verify", "inner-product", "--pairs", "100"], capsys)

@@ -13,6 +13,7 @@ from scipy.stats import kstest
 
 from fbmac._rng import substream, thread_map
 from fbmac.core import DomainError, PowerPair, capacity, capacity_vector, dispersion, dispersion_matrix_shell
+from fbmac import shellmc
 from fbmac.shellmc import (
     _density,
     _ks_and_cov,
@@ -20,27 +21,24 @@ from fbmac.shellmc import (
     _log_sin_sq,
     _mac_densities,
     _phi,
-    bessel_ratio_bound_check,
     ConfusionScalePoint,
-    ExtremeReport,
     KsReport,
     clt_function_check,
-    clt_passes,
     confusion_scaling_check,
-    confusion_scaling_verdict,
     importance_weights,
-    inner_product_variance_ratio,
     empirical_outage_p2p,
     log_bessel_i,
     mac_density_samples,
     p2p_density_samples,
     rn_bound_function_mac,
     rn_bound_function_p2p,
-    rn_bound_mac_check,
-    rn_bound_p2p_check,
-    rn_bound_passes,
     sum_inner_product_samples,
-    variance_ratio_passes,
+    verify_bessel,
+    verify_clt,
+    verify_confusion_scaling,
+    verify_inner_product,
+    verify_rn_mac,
+    verify_rn_p2p,
 )
 from oracles import (
     clt_jacobian,
@@ -499,9 +497,9 @@ def test_clt_covariance_consistent_with_dispersion_matrix():
 
 def test_rn_p2p_maximum():
     for p, t_star in [(1.0, 2.0), (10.0, 11.0), (0.1, 1.1)]:
-        rep = rn_bound_p2p_check(p)
-        assert rep.max_value <= 1e-9 and rep.max_value > -1e-9
-        assert rep.argmax == pytest.approx(t_star, rel=1e-6)
+        rep = verify_rn_p2p(p)
+        assert rep["max"] <= 1e-9 and rep["max"] > -1e-9
+        assert rep["argmax"] == pytest.approx(t_star, rel=1e-6)
 
 
 def test_rn_p2p_strictly_negative_off_peak():
@@ -513,19 +511,19 @@ def test_rn_p2p_strictly_negative_off_peak():
 
 
 def test_rn_p2p_constants():
-    rep = rn_bound_p2p_check(1.0)
-    assert rep.constants["k_asymptotic"] == pytest.approx(math.pi / 4.0, rel=1e-12)
-    assert rep.constants["k_asymptotic"] <= 1.0
-    assert rep.constants["k_finite_n"] == pytest.approx(
+    constants = verify_rn_p2p(1.0)["constants"]
+    assert constants["k_asymptotic"] == pytest.approx(math.pi / 4.0, rel=1e-12)
+    assert constants["k_asymptotic"] <= 1.0
+    assert constants["k_finite_n"] == pytest.approx(
         math.exp(math.log(0.5) + 2.0 + 0.5 * math.log(math.pi / 8.0)), rel=1e-12
     )
 
 
 def test_rn_mac_maximum():
     for (p1, p2), t_star in [((1.0, 1.0), 2.0), ((1.0, 3.0), 4.0), ((0.5, 2.0), 2.5)]:
-        rep = rn_bound_mac_check(PowerPair(p1, p2))
-        assert rep.max_value <= 1e-9 and rep.max_value > -1e-9
-        assert rep.argmax == pytest.approx(t_star, rel=1e-6)
+        rep = verify_rn_mac(p1, p2)
+        assert rep["max"] <= 1e-9 and rep["max"] > -1e-9
+        assert rep["argmax"] == pytest.approx(t_star, rel=1e-6)
 
 
 @pytest.mark.parametrize("scale", [1.0, 100.0, 1e-200])
@@ -535,16 +533,16 @@ def test_rn_mac_passes_at_extreme_power_ratios(scale):
     # underflowed and the profile was -inf everywhere
     for k in range(15):
         for p1, p2 in ((scale, scale * 10.0**-k), (scale * 10.0**-k, scale)):
-            rep = rn_bound_mac_check(PowerPair(p1, p2))
-            assert rn_bound_passes(rep, p1 + p2), (p1, p2, rep.max_value, rep.argmax)
+            rep = verify_rn_mac(p1, p2)
+            assert rep["pass"] and rep["expected_argmax"] == p1 + p2, (p1, p2, rep["max"], rep["argmax"])
 
 
 def test_rn_mac_k3_constant():
-    rep = rn_bound_mac_check(PowerPair(1.0, 1.0))
-    assert rep.constants["k3_finite_n"] == pytest.approx(
+    constants = verify_rn_mac(1.0, 1.0)["constants"]
+    assert constants["k3_finite_n"] == pytest.approx(
         math.exp(2.0) / math.sqrt(2.0 * math.pi), rel=1e-12
     )
-    assert rep.constants["k3_asymptotic"] == pytest.approx(1.0, rel=1e-12)
+    assert constants["k3_asymptotic"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rn_mac_blows_down_at_endpoints():
@@ -595,13 +593,13 @@ def test_output_logpdf_monte_carlo_oracle():
 
 
 def test_bessel_bound_examples():
-    rep = bessel_ratio_bound_check(2.0, 1.0)
-    assert rep.holds
-    assert math.exp(rep.log_lhs) == pytest.approx(0.135748, abs=5e-7)
-    assert math.exp(rep.log_rhs) == pytest.approx(0.2185, abs=5e-5)
-    rep = bessel_ratio_bound_check(0.0, 1e-6)
-    assert rep.holds
-    assert math.exp(rep.log_lhs) == pytest.approx(1.0, rel=1e-6)
+    rep = verify_bessel(2.0, 1.0)
+    assert rep["pass"]
+    assert math.exp(rep["log_lhs"]) == pytest.approx(0.135748, abs=5e-7)
+    assert math.exp(rep["log_rhs"]) == pytest.approx(0.2185, abs=5e-5)
+    rep = verify_bessel(0.0, 1e-6)
+    assert rep["pass"]
+    assert math.exp(rep["log_lhs"]) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_bessel_bound_random_grid():
@@ -610,7 +608,7 @@ def test_bessel_bound_random_grid():
     zs = rng.uniform(1e-6, 640.0, 50)
     for k in ks:
         for z in zs:
-            assert bessel_ratio_bound_check(float(k), float(z)).holds
+            assert verify_bessel(float(k), float(z))["pass"]
 
 
 def test_log_bessel_against_mpmath():
@@ -662,7 +660,7 @@ sys.meta_path.insert(0, RefuseScipy())
 
 from fbmac.core import PowerPair
 from fbmac.gaussquad import q_inv_scalar
-from fbmac.shellmc import clt_function_check, clt_passes, confusion_scaling_check, empirical_outage_p2p
+from fbmac.shellmc import confusion_scaling_check, empirical_outage_p2p, verify_clt
 from fbmac.shellmc import log_bessel_i, shell_rn_constants
 from fbmac.simlink import CodebookSpec, default_thresholds, mac_achievability_bound, simulate_mac, simulate_p2p
 
@@ -675,8 +673,8 @@ joint, splitting = (mac_achievability_bound(mac, mac_th, 4000, mode=m).value for
 assert 0.0 < joint <= splitting
 assert q_inv_scalar(1e-3) == 3.090232306167813
 assert 0.0 < empirical_outage_p2p(100, 1.0, 100 * math.log(2.0) / 2.0, 10_000).value < 1.0
-assert clt_passes(clt_function_check("p2p", 64, 20_000))
-assert clt_passes(clt_function_check("mac-joint", 64, 20_000, pp=pp))
+assert verify_clt("p2p", 64, 20_000, 1.0, 1.0, 1.0)["pass"]
+assert verify_clt("mac-joint", 64, 20_000, 1.0, 1.0, 1.0)["pass"]
 assert all(q.value > 0.0 for q in confusion_scaling_check([100, 400], 1.0, trials=4096))
 assert math.isfinite(log_bessel_i(2.0, 30.0))  # the series branch, k < 16 and z <= 400
 assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
@@ -836,53 +834,75 @@ def test_chunk_reductions_match_full_arrays():
 # ---------------------------------------------------------------------------
 
 JUST = 1e-9  # relative step just inside / just outside a threshold
+# each rule is pinned by handing its verdict function the estimate, in place of the estimator's
 
 
-def test_rn_bound_rule_thresholds():
+def test_rn_bound_rule_thresholds(monkeypatch):
+    def rule(fmax, argmax, target):
+        monkeypatch.setattr(shellmc, "_golden_max", lambda fn, grid, tol: (fmax, argmax))
+        # the p2p profile peaks at 1 + p, the MAC one at p1 + p2: both verdicts keep the one rule
+        p2p, mac = verify_rn_p2p(target - 1.0), verify_rn_mac(1.0, target - 1.0)
+        assert p2p["expected_argmax"] == mac["expected_argmax"] == target
+        assert p2p["pass"] is mac["pass"]
+        return p2p["pass"]
+
     for target in (2.0, 4.0):
-        assert rn_bound_passes(ExtremeReport(1e-9 * (1 - JUST), target, {}), target)
-        assert not rn_bound_passes(ExtremeReport(1e-9 * (1 + JUST), target, {}), target)
+        assert rule(1e-9 * (1 - JUST), target, target)
+        assert not rule(1e-9 * (1 + JUST), target, target)
         for side in (-1.0, 1.0):
             inside = target + side * 1e-6 * target * (1 - 1e-3)
             outside = target + side * 1e-6 * target * (1 + 1e-3)
-            assert rn_bound_passes(ExtremeReport(0.0, inside, {}), target)
-            assert not rn_bound_passes(ExtremeReport(0.0, outside, {}), target)
+            assert rule(0.0, inside, target)
+            assert not rule(0.0, outside, target)
 
 
-def test_clt_rule_thresholds():
+def test_clt_rule_thresholds(monkeypatch):
     # 3/sqrt(n) above 0.01 for n < 90000, the 0.01 floor beyond
     for n, limit in ((100, 0.3), (1024, 3.0 / 32.0), (10**6, 0.01)):
         for ks, ok in ((limit * (1 - JUST), True), (limit * (1 + JUST), False)):
             rep = KsReport(n, 1000, ks, np.eye(1))
-            assert clt_passes(rep) is ok, (n, ks)
+            monkeypatch.setattr(shellmc, "clt_function_check", lambda *args, **kwargs: rep)
+            assert verify_clt("p2p", n, 1000, 1.0, 1.0, 1.0)["pass"] is ok, (n, ks)
 
 
-def test_confusion_scaling_rule_thresholds():
+def test_confusion_scaling_rule_thresholds(monkeypatch):
+    def verdict(pts):
+        monkeypatch.setattr(shellmc, "confusion_scaling_check", lambda *args: pts)
+        return verify_confusion_scaling(1.0, [q.n for q in pts], 1000)
+
     for n_first, n_last in ((400, 1600), (100, 900)):
         expected = math.sqrt(n_last / n_first)
         for factor, ok in ((0.7 * (1 + JUST), True), (0.7 * (1 - JUST), False),
                            (1.45 * (1 - JUST), True), (1.45 * (1 + JUST), False)):
             pts = [ConfusionScalePoint(n_first, factor * expected, 0.0), ConfusionScalePoint(n_last, 1.0, 0.0)]
-            ratio, exp, passed = confusion_scaling_verdict(pts)
-            assert ratio == pytest.approx(factor * expected, rel=1e-15) and exp == expected
-            assert passed is ok, (n_first, factor)
+            rep = verdict(pts)
+            assert rep["ratio_first_last"] == pytest.approx(factor * expected, rel=1e-15)
+            assert rep["expected_sqrt_ratio"] == expected
+            assert rep["pass"] is ok, (n_first, factor)
     zero_last = [ConfusionScalePoint(400, 1.0, 0.0), ConfusionScalePoint(1600, 0.0, 0.0)]
-    assert confusion_scaling_verdict(zero_last)[0] == math.inf
-    assert confusion_scaling_verdict(zero_last)[2] is False
+    assert verdict(zero_last)["ratio_first_last"] == math.inf
+    assert verdict(zero_last)["pass"] is False
 
 
-def test_variance_ratio_rule_thresholds():
-    assert variance_ratio_passes(0.95 + JUST) and variance_ratio_passes(1.05 - JUST)
-    assert not variance_ratio_passes(0.95 - JUST) and not variance_ratio_passes(1.05 + JUST)
-    assert variance_ratio_passes(1.0)
+def test_variance_ratio_rule_thresholds(monkeypatch):
+    def passes(ratio):
+        # n = pairs = 2 at unit powers: the ratio is the squared standard error of the mean
+        monkeypatch.setattr(shellmc, "merge_moments", lambda parts: (0.0, math.sqrt(ratio)))
+        rep = verify_inner_product(2, 1.0, 1.0, 2)
+        assert rep["variance_ratio"] == pytest.approx(ratio, rel=1e-15)
+        return rep["pass"]
+
+    assert passes(0.95 + JUST) and passes(1.05 - JUST)
+    assert not passes(0.95 - JUST) and not passes(1.05 + JUST)
+    assert passes(1.0)
 
 
 def test_inner_product_variance_ratio():
     for pairs in (0, 1):
         with pytest.raises(DomainError):
-            inner_product_variance_ratio(100, PowerPair(1.0, 1.0), pairs)
-    ratio = inner_product_variance_ratio(100, PowerPair(1.0, 2.0), 40_000, seed=5)
-    assert math.isfinite(ratio) and variance_ratio_passes(ratio)
+            verify_inner_product(100, 1.0, 1.0, pairs)
+    rep = verify_inner_product(100, 1.0, 2.0, 40_000, seed=5)
+    assert math.isfinite(rep["variance_ratio"]) and rep["pass"]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -892,10 +912,10 @@ def test_inner_product_variance_ratio_keeps_chunk_moments(threads, monkeypatch):
 
     monkeypatch.setenv("FBMAC_THREADS", threads)
     n, pp, pairs = 100, PowerPair(1.0, 2.0), 1 << 21
-    inner_product_variance_ratio(n, pp, 1000)  # lazy imports are not the estimator's memory
+    verify_inner_product(n, pp.p1, pp.p2, 1000)  # lazy imports are not the estimator's memory
     tracemalloc.start()
     try:
-        ratio = inner_product_variance_ratio(n, pp, pairs, seed=3)
+        ratio = verify_inner_product(n, pp.p1, pp.p2, pairs, seed=3)["variance_ratio"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

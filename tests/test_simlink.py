@@ -66,11 +66,11 @@ def test_shell_rn_constants():
     assert k1 == 1.0 and k2 == 1.0
     assert k3 == pytest.approx(math.exp(2.0) / math.sqrt(2.0 * math.pi), rel=1e-12)
     # agrees with the constant reported by the divergence-bound check
-    from fbmac.shellmc import rn_bound_mac_check
+    from fbmac.shellmc import verify_rn_mac
 
     for pp in (PowerPair(1.0, 1.0), PowerPair(0.5, 2.0)):
-        rep = rn_bound_mac_check(pp)
-        assert shell_rn_constants(pp)[2] == pytest.approx(rep.constants["k3_finite_n"], rel=1e-12)
+        constants = verify_rn_mac(pp.p1, pp.p2)["constants"]
+        assert shell_rn_constants(pp)[2] == pytest.approx(constants["k3_finite_n"], rel=1e-12)
 
 
 def test_simulate_p2p_universal_outage():
@@ -465,6 +465,25 @@ def test_simulate_p2p_matches_loop_reference():
         errors += decided != msg[t]
     assert 0 < errors < trials
     assert res.errors == errors
+
+
+@pytest.mark.parametrize("db", [200.0, 300.0])
+def test_simulators_decode_without_error_at_high_snr(db, capsys):
+    # ||y - x||^2 expanded as ||y||^2 - 2 <y, x> + n p lost the noise's norm to rounding once n p >> n: the
+    # sent codeword failed its own test from about 165 dB at n = 100 (eps_hat 0.349 in p2p and 0.483 in the
+    # 8 x 8 MAC at 200 dB), and ``verify bounds`` failed
+    from fbmac.cli import main
+
+    p = 10.0 ** (db / 10.0)
+    p2p = CodebookSpec(n=100, m1=8, p1=p, seed=0)
+    mac = CodebookSpec(n=100, m1=8, m2=8, p1=p, p2=p, seed=0)
+    assert simulate_p2p(p2p, default_thresholds(p2p, 1.0, 1.0, 1.0), 20_000).eps_hat == 0.0
+    mac_th = default_thresholds(mac, *shell_rn_constants(PowerPair(p, p)))
+    assert simulate_mac(mac, mac_th, 20_000).eps_hat == 0.0
+    for mode in ("p2p", "mac-joint"):
+        link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", str(db), "--p2-db", str(db)]
+        assert main(["verify", "bounds", "--mode", mode, *link]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_simulate_mac_matches_loop_reference():
