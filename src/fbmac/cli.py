@@ -6,6 +6,10 @@ CSV and full precision in JSON, and every emitted file carries the resolved
 configuration so a run can be reproduced from its output.  Wall time goes to
 stderr only.
 
+Every subcommand is one entry of ``COMMANDS``: its help, its options as
+(flag, type, default) and its handler.  ``build_parser`` is one loop over that
+table, with the ``verify`` targets nested from ``VERIFY``.
+
 Exit codes: 0 success, 2 usage error, 1 numeric failure.
 """
 
@@ -57,7 +61,7 @@ from .shellmc import (
     verify_rn_mac,
     verify_rn_p2p,
 )
-from .simlink import default_thresholds, link_spec, shell_rn_constants, simulate_mac, simulate_p2p, verify_bounds
+from .simlink import link, verify_bounds
 
 _SEED = ("--seed", int, None)
 
@@ -213,72 +217,6 @@ def figure1_bundle(n: int, eps: float, pp: PowerPair, out_dir, points=256, sampl
     return manifest
 
 
-def _add_common(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--p1-db", type=float, required=True, dest="p1_db")
-    p.add_argument("--p2-db", type=float, required=True, dest="p2_db")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fbmac", description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    rp = sub.add_parser("region", help="emit one rate-region boundary")
-    rp.add_argument("--kind", required=True, choices=list(REGIONS))
-    _add_common(rp)
-    rp.add_argument("--points", type=int, default=256)
-    rp.add_argument("--samples", type=int, default=1 << 12)
-    rp.add_argument("--units", choices=["nats", "bits"], default="nats")
-    rp.add_argument("--format", choices=["csv", "json"], default="csv")
-    rp.add_argument("--delta-rule", default="zero", dest="delta_rule")
-    rp.add_argument("--gallager-a", type=float, default=1.0, dest="gallager_a")
-
-    pp_ = sub.add_parser("p2p", help="print the point-to-point second-order rate")
-    pp_.add_argument("--n", type=int, required=True)
-    pp_.add_argument("--eps", type=float, required=True)
-    pp_.add_argument("--p-db", type=float, required=True, dest="p_db")
-    pp_.add_argument("--units", choices=["nats", "bits"], default="nats")
-
-    sp = sub.add_parser("simulate", help="random-coding link simulation")
-    sp.add_argument("mode", choices=["p2p", "mac"])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--p1-db", type=float, required=True, dest="p1_db")
-    sp.add_argument("--p2-db", type=float, default=None, dest="p2_db")
-    sp.add_argument("--m1", type=int, required=True)
-    sp.add_argument("--m2", type=int, default=1)
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--k1", type=float, default=1.0)
-    sp.add_argument("--k2", type=float, default=1.0)
-    sp.add_argument("--k3", type=float, default=None)
-
-    vp = sub.add_parser("verify", help="numeric verification verdicts")
-    vsub = vp.add_subparsers(dest="target", required=True)
-    for target, (options, _) in VERIFY.items():
-        tp = vsub.add_parser(target)
-        for flag, kind, default in options:
-            kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            kw.update({"required": True} if default is ... else {"default": default})
-            tp.add_argument(flag, nargs="+" if isinstance(default, list) else None, **kw)
-        tp.add_argument("--out", default=None)  # every verdict goes to stdout or --out
-
-    fp = sub.add_parser("figure1", help="emit the full comparison bundle")
-    fp.add_argument("--n", type=int, default=500)
-    fp.add_argument("--eps", type=float, default=1e-3)
-    fp.add_argument("--p1-db", type=float, default=0.0, dest="p1_db")
-    fp.add_argument("--p2-db", type=float, default=0.0, dest="p2_db")
-    fp.add_argument("--points", type=int, default=256)
-    fp.add_argument("--samples", type=int, default=1 << 12)
-    fp.add_argument("--seed", type=int, default=None)
-    fp.add_argument("--out-dir", required=True, dest="out_dir")
-
-    return ap
-
-
 def _resolved_seed(args) -> int:
     """``--seed``, else ``FBMAC_SEED``, else 0; the one place a seed is checked."""
     seed = default_seed() if getattr(args, "seed", None) is None else args.seed
@@ -308,27 +246,13 @@ def _cmd_p2p(args) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = _resolved_seed(args)
-    spec = link_spec(args.mode, args.n, args.m1, args.m2, args.p1_db, args.p2_db, seed)
-    if args.mode == "p2p":
-        th = default_thresholds(spec, args.k1, args.k1, args.k1)
-        res = simulate_p2p(spec, th, args.trials)
-    else:
-        k3 = args.k3
-        if k3 is None:
-            k3 = shell_rn_constants(PowerPair(spec.p1, spec.p2))[2]
-        th = default_thresholds(spec, args.k1, args.k2, k3)
-        res = simulate_mac(spec, th, args.trials)
+    spec, th, simulate = link(args.mode, args.n, args.m1, args.m2, args.p1_db, args.p2_db, seed)
+    res = simulate(spec, th, args.trials)
     _emit_json(
         {
             "command": "simulate",
             "mode": args.mode,
-            "config": {
-                "n": args.n,
-                "m1": args.m1,
-                "m2": args.m2 if args.mode == "mac" else 1,
-                "trials": args.trials,
-                "seed": seed,
-            },
+            "config": {"n": spec.n, "m1": spec.m1, "m2": spec.m2, "trials": args.trials, "seed": seed},
             "trials": res.trials,
             "errors": res.errors,
             "eps_hat": res.eps_hat,
@@ -356,13 +280,64 @@ def _cmd_figure1(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "region": _cmd_region,
-    "p2p": _cmd_p2p,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "figure1": _cmd_figure1,
+def _point(n=..., eps=..., p1_db=..., p2_db=...) -> list:
+    """The operating point's options, required unless given defaults."""
+    return [("--n", int, n), ("--eps", float, eps), ("--p1-db", float, p1_db), ("--p2-db", float, p2_db)]
+
+
+_OUT = ("--out", str, None)
+_UNITS = ("--units", ("nats", "bits"), "nats")
+_SIZES = [("--points", int, 256), ("--samples", int, 1 << 12)]
+
+#: every subcommand: name -> (help, options, handler), the options in ``VERIFY``'s (flag, type, default)
+#: form; a flag without dashes is positional, and a dict of target -> options nests one subparser per target.
+COMMANDS = {
+    "region": (
+        "emit one rate-region boundary",
+        [("--kind", tuple(REGIONS), ...), *_point(), _SEED, _OUT, *_SIZES, _UNITS, ("--format", ("csv", "json"), "csv"),
+         ("--delta-rule", str, "zero"), ("--gallager-a", float, 1.0)],
+        _cmd_region,
+    ),
+    "p2p": (
+        "print the point-to-point second-order rate",
+        [("--n", int, ...), ("--eps", float, ...), ("--p-db", float, ...), _UNITS],
+        _cmd_p2p,
+    ),
+    "simulate": (
+        "random-coding link simulation",
+        [("mode", ("p2p", "mac"), ...), ("--n", int, ...), _SEED, _OUT, ("--p1-db", float, ...),
+         ("--p2-db", float, None), ("--m1", int, ...), ("--m2", int, 1), ("--trials", int, ...)],
+        _cmd_simulate,
+    ),
+    "verify": (
+        "numeric verification verdicts",
+        {target: [*options, _OUT] for target, (options, _) in VERIFY.items()},  # each verdict to stdout or --out
+        _cmd_verify,
+    ),
+    "figure1": (
+        "emit the full comparison bundle",
+        [*_point(500, 1e-3, 0.0, 0.0), *_SIZES, _SEED, ("--out-dir", str, ...)],
+        _cmd_figure1,
+    ),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="fbmac", description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, options, _) in COMMANDS.items():
+        parser = sub.add_parser(name, help=help_)
+        tables = [(parser, options)]
+        if isinstance(options, dict):
+            targets = parser.add_subparsers(dest="target", required=True)
+            tables = [(targets.add_parser(target), opts) for target, opts in options.items()]
+        for p, opts in tables:
+            for flag, kind, default in opts:
+                kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                if flag.startswith("-"):
+                    kw.update({"required": True} if default is ... else {"default": default})
+                p.add_argument(flag, nargs="+" if isinstance(default, list) else None, **kw)
+    return ap
 
 
 def run(argv=None) -> int:
@@ -374,7 +349,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     start = time.monotonic()
     try:
-        code = _DISPATCH[args.command](args)
+        code = COMMANDS[args.command][2](args)
     except DomainError as exc:
         print(f"fbmac: invalid arguments: {exc}", file=sys.stderr)
         return 2

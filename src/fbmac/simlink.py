@@ -23,9 +23,11 @@ law plus confusion terms under the reference measures.  Confusion
 probabilities are estimated by importance sampling from the channel measure
 with weight e^{-i}, which resolves reference-tail probabilities near 1/gamma
 at any blocklength.  The MAC bound weighs its confusion terms with the
-uniform density-ratio constants of :func:`shell_rn_constants`.  The simulators
-draw chunk i from the substream ``(seed, i)`` and the bound estimators from
-``(seed, 1, i)``, so for one seed the two estimates are independent.
+uniform density-ratio constants of :func:`shell_rn_constants`, and :func:`link`
+sets the MAC thresholds with the same constants for ``fbmac simulate`` and
+``verify bounds`` alike.  The simulators draw chunk i from the substream
+``(seed, i)`` and the bound estimators from ``(seed, 1, i)``, so for one seed
+the two estimates are independent.
 """
 
 from __future__ import annotations
@@ -206,14 +208,20 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
     return _count_errors(run, spec.seed, trials, _sim_chunk(n, m1, m2))
 
 
-def link_spec(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: float | None, seed=0) -> CodebookSpec:
-    """The codebooks of ``fbmac simulate`` and ``verify bounds``: one user in ``p2p`` mode, two otherwise."""
+def link(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: float | None, seed=0) -> tuple:
+    """(spec, thresholds, simulator) of ``fbmac simulate`` and ``verify bounds``, the one rule both use.
+
+    ``p2p`` mode has one user and thresholds ln((M - 1)/2); every other mode has two users, whose
+    thresholds ln(k (M - 1)/2) take k from :func:`shell_rn_constants`, as the MAC bound weighs them.
+    """
     p1 = db_to_linear(p1_db)
     if mode == "p2p":
-        return CodebookSpec(n=n, m1=m1, p1=p1, seed=seed)
+        spec = CodebookSpec(n=n, m1=m1, p1=p1, seed=seed)
+        return spec, default_thresholds(spec, 1.0, 1.0, 1.0), simulate_p2p
     if p2_db is None:
         raise DomainError(f"--p2-db is required in {mode} mode")
-    return CodebookSpec(n=n, m1=m1, m2=m2, p1=p1, p2=db_to_linear(p2_db), seed=seed)
+    spec = CodebookSpec(n=n, m1=m1, m2=m2, p1=p1, p2=db_to_linear(p2_db), seed=seed)
+    return spec, default_thresholds(spec, *shell_rn_constants(PowerPair(spec.p1, spec.p2))), simulate_mac
 
 
 def p2p_achievability_bound(spec: CodebookSpec, th: Thresholds, trials: int) -> BoundEstimate:
@@ -269,15 +277,12 @@ def verify_bounds(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: floa
     """The ``verify bounds`` verdict: the simulated error passes when it exceeds its achievability bound
     (``mode`` p2p, mac-joint or mac-splitting) by at most 2 hypot(se_sim, se_bound)."""
     # the bound runs first, so an over-budget bound_trials is refused before the simulation draws
-    spec = link_spec(mode, n, m1, m2, p1_db, p2_db, seed)
+    spec, th, simulate = link(mode, n, m1, m2, p1_db, p2_db, seed)
     if mode == "p2p":
-        th = default_thresholds(spec, 1.0, 1.0, 1.0)
         rhs = p2p_achievability_bound(spec, th, bound_trials)
-        sim = simulate_p2p(spec, th, sim_trials)
     else:
-        th = default_thresholds(spec, *shell_rn_constants(PowerPair(spec.p1, spec.p2)))
         rhs = mac_achievability_bound(spec, th, bound_trials, mode=mode.removeprefix("mac-"))
-        sim = simulate_mac(spec, th, sim_trials)
+    sim = simulate(spec, th, sim_trials)
     sim_se = math.sqrt(max(sim.eps_hat * (1 - sim.eps_hat), 1e-300) / sim.trials)
     margin = 2.0 * math.hypot(sim_se, rhs.std_err)
     return {

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from fbmac.cli import VERIFY, build_parser, figure1_bundle, main
-from fbmac.core import PowerPair
+from fbmac.cli import COMMANDS, build_parser, figure1_bundle, main
+from fbmac.core import PowerPair, db_to_linear
 from fbmac.regions import REGIONS, RegionBoundary, RegionOptions
+from fbmac.simlink import CodebookSpec, default_thresholds, shell_rn_constants
 
 
 def run_cli(args, capsys):
@@ -313,6 +314,27 @@ def test_simulate_json(capsys):
     assert 0.0 <= payload["eps_hat"] <= 1.0
 
 
+@pytest.mark.parametrize("mode", ["p2p", "mac-joint"])
+def test_simulate_is_the_simulation_half_of_verify_bounds(mode, capsys):
+    # both commands take their codebooks, thresholds and simulator from one rule, so they cannot drift apart
+    link = ["--n", "40", "--m1", "8", "--p1-db", "-3", "--seed", "7"]
+    spec = CodebookSpec(n=40, m1=8, p1=db_to_linear(-3.0))
+    if mode != "p2p":
+        link += ["--m2", "4", "--p2-db", "-6"]
+        spec = CodebookSpec(n=40, m1=8, m2=4, p1=spec.p1, p2=db_to_linear(-6.0))
+    code, out, _ = run_cli(["simulate", mode.removesuffix("-joint"), *link, "--trials", "3000"], capsys)
+    simulated = _strict_json(out)
+    code2, out, _ = run_cli(
+        ["verify", "bounds", "--mode", mode, *link, "--sim-trials", "3000", "--bound-trials", "1000"], capsys
+    )
+    assert code == code2 == 0
+    assert 0.0 < simulated["eps_hat"] == _strict_json(out)["eps_hat"] < 1.0
+    k = (1.0, 1.0, 1.0) if mode == "p2p" else shell_rn_constants(PowerPair(spec.p1, spec.p2))
+    th = default_thresholds(spec, *k)
+    want = [None if g == -math.inf else g for g in (th.log_gamma1, th.log_gamma2, th.log_gamma3)]
+    assert simulated["thresholds"] == want
+
+
 def _strict_json(text):
     """``json.loads`` that refuses NaN and +-Infinity, which RFC 8259 does not allow."""
 
@@ -373,34 +395,87 @@ def test_out_of_domain_powers_and_orders_exit_2(argv, named, capsys):
     assert "invalid arguments" in err and named in err
 
 
-#: each ``verify`` target's arguments inside its domain, then outside it
-_VERIFY_ARGS = {
-    "rn-p2p": (["--p", "2"], ["--p", "-1"]),
-    "rn-mac": (["--p1", "2", "--p2", "0.5"], ["--p1", "0", "--p2", "1"]),
-    "bessel": (["--k", "3", "--z", "40"], ["--k", "nan", "--z", "1"]),
-    "clt": (["--n", "64", "--trials", "2000"], ["--n", "8", "--trials", "2000"]),
-    "inner-product": (["--pairs", "2000"], ["--pairs", "1"]),
-    "confusion-scaling": (["--n-list", "100", "400", "--trials", "2000"], ["--n-list", "400"]),
-    "bounds": (
-        ["--mode", "mac-splitting", "--n", "30", "--m1", "2", "--m2", "2", "--p1-db", "0", "--p2-db", "0",
-         "--sim-trials", "1000", "--bound-trials", "1000"],
-        ["--mode", "mac-joint", "--n", "30", "--m1", "2", "--p1-db", "0"],  # a MAC with no second power
+#: each command's arguments inside its domain, then outside it; ``verify`` holds one pair per target.
+#: figure1 writes into the test's working directory
+_COMMAND_ARGS = {
+    "region": (
+        ["--kind", "joint", "--n", "500", "--eps", "1e-3", "--p1-db", "0", "--p2-db", "0", "--points", "8"],
+        ["--kind", "joint", "--n", "500", "--eps", "2.0", "--p1-db", "0", "--p2-db", "0", "--points", "8"],
+    ),
+    "p2p": (["--n", "500", "--eps", "1e-3", "--p-db", "0"], ["--n", "500", "--eps", "1e-3", "--p-db", "4000"]),
+    "simulate": (
+        ["mac", "--n", "30", "--m1", "2", "--m2", "2", "--p1-db", "0", "--p2-db", "0", "--trials", "1000"],
+        ["p2p", "--n", "20", "--m1", "4", "--p1-db", "nan", "--trials", "10"],
+    ),
+    "verify": {
+        "rn-p2p": (["--p", "2"], ["--p", "-1"]),
+        "rn-mac": (["--p1", "2", "--p2", "0.5"], ["--p1", "0", "--p2", "1"]),
+        "bessel": (["--k", "3", "--z", "40"], ["--k", "nan", "--z", "1"]),
+        "clt": (["--n", "64", "--trials", "2000"], ["--n", "8", "--trials", "2000"]),
+        "inner-product": (["--pairs", "2000"], ["--pairs", "1"]),
+        "confusion-scaling": (["--n-list", "100", "400", "--trials", "2000"], ["--n-list", "400"]),
+        "bounds": (
+            ["--mode", "mac-splitting", "--n", "30", "--m1", "2", "--m2", "2", "--p1-db", "0", "--p2-db", "0",
+             "--sim-trials", "1000", "--bound-trials", "1000"],
+            ["--mode", "mac-joint", "--n", "30", "--m1", "2", "--p1-db", "0"],  # a MAC with no second power
+        ),
+    },
+    "figure1": (
+        ["--points", "8", "--samples", "1024", "--out-dir", "bundle"],
+        ["--eps", "2.0", "--points", "8", "--samples", "1024", "--out-dir", "bundle"],
     ),
 }
 
 
-@pytest.mark.parametrize("target", list(VERIFY))
-def test_every_verify_target_exits_0_with_a_boolean_pass_or_2(target, capsys):
-    # a target added to the table without arguments here fails its own case
-    assert list(_VERIFY_ARGS) == list(VERIFY)
-    inside, outside = _VERIFY_ARGS[target]
-    for argv, want in ((inside, 0), (outside, 2)):
-        code, out, err = run_cli(["verify", target, *argv], capsys)  # an exception fails the test
-        assert code == want and "Traceback" not in err, (argv, err)
-        if code == 0:
-            assert isinstance(_strict_json(out)["pass"], bool) and _strict_json(out)["target"] == target
-        else:
-            assert out == "" and "invalid arguments" in err, argv
+def _csv_boundary(out, target):
+    lines = out.splitlines()
+    assert lines[0].startswith("# fbmac ") and json.loads(lines[1].removeprefix("# config: "))
+    assert lines[2] == "r1_nats,r2_nats"
+    points = np.array([[float(v) for v in row.split(",")] for row in lines[3:]])
+    assert points.shape == (8, 2) and np.isfinite(points).all()
+
+
+def _rate(out, target):
+    assert out == f"{float(out):.6f}\n" and math.isfinite(float(out))
+
+
+def _simulation(out, target):
+    assert 0.0 <= _strict_json(out)["eps_hat"] <= 1.0
+
+
+def _verdict(out, target):
+    payload = _strict_json(out)
+    assert isinstance(payload["pass"], bool) and payload["target"] == target
+
+
+def _bundle(out, target):
+    assert out == "" and sorted(os.listdir("bundle")) == sorted([*(f for f, _ in REGIONS.values()), "manifest.json"])
+
+
+#: the output form of each command's in-domain run
+_OUTPUT = {"region": _csv_boundary, "p2p": _rate, "simulate": _simulation, "verify": _verdict, "figure1": _bundle}
+
+
+#: every (command, verify target or None) pair that the parser builds
+_CASES = [
+    (name, target)
+    for name, (_, options, _) in COMMANDS.items()
+    for target in (options if isinstance(options, dict) else [None])
+]
+
+
+@pytest.mark.parametrize("command, target", _CASES, ids=["-".join(filter(None, case)) for case in _CASES])
+def test_every_command_exits_0_with_its_output_or_2(command, target, capsys, tmp_path, monkeypatch):
+    # a command or verify target added to the table without arguments here fails its own case
+    monkeypatch.chdir(tmp_path)
+    inside, outside = _COMMAND_ARGS[command][target] if target else _COMMAND_ARGS[command]
+    prefix = [command, target] if target else [command]
+    code, out, err = run_cli([*prefix, *outside], capsys)  # an exception fails the test
+    assert (code, out) == (2, "") and "invalid arguments" in err and "Traceback" not in err, (outside, err)
+    assert not any(tmp_path.iterdir()), outside  # a refused run writes no file either
+    code, out, err = run_cli([*prefix, *inside], capsys)
+    assert code == 0 and "Traceback" not in err, (inside, err)
+    _OUTPUT[command](out, target)
 
 
 def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
@@ -440,11 +515,13 @@ def test_usage_errors_exit_2(capsys, monkeypatch, tmp_path):
     point = ["--n", "500", "--eps", "1e-3", "--p1-db", "0", "--p2-db", "0", "--points", "8"]
     mac = ["simulate", "mac", "--n", "20", "--m1", "4", "--m2", "4", "--p1-db", "0", "--p2-db", "0"]
     mac += ["--trials", "10"]
+    # the threshold constants are not options: simulate takes them from simlink.link, as verify bounds does
+    assert run_cli(mac, capsys)[0] == 0
+    code, out, err = run_cli(mac + ["--k3", "1"], capsys)
+    assert (code, out) == (2, "") and "unrecognized arguments: --k3 1" in err
     refused = [
         ["simulate", "p2p", "--n", "20", "--m1", "4", "--p1-db", "nan", "--trials", "10"],
         ["simulate", "p2p", "--n", "20", "--m1", "4", "--p1-db", "inf", "--trials", "10"],
-        mac + ["--k3", "nan"],
-        mac + ["--k1", "inf"],
         ["region", "--kind", "gallager", *point, "--gallager-a", "nan"],
         ["region", "--kind", "gallager", *point, "--gallager-a", "inf"],
         ["verify", "rn-p2p", "--p", "nan"],
