@@ -61,7 +61,7 @@ from .shellmc import (
     verify_rn_mac,
     verify_rn_p2p,
 )
-from .simlink import link, verify_bounds
+from .simlink import link, simulate_mac, verify_bounds
 
 _SEED = ("--seed", int, None)
 
@@ -246,8 +246,8 @@ def _cmd_p2p(args) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = _resolved_seed(args)
-    spec, th, simulate = link(args.mode, args.n, args.m1, args.m2, args.p1_db, args.p2_db, seed)
-    res = simulate(spec, th, args.trials)
+    spec, th = link(args.mode, args.n, args.m1, args.m2, args.p1_db, args.p2_db, seed)
+    res = simulate_mac(spec, th, args.trials)
     _emit_json(
         {
             "command": "simulate",

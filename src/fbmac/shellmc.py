@@ -118,10 +118,11 @@ def _p2p_stats_reduced(n: int, p: float, m: int, rng: np.random.Generator):
     return g * g + h, math.sqrt(n * p) * g
 
 
-def _stream(trials, seed, draw, reduce):
-    """Chunked draws: ``draw(m, rng)`` per chunk, reduced as drawn into a list, or with
-    ``reduce=None`` joined into one array along the last axis."""
-    sizes = chunk_sizes(trials, _CHUNK)  # refuses an over-budget run before anything is drawn
+def _stream(trials, seed, draw, reduce, chunk: int = _CHUNK):
+    """Chunked draws: ``draw(m, rng)`` per chunk of up to ``chunk``, chunk i on the substream
+    (seed, i), reduced as drawn into a list, or with ``reduce=None`` joined into one array
+    along the last axis."""
+    sizes = chunk_sizes(trials, chunk)  # refuses an over-budget run before anything is drawn
 
     def run(item):
         idx, m = item
@@ -146,12 +147,23 @@ def p2p_density_samples(n: int, p: float, trials: int, seed=0, reduce=None):
     return _stream(trials, seed, draw, reduce)
 
 
+def _inner_scale(n: int, p1: float, p2: float) -> float:
+    """n sqrt(p1 p2), the largest |<x1, x2>| of shell inputs, or DomainError where it overflows; sqrt(p1) sqrt(p2)
+    once p1 p2 overflows (about 1541 dB each), as :func:`fbmac.core.dispersion` falls back, so smaller powers keep
+    their bits."""
+    root = math.sqrt(p1 * p2) if math.isfinite(p1 * p2) else math.sqrt(p1) * math.sqrt(p2)
+    if not math.isfinite(n * root):
+        raise DomainError(f"p1 = {p1!r}, p2 = {p2!r} are too large: n sqrt(p1 p2) overflows at n = {n}")
+    return n * root
+
+
 def _mac_stats_reduced(n: int, p1: float, p2: float, m: int, rng: np.random.Generator):
     """Joint law of (||z||^2, <x1,z>, <x2,z>, <x1,x2>); exact in distribution.
 
     Coordinates: g2 = component of w2 along w1, h2 = squared residual norm;
     z1, z2 = noise components along w1 and the w2 residual, hz the rest.
     """
+    scale = _inner_scale(n, p1, p2)
     g2 = rng.standard_normal(m)
     h2 = rng.chisquare(n - 1, m)
     z1 = rng.standard_normal(m)
@@ -161,7 +173,7 @@ def _mac_stats_reduced(n: int, p1: float, p2: float, m: int, rng: np.random.Gene
     zsq = z1 * z1 + z2 * z2 + hz
     x1z = math.sqrt(n * p1) * z1
     x2z = math.sqrt(n * p2) * (g2 * z1 + np.sqrt(h2) * z2) / w2norm
-    x12 = n * math.sqrt(p1 * p2) * g2 / w2norm
+    x12 = scale * g2 / w2norm
     return zsq, x1z, x2z, x12
 
 
@@ -170,6 +182,7 @@ def mac_density_samples(n: int, pp: PowerPair, trials: int, seed=0, reduce=None)
     as in :func:`p2p_density_samples`, applied to (3, m) chunks."""
     if n < 3:
         raise DomainError("need n >= 3")
+    _inner_scale(n, pp.p1, pp.p2)  # refused before anything is drawn
 
     def draw(m, rng):
         return np.stack(_mac_densities(n, pp.p1, pp.p2, *_mac_stats_reduced(n, pp.p1, pp.p2, m, rng)))
@@ -589,11 +602,12 @@ def sum_inner_product_samples(n: int, pp: PowerPair, trials: int, seed=0, reduce
     """Draws of ||x1 + x2||^2 / n for independent shell inputs; ``reduce`` as in :func:`p2p_density_samples`."""
     if n < 2:
         raise DomainError("need n >= 2")
+    scale = _inner_scale(n, pp.p1, pp.p2)
 
     def draw(m, rng):
         g2 = rng.standard_normal(m)
         h2 = rng.chisquare(n - 1, m)
-        x12 = n * math.sqrt(pp.p1 * pp.p2) * g2 / np.sqrt(g2 * g2 + h2)
+        x12 = scale * g2 / np.sqrt(g2 * g2 + h2)
         return pp.p1 + pp.p2 + 2.0 * x12 / n
 
     return _stream(trials, seed, draw, reduce)

@@ -44,6 +44,8 @@ def test_codebook_spec_validation():
         CodebookSpec(n=10, m1=2, p1=-1.0)
     with pytest.raises(DomainError):
         CodebookSpec(n=10, m1=2, m2=2, p1=1.0, p2=0.0)
+    with pytest.raises(DomainError):  # the p2p simulator draws the one codeword of user 2 on this shell
+        CodebookSpec(n=10, m1=2, m2=1, p1=1.0, p2=-1.0)
 
 
 def test_default_thresholds():
@@ -90,7 +92,7 @@ def test_simulate_p2p_first_typical_rule():
 def test_simulators_and_bound_estimators_draw_disjoint_substreams(monkeypatch):
     # verify bounds compares a simulation with a bound estimate at one seed, within a margin
     # 2 hypot(se_sim, se_bound) that holds only for independent estimates: no substream may feed both
-    from fbmac import _rng, shellmc, simlink
+    from fbmac import _rng, shellmc
 
     paths, owner = {"sim": set(), "bound": set()}, []
 
@@ -98,8 +100,7 @@ def test_simulators_and_bound_estimators_draw_disjoint_substreams(monkeypatch):
         paths[owner[-1]].add(_rng.seed_path(seed) + path)
         return _rng.substream(seed, *path)
 
-    monkeypatch.setattr(simlink, "substream", recording)
-    monkeypatch.setattr(shellmc, "substream", recording)
+    monkeypatch.setattr(shellmc, "substream", recording)  # the simulator and the bounds both draw through shellmc
     p2p = CodebookSpec(n=20, m1=4, p1=1.0, seed=7)
     mac = CodebookSpec(n=20, m1=4, m2=4, p1=1.0, p2=1.0, seed=7)
     trials = 3 * (1 << 16)  # three chunks of draws for the bounds, more for the simulators
@@ -304,13 +305,13 @@ def test_simulate_p2p_memory_does_not_grow_with_n(monkeypatch):
 
 def test_sim_chunk_budget():
     # the budget is computed, never allocated: a trial holds k x min(n, k)
-    # Bartlett rows plus the (m1, m2) pair arrays (point-to-point: m dots)
+    # Bartlett rows plus the (m1, m2) pair arrays (point-to-point: m2 = 1)
     from fbmac.simlink import _SIM_BUDGET, _sim_chunk
 
-    assert _sim_chunk(100, 8) == _SIM_BUDGET // (9 * 9 + 8)
+    assert _sim_chunk(100, 8, 1) == _SIM_BUDGET // (10 * 10 + 8)
     assert _sim_chunk(100, 8, 8) == _SIM_BUDGET // (17 * 17 + 64)
     assert _sim_chunk(5, 8, 8) == _SIM_BUDGET // (17 * 5 + 64)
-    assert _sim_chunk(10**9, 8) == _sim_chunk(9, 8)  # no growth with n beyond k
+    assert _sim_chunk(10**9, 8, 1) == _sim_chunk(10, 8, 1)  # no growth with n beyond k
     # one trial exactly at the budget: (m + 1)^2 = k + m^2 scalars at n = 1
     m = math.isqrt(_SIM_BUDGET) - 1
     assert (m + 1) ** 2 == _SIM_BUDGET
@@ -323,8 +324,8 @@ def test_sim_chunk_budget():
     # k x min(n, k) rows alone over the budget
     k = math.isqrt(_SIM_BUDGET) + 1
     with pytest.raises(DomainError):
-        _sim_chunk(10**6, k - 1)
-    assert _sim_chunk(_SIM_BUDGET // k - 1, k - 1) >= 1  # fewer coordinates fit
+        _sim_chunk(10**6, k - 2, 1)
+    assert _sim_chunk(_SIM_BUDGET // k - 1, k - 2, 1) >= 1  # fewer coordinates fit
 
 
 def test_simulate_over_budget_exits_2(monkeypatch, capsys):
@@ -440,14 +441,15 @@ def _replay_rows(seed, trials, n, shells):
 
 
 def test_simulate_p2p_matches_loop_reference():
-    # replay the simulator's chunk stream and decode with explicit formulas in R^d
+    # replay the simulator's chunk stream and decode with explicit formulas in R^d: point-to-point is the
+    # MAC whose second user sends one known codeword on the zero shell, the row before the noise
     n, m, p, trials, seed = 12, 5, 1.3, 400, 77
     spec = CodebookSpec(n=n, m1=m, p1=p, seed=seed)
     th = Thresholds(math.log(1.5))
     res = simulate_p2p(spec, th, trials)
 
-    rng, rows = _replay_rows(seed, trials, n, [p] * m)
-    x, z = rows[:, :m], rows[:, m]
+    rng, rows = _replay_rows(seed, trials, n, [p] * m + [0.0])
+    x, z = rows[:, :m], rows[:, -1]
     msg = rng.integers(0, m, trials)
     errors = 0
     for t in range(trials):
@@ -467,11 +469,13 @@ def test_simulate_p2p_matches_loop_reference():
     assert res.errors == errors
 
 
-@pytest.mark.parametrize("db", [200.0, 300.0])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("db", [200.0, 300.0, 1560.0])
 def test_simulators_decode_without_error_at_high_snr(db, capsys):
     # ||y - x||^2 expanded as ||y||^2 - 2 <y, x> + n p lost the noise's norm to rounding once n p >> n: the
     # sent codeword failed its own test from about 165 dB at n = 100 (eps_hat 0.349 in p2p and 0.483 in the
-    # 8 x 8 MAC at 200 dB), and ``verify bounds`` failed
+    # 8 x 8 MAC at 200 dB), and ``verify bounds`` failed.  From about 1530 dB a wrong codeword's
+    # p (n - ||r||^2) overflows to -inf, which fails its test as it should, but warned from numpy
     from fbmac.cli import main
 
     p = 10.0 ** (db / 10.0)
@@ -484,6 +488,45 @@ def test_simulators_decode_without_error_at_high_snr(db, capsys):
         link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", str(db), "--p2-db", str(db)]
         assert main(["verify", "bounds", "--mode", mode, *link]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("n, m, p", [(100, 8, 0.2), (60, 4, 0.1), (40, 16, 0.5)])
+def test_simulate_p2p_within_exact_bound(n, m, p):
+    # the one-codeword MAC carries the p2p error law: it reads at most the exact p2p bound, outage plus
+    # (M-1)/2 times the reference tail, both 1-D integrals that use no library code
+    spec = CodebookSpec(n=n, m1=m, p1=p, seed=12)
+    th = default_thresholds(spec, 1.0, 1.0, 1.0)
+    exact = exact_outage_p2p(n, p, th.log_gamma1) + (m - 1) / 2.0 * exact_confusion_p2p(n, p, th.log_gamma1)
+    sim = simulate_p2p(spec, th, 20_000)
+    assert 0.02 < sim.eps_hat <= exact + 2.0 * math.sqrt(sim.eps_hat * (1 - sim.eps_hat) / sim.trials)
+
+
+@pytest.mark.parametrize("db", [1545.0, 1560.0])
+def test_mac_bound_joint_outage_past_the_power_product_overflow(db):
+    # math.sqrt(p1 * p2) overflowed from about 1541 dB for each user: <x1, x2> turned +-inf, and the joint
+    # outage read 0.49895 at 1545 and 1560 dB (n = 100, 8 x 8, seed 0), against 0.0 at 1540 dB
+    from fbmac.shellmc import sum_inner_product_samples
+
+    p = 10.0 ** (db / 10.0)
+    spec = CodebookSpec(n=100, m1=8, m2=8, p1=p, p2=p, seed=0)
+    th = default_thresholds(spec, *shell_rn_constants(PowerPair(p, p)))
+    assert mac_achievability_bound(spec, th, 20_000, mode="joint").outage < 1e-6
+    t = sum_inner_product_samples(100, PowerPair(p, p), 20_000)
+    assert np.all((0.0 < t) & (t < 4.0 * p))  # ||x1 + x2||^2 / n on its hollow sphere
+
+
+def test_inner_product_scale_overflow_is_refused(capsys):
+    from fbmac.cli import main
+    from fbmac.shellmc import mac_density_samples, sum_inner_product_samples
+
+    pp = PowerPair(1e307, 1e307)  # n sqrt(p1 p2) = 1e309 at n = 100
+    for sample in (mac_density_samples, sum_inner_product_samples):
+        with pytest.raises(DomainError, match="overflows"):
+            sample(100, pp, 2000)
+    link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", "3070", "--p2-db", "3070"]
+    assert main(["verify", "bounds", "--mode", "mac-joint", *link]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "overflows" in err
 
 
 def test_simulate_mac_matches_loop_reference():
