@@ -163,7 +163,7 @@ def _nesting_checks(curves: dict, n, eps, pp, opts: RegionOptions) -> dict:
         "tdma": tdma_ray(n, eps, pp, th),
         "iid": second_order_ray(n, eps, pp, th, "iid", opts.samples, opts.seed),
         "splitting": splitting_ray(n, eps, pp, th),
-        "joint": second_order_ray(n, eps, pp, th, "shell", opts.samples, opts.seed),
+        "joint": second_order_ray(n, eps, pp, th, "joint", opts.samples, opts.seed),
         "sumshell": second_order_ray(n, eps, pp, th, "sumshell", opts.samples, opts.seed),
     }
     slack = {

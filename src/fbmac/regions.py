@@ -8,11 +8,15 @@ dropped; negative rates clamp to zero.
 
 The region kinds are the keys of ``REGIONS`` at the end of this module, in
 figure1 file order; each maps to its figure1 CSV name and to a builder that
-calls the constructor below, whose docstring says what the region is.
+calls the constructor below, whose docstring says what the region is.  The six
+curved kinds (joint, iid, sumshell, splitting, gallager, tdma) are each a
+batched map from ray angles to radii, which ``_curve`` turns into a boundary;
+at equal powers it solves the rays up to pi/4 only and mirrors the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,7 +56,8 @@ class RegionBoundary:
 
     #: monotone-repair budget; covers root-finder jitter plus the residual
     #: lattice error of the quantile-set rays, far below the 1e-3
-    #: resolution the boundaries are consumed at
+    #: resolution the boundaries are consumed at.  At equal powers every
+    #: curved kind is mirrored after this repair, so it ships exactly symmetric
     _REPAIR_TOL = 5e-4
 
     def __post_init__(self) -> None:
@@ -110,10 +115,25 @@ def ray_angles(num_points: int) -> np.ndarray:
     return (np.arange(num_points) + 0.5) / num_points * (math.pi / 2.0)
 
 
-def _ray_points(radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Boundary points in r1-ascending order (descending angle)."""
-    pts = np.stack([radii * np.cos(thetas), radii * np.sin(thetas)], axis=1)
-    return np.maximum(pts[::-1], 0.0)
+def _curve(kind: str, params: dict, num_points: int, radii, empty_at_origin: bool = False) -> RegionBoundary:
+    """Region ``kind`` from its batched ray map ``radii(thetas)``: the one constructor of every curved kind.
+
+    At equal powers the users swap places and the region stays the same, so the radius at theta is the
+    radius at pi/2 - theta: only the rays up to pi/4 are solved (at the figure point the lattice falls
+    less far below the union-bound radius there), and the curve is mirrored after the monotone repair,
+    which raises r1 and lowers r2, so that it ships exactly symmetric.  With ``empty_at_origin`` a curve
+    whose every radius is 0 (the origin already fails) is the empty boundary.
+    """
+    mirror = params["p1"] == params["p2"]
+    thetas = ray_angles(num_points)[: (num_points + 1) // 2 if mirror else None]
+    r = radii(thetas)
+    pts = np.maximum(np.stack([r * np.cos(thetas), r * np.sin(thetas)], axis=1)[::-1], 0.0)  # r1 ascending
+    rb = RegionBoundary(kind, params, pts, empty=empty_at_origin and not r.any())
+    if mirror:  # ray N-1-k is ray k with r1 and r2 swapped; an odd count's pi/4 ray is its own mirror,
+        # where cos and sin differ by an ulp: it takes the smaller of its two rates for both
+        pts = np.concatenate([rb.points[num_points % 2 :][::-1, ::-1], rb.points])
+        rb = RegionBoundary(kind, params, np.minimum(pts, pts[::-1, ::-1]), empty=rb.empty)
+    return rb
 
 
 def _normal_rate(c, v, n: int, penalty):
@@ -133,13 +153,13 @@ def p2p_second_order_rate(n: int, eps: float, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# trivariate quantile-set regions (shell / iid / sumshell)
+# trivariate quantile-set regions (joint / iid / sumshell)
 # ---------------------------------------------------------------------------
 
 
 def _quantile_region_setup(kind: str, pp: PowerPair, delta: float):
-    """(capacity vector, covariance) of the quantile set that ray ``kind`` is solved against."""
-    if kind == "shell":
+    """(capacity vector, covariance) of the quantile set of region ``kind``."""
+    if kind == "joint":
         return capacity_vector(pp), dispersion_matrix_shell(pp)
     if kind == "sumshell":
         return capacity_vector(pp), dispersion_matrix_sumshell(pp)
@@ -171,7 +191,7 @@ def second_order_ray(
     eps: float,
     pp: PowerPair,
     theta: float,
-    kind: str = "shell",
+    kind: str = "joint",
     samples: int = 1 << 12,
     seed=0,
     delta: float = 0.0,
@@ -193,49 +213,26 @@ def second_order_ray(
     return boundary_scale(eps, sigma, direction, math.sqrt(n) * cvec, start, samples, seed)
 
 
-def _quantile_boundary(
-    name: str, kind: str, n, eps, pp, num_points, samples, seed, delta=0.0, extra_params=None
-) -> RegionBoundary:
-    """Region ``name``: :func:`second_order_ray` of ray ``kind`` at every angle, one seed for all.
-
-    At equal powers the users swap places and the set stays the same, so the radius at theta is the
-    radius at pi/2 - theta: only the rays up to pi/4 are solved (at the figure point the lattice falls
-    less far below the union-bound radius there), and the curve is mirrored after the monotone repair,
-    which raises r1 and lowers r2, so that it ships exactly symmetric.
-    """
-    mirror = pp.p1 == pp.p2
-    thetas = ray_angles(num_points)[: (num_points + 1) // 2 if mirror else None]
-    radii = np.array(thread_map(lambda t: second_order_ray(n, eps, pp, t, kind, samples, seed, delta), thetas))
-    params = {
-        "n": n,
-        "eps": eps,
-        "p1": pp.p1,
-        "p2": pp.p2,
-        "samples": samples,
-        "seed": seed,
-    }
-    if extra_params:
-        params.update(extra_params)
-    rb = RegionBoundary(name, params, _ray_points(radii, thetas))
-    if mirror:  # ray N-1-k is ray k with r1 and r2 swapped; an odd count's pi/4 ray is its own mirror
-        rb = RegionBoundary(name, params, np.concatenate([rb.points[num_points % 2 :][::-1, ::-1], rb.points]))
-    return rb
+def _quantile_curve(kind, n, eps, pp, num_points, samples, seed, **extra) -> RegionBoundary:
+    """Region ``kind``: :func:`second_order_ray` at every angle, one seed for all, at ``extra``'s back-off delta."""
+    params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2, "samples": samples, "seed": seed, **extra}
+    ray = functools.partial(second_order_ray, n, eps, pp, kind=kind, samples=samples, seed=seed,
+                            delta=extra.get("delta", 0.0))
+    return _curve(kind, params, num_points, lambda thetas: np.array(thread_map(ray, thetas)))
 
 
 def joint_outage_boundary(
     n: int, eps: float, pp: PowerPair, num_points: int = 256, samples: int = 1 << 12, seed=0
 ) -> RegionBoundary:
     """Power-shell joint-outage region boundary."""
-    return _quantile_boundary("joint", "shell", n, eps, pp, num_points, samples, seed)
+    return _quantile_curve("joint", n, eps, pp, num_points, samples, seed)
 
 
 def sumshell_hypothetical_boundary(
     n: int, eps: float, pp: PowerPair, num_points: int = 256, samples: int = 1 << 12, seed=0
 ) -> RegionBoundary:
     """Hypothetical sum-power-shell region; conjectured outer bound."""
-    return _quantile_boundary(
-        "sumshell", "sumshell", n, eps, pp, num_points, samples, seed, extra_params={"conjectured_outer": True}
-    )
+    return _quantile_curve("sumshell", n, eps, pp, num_points, samples, seed, conjectured_outer=True)
 
 
 def iid_gaussian_boundary(
@@ -249,10 +246,7 @@ def iid_gaussian_boundary(
 ) -> RegionBoundary:
     """i.i.d.-Gaussian-input region boundary at backed-off powers."""
     _require_operating_point(n, eps)
-    delta = resolve_delta(delta_rule, n)
-    return _quantile_boundary(
-        "iid", "iid", n, eps, pp, num_points, samples, seed, delta=delta, extra_params={"delta": delta}
-    )
+    return _quantile_curve("iid", n, eps, pp, num_points, samples, seed, delta=resolve_delta(delta_rule, n))
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +315,12 @@ def union_bound_radius(cvec, vdiag, n: int, eps: float, thetas) -> np.ndarray:
 
 def _splitting_radius(n: int, eps: float, pp: PowerPair, thetas) -> np.ndarray:
     _require_operating_point(n, eps)
-    cvec, sigma = _quantile_region_setup("shell", pp, 0.0)
+    cvec, sigma = _quantile_region_setup("joint", pp, 0.0)
     return union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)
 
 
 def splitting_ray(n: int, eps: float, pp: PowerPair, theta: float) -> float:
-    """Ray radius of the outage-splitting region: the union-bound radius of the shell setup."""
+    """Ray radius of the outage-splitting region: the union-bound radius of the joint setup."""
     return float(_splitting_radius(n, eps, pp, theta))
 
 
@@ -339,10 +333,8 @@ def outage_splitting_boundary(
 ) -> RegionBoundary:
     """Union over the weight simplex of three scalar-quantile constraints, solved exactly on each ray."""
     # lambda_grid_resolution is accepted for old callers and ignored: no weight grid is sampled
-    thetas = ray_angles(num_points)
-    radii = _splitting_radius(n, eps, pp, thetas)
     params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2}
-    return RegionBoundary("splitting", params, _ray_points(radii, thetas))
+    return _curve("splitting", params, num_points, functools.partial(_splitting_radius, n, eps, pp))
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +448,7 @@ def gallager_ray(gp: GallagerParams, pp: PowerPair, theta: float) -> float:
 def gallager_boundary(gp: GallagerParams, pp: PowerPair, num_points: int = 256) -> RegionBoundary:
     """Boundary of the rate pairs whose three-term exponent budget meets eps; empty if the origin is infeasible."""
     params = {"n": gp.n, "eps": gp.eps, "a": gp.a, "p1": pp.p1, "p2": pp.p2}
-    thetas = ray_angles(num_points)
-    radii = _gallager_radii(gp, pp, thetas)
-    return RegionBoundary("gallager", params, _ray_points(radii, thetas), empty=not radii.any())
+    return _curve("gallager", params, num_points, functools.partial(_gallager_radii, gp, pp), empty_at_origin=True)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +530,8 @@ def tdma_ray(n: int, eps: float, pp: PowerPair, theta: float) -> float:
 
 def tdma_boundary(n: int, eps: float, pp: PowerPair, num_points: int = 256) -> RegionBoundary:
     """Union over time shares and error splits of the TDMA rectangles, solved on each ray."""
-    thetas = ray_angles(num_points)
-    radii = _tdma_radii(n, eps, pp, thetas)
     params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2}
-    return RegionBoundary("tdma", params, _ray_points(radii, thetas))
+    return _curve("tdma", params, num_points, functools.partial(_tdma_radii, n, eps, pp))
 
 
 # ---------------------------------------------------------------------------

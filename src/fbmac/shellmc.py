@@ -93,7 +93,8 @@ class OutageEstimate:
 
 
 def _density(n, p, zsq, xz):
-    """n C(p) + [p (n - ||z||^2) + 2 <x, z>] / (2 (1 + p)): the one density formula."""
+    """n C(p) + [p (n - ||z||^2) + 2 <x, z>] / (2 (1 + p)): the density formula of the samplers; the link
+    simulator evaluates the same density in its likelihood-ratio form (see ``simlink``)."""
     return n * capacity(p) + (p * (n - zsq) + 2.0 * xz) / (2.0 * (1.0 + p))
 
 
@@ -217,7 +218,8 @@ def _wilson_ci(k: int, n: int) -> tuple[float, float]:
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # at k = 0 (k = n) the low (high) end is 0 (1) exactly, which center -+ half misses by rounding
+    return (max(0.0, center - half) if k > 0 else 0.0), (min(1.0, center + half) if k < n else 1.0)
 
 
 def empirical_outage_p2p(n: int, p: float, log_threshold: float, trials: int, seed=0) -> OutageEstimate:

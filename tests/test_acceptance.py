@@ -86,7 +86,7 @@ def symmetric_rates():
         "tdma": tdma_ray(N_FIG, EPS_FIG, PP, th) * co,
         "iid": second_order_ray(N_FIG, EPS_FIG, PP, th, "iid", samples, (0, 1)) * co,
         "splitting": splitting_ray(N_FIG, EPS_FIG, PP, th) * co,
-        "joint": second_order_ray(N_FIG, EPS_FIG, PP, th, "shell", samples, (0, 2)) * co,
+        "joint": second_order_ray(N_FIG, EPS_FIG, PP, th, "joint", samples, (0, 2)) * co,
         "sumshell": second_order_ray(N_FIG, EPS_FIG, PP, th, "sumshell", samples, (0, 3)) * co,
     }
     b1, bs = _conjectured_bounds()

@@ -335,6 +335,25 @@ def test_simulate_is_the_simulation_half_of_verify_bounds(mode, capsys):
     assert simulated["thresholds"] == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("db, code", [(1560.0, 0), (3060.0, 2), (3070.0, 2)])
+def test_link_powers_past_the_double_range_exit_2(db, code, capsys):
+    # the decoder's largest squared residual, about 4 n (sqrt p1 + sqrt p2)^2, overflows: at 3070 dB the
+    # simulators read eps_hat 1.0 with overflow warnings and ``verify bounds`` an outage of 0.4535, at
+    # 3060 dB ``simulate p2p`` warned "invalid value", and every one of them exited 0
+    link = ["--n", "100", "--m1", "8", "--p1-db", str(db)]
+    mac = [*link, "--m2", "8", "--p2-db", str(db)]
+    for argv in (["simulate", "p2p", *link, "--trials", "2000"], ["simulate", "mac", *mac, "--trials", "2000"],
+                 ["verify", "bounds", "--mode", "p2p", *link, "--sim-trials", "2000", "--bound-trials", "1000"],
+                 ["verify", "bounds", "--mode", "mac-joint", *mac, "--sim-trials", "2000", "--bound-trials", "1000"]):
+        got, out, err = run_cli(argv, capsys)
+        assert got == code, argv
+        if code:
+            assert out == "" and "overflows" in err, argv
+        else:
+            assert _strict_json(out)["eps_hat"] == 0.0, argv
+
+
 def _strict_json(text):
     """``json.loads`` that refuses NaN and +-Infinity, which RFC 8259 does not allow."""
 

@@ -371,7 +371,7 @@ def _recorded_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
-@pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
+@pytest.mark.parametrize("kind", ["joint", "iid", "sumshell"])
 def test_boundary_scale_matches_scipy_brentq(kind, eps, monkeypatch):
     # the secant stops within 1e-7 nats of the root scipy's brentq finds at xtol 1e-14 on the same
     # lattice function, starting from the union-bound radius
@@ -446,14 +446,14 @@ def test_quantile_rays_take_at_most_three_lattice_evaluations(monkeypatch):
 
     seen, calls = _recorded_solves(monkeypatch)
     pp = PowerPair(1.0, 1.0)
-    for kind, ray_kind in (("iid", "iid"), ("joint", "shell"), ("sumshell", "sumshell")):
+    for kind in ("iid", "joint", "sumshell"):
         REGIONS[kind][1](500, 1e-3, pp, RegionOptions(points=64, seed=0))
-        second_order_ray(500, 1e-3, pp, math.pi / 4, ray_kind, 1 << 12, 0)
+        second_order_ray(500, 1e-3, pp, math.pi / 4, kind, 1 << 12, 0)
     assert len(seen) == 99
     assert len(calls) / len(seen) <= 3.0
 
 
-@pytest.mark.parametrize("kind", ["shell", "iid", "sumshell"])
+@pytest.mark.parametrize("kind", ["joint", "iid", "sumshell"])
 def test_quantile_bracket_is_a_theorem(kind, monkeypatch):
     # the union-bound radius (the three marginal outages add up to eps), where each ray's solve starts, is
     # inside the quantile set, and the single-constraint radius (one marginal outage eps) is not, by the
@@ -493,7 +493,7 @@ def test_quantile_ray_is_zero_where_a_marginal_fails_at_the_origin(monkeypatch):
     # at n=5 the p2p rate is 0, so the single-constraint radius is 0 and no solve is made
     seen, _ = _recorded_solves(monkeypatch)
     assert regions.p2p_second_order_rate(5, 1e-3, 1.0) == 0.0
-    for kind in ("shell", "iid", "sumshell"):
+    for kind in ("joint", "iid", "sumshell"):
         assert second_order_ray(5, 1e-3, PowerPair(1.0, 1.0), 0.8, kind) == 0.0
     assert seen == []
 

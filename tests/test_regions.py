@@ -108,7 +108,7 @@ def test_joint_region_contains_pentagon_corner_at_large_eps():
 
 def test_joint_region_axis_limit():
     theta = ray_angles(512)[0]  # nearly along the r1 axis
-    r = second_order_ray(theta=theta, pp=PP, kind="shell", samples=1 << 13, seed=0, **FIG1)
+    r = second_order_ray(theta=theta, pp=PP, kind="joint", samples=1 << 13, seed=0, **FIG1)
     r1 = r * math.cos(theta)
     assert r1 <= p2p_second_order_rate(FIG1["n"], FIG1["eps"], PP.p1) + 2e-3
 
@@ -117,7 +117,7 @@ def test_joint_symmetric_between_iid_and_sumshell():
     theta = math.pi / 4
     # holds at the reproduced-figure parameters and at a second design point
     for n, eps, pp in ((500, 1e-3, PP), (200, 0.05, PowerPair(4.0, 4.0))):
-        r_joint = second_order_ray(n, eps, pp, theta, "shell", 1 << 13, 0)
+        r_joint = second_order_ray(n, eps, pp, theta, "joint", 1 << 13, 0)
         r_iid = second_order_ray(n, eps, pp, theta, "iid", 1 << 13, 0)
         r_ss = second_order_ray(n, eps, pp, theta, "sumshell", 1 << 13, 0)
         assert r_iid < r_joint < r_ss
@@ -151,7 +151,7 @@ def test_asymmetric_power_orderings():
     for theta in ray_angles(8):
         kw = dict(n=n, eps=eps, pp=pp, theta=theta, samples=1 << 12, seed=11)
         r_iid = second_order_ray(kind="iid", **kw)
-        r_joint = second_order_ray(kind="shell", **kw)
+        r_joint = second_order_ray(kind="joint", **kw)
         r_ss = second_order_ray(kind="sumshell", **kw)
         r_split = splitting_ray(n, eps, pp, theta)
         assert r_iid <= r_joint + 1e-4
@@ -165,14 +165,14 @@ def test_joint_converges_to_pentagon():
     n = 10**8
     cv = capacity_vector(PP)
     for theta in ray_angles(8):
-        r = second_order_ray(n, 1e-3, PP, theta, "shell", samples=1 << 12, seed=1)
+        r = second_order_ray(n, 1e-3, PP, theta, "joint", samples=1 << 12, seed=1)
         assert abs(r - pentagon_ray(theta, *cv)) < 1e-3
 
 
 def test_doubling_eps_enlarges_regions():
     for theta in ray_angles(8):
-        a = second_order_ray(500, 1e-3, PP, theta, "shell", samples=1 << 12, seed=2)
-        b = second_order_ray(500, 2e-3, PP, theta, "shell", samples=1 << 12, seed=2)
+        a = second_order_ray(500, 1e-3, PP, theta, "joint", samples=1 << 12, seed=2)
+        b = second_order_ray(500, 2e-3, PP, theta, "joint", samples=1 << 12, seed=2)
         assert b >= a - 1e-6
         assert splitting_ray(500, 2e-3, PP, theta) >= splitting_ray(500, 1e-3, PP, theta) - 1e-12
 
@@ -197,8 +197,8 @@ def test_quantile_boundary_memory_bounded(boundary, threads, monkeypatch):
     assert peak < 8 << 20
 
 
-@pytest.mark.parametrize("kind, ray_kind", [("joint", "shell"), ("iid", "iid"), ("sumshell", "sumshell")])
-def test_curve_rays_are_second_order_rays(kind, ray_kind):
+@pytest.mark.parametrize("kind", ["joint", "iid", "sumshell"])
+def test_curve_rays_are_second_order_rays(kind):
     # a curve solves each ray as second_order_ray does at the curve's seed, as the figure1 symmetric
     # nesting rays do at the run's seed: same lattice, bracket and root.  At these unequal powers
     # every ray is solved; at equal powers the rays above pi/4 would be mirrored instead
@@ -206,18 +206,22 @@ def test_curve_rays_are_second_order_rays(kind, ray_kind):
     rb = REGIONS[kind][1](n, eps, pp, RegionOptions(points=8, seed=3, delta_rule="n^-1/4"))
     thetas = ray_angles(8)
     j = 2
-    r = second_order_ray(n, eps, pp, thetas[j], ray_kind, 1 << 12, 3, rb.params.get("delta", 0.0))
+    r = second_order_ray(n, eps, pp, thetas[j], kind, 1 << 12, 3, rb.params.get("delta", 0.0))
     # the curve lists its points in r1-ascending order, that is by descending angle
     assert rb.points[-1 - j].tolist() == [r * np.cos(thetas)[j], r * np.sin(thetas)[j]]
 
 
+CURVED = ("joint", "iid", "sumshell", "splitting", "gallager", "tdma")
+
+
 @pytest.mark.parametrize("num_points", [63, 64])
 def test_equal_power_curves_are_mirror_symmetric(num_points):
-    # swapping equal-power users maps the ray at theta to the one at pi/2 - theta
-    for kind in ("joint", "iid", "sumshell"):
+    # swapping equal-power users maps the ray at theta to the one at pi/2 - theta, and the point
+    # (r1, r2) to (r2, r1): every curved kind ships exactly symmetric
+    for kind in CURVED:
         rb = REGIONS[kind][1](500, 1e-3, PP, RegionOptions(points=num_points, seed=0))
-        radii = np.hypot(*rb.points[::-1].T)
-        assert np.abs(radii - radii[::-1]).max() <= 1e-15, kind
+        assert rb.points.shape == (num_points, 2), kind
+        assert np.array_equal(rb.points, rb.points[::-1, ::-1]), kind
 
 
 @pytest.mark.parametrize("num_points", [8, 9])
@@ -225,7 +229,10 @@ def test_equal_powers_solve_the_rays_up_to_pi_over_4(num_points, monkeypatch):
     calls = []
     solve = regions.boundary_scale
     monkeypatch.setattr(regions, "boundary_scale", lambda *a: calls.append(1) or solve(*a))
-    for kind in ("joint", "iid", "sumshell"):
+    for name in ("_splitting_radius", "_gallager_radii", "_tdma_radii"):  # the batched ray maps: count their rays
+        radii = getattr(regions, name)
+        monkeypatch.setattr(regions, name, lambda *a, radii=radii: calls.extend(a[-1]) or radii(*a))
+    for kind in CURVED:
         for pp, solved in ((PP, (num_points + 1) // 2), (PowerPair(2.0, 1.0), num_points)):
             calls.clear()
             REGIONS[kind][1](500, 1e-3, pp, RegionOptions(points=num_points, seed=0))
@@ -237,9 +244,9 @@ def test_equal_power_curves_stay_near_the_union_bound_radius():
     # figure point the rays below pi/4 fall at most 1.05e-4 (joint) and 1.17e-4 nats (iid) short of the
     # union-bound radius; solving the rays above pi/4 too let them fall 2.30e-4 and 3.13e-4 short
     thetas = ray_angles(64)
-    for kind, ray_kind in (("joint", "shell"), ("iid", "iid")):
+    for kind in ("joint", "iid"):
         rb = REGIONS[kind][1](500, 1e-3, PP, RegionOptions(points=64, seed=0))
-        cvec, sigma = regions._quantile_region_setup(ray_kind, PP, 0.0)
+        cvec, sigma = regions._quantile_region_setup(kind, PP, 0.0)
         u = union_bound_radius(cvec, np.diag(sigma), 500, 1e-3, thetas)
         assert (u - np.hypot(*rb.points[::-1].T)).max() <= 1.5e-4, kind
 
@@ -275,7 +282,7 @@ def test_splitting_contained_in_joint():
 )
 def test_joint_contains_splitting_at_eps_1e9():
     theta = math.pi / 4
-    assert second_order_ray(500, 1e-9, PP, theta, "shell") >= splitting_ray(500, 1e-9, PP, theta)
+    assert second_order_ray(500, 1e-9, PP, theta, "joint") >= splitting_ray(500, 1e-9, PP, theta)
 
 
 def test_splitting_resolution_validation():
@@ -354,7 +361,7 @@ def test_iid_axis_penalty_larger_than_shell():
     # variance 0.5 vs 0.375 on the first coordinate means a larger axis penalty
     theta = ray_angles(256)[0]
     r_iid = second_order_ray(theta=theta, pp=PP, kind="iid", samples=1 << 12, seed=4, **FIG1)
-    r_shell = second_order_ray(theta=theta, pp=PP, kind="shell", samples=1 << 12, seed=4, **FIG1)
+    r_shell = second_order_ray(theta=theta, pp=PP, kind="joint", samples=1 << 12, seed=4, **FIG1)
     assert r_iid < r_shell
 
 
@@ -528,7 +535,7 @@ def test_gallager_region_shrinks_with_larger_a():
 def test_gallager_inside_joint_region():
     theta = math.pi / 4
     r_gal = gallager_ray(GallagerParams(1.0, 500, 1e-3), PP, theta)
-    r_joint = second_order_ray(theta=theta, pp=PP, kind="shell", samples=1 << 13, seed=6, **FIG1)
+    r_joint = second_order_ray(theta=theta, pp=PP, kind="joint", samples=1 << 13, seed=6, **FIG1)
     assert r_gal < r_joint
 
 
@@ -664,7 +671,7 @@ def test_tdma_curve_holds_up_to_the_power_limit():
 def test_tdma_below_joint_sum_rate():
     rb = tdma_boundary(pp=PP, **FIG1)
     best_sum = float((rb.points[:, 0] + rb.points[:, 1]).max())
-    r_joint = second_order_ray(theta=math.pi / 4, pp=PP, kind="shell", samples=1 << 13, seed=7, **FIG1)
+    r_joint = second_order_ray(theta=math.pi / 4, pp=PP, kind="joint", samples=1 << 13, seed=7, **FIG1)
     assert best_sum < r_joint * math.sqrt(2.0)
     # the ray view agrees with the envelope view at the symmetric angle
     assert tdma_ray(theta=math.pi / 4, pp=PP, **FIG1) * math.sqrt(2.0) == pytest.approx(

@@ -21,6 +21,7 @@ from fbmac.shellmc import (
     _log_sin_sq,
     _mac_densities,
     _phi,
+    _wilson_ci,
     ConfusionScalePoint,
     KsReport,
     clt_function_check,
@@ -922,3 +923,14 @@ def test_inner_product_variance_ratio_keeps_chunk_moments(threads, monkeypatch):
     assert peak < 8 << 20
     inner = (sum_inner_product_samples(n, pp, pairs, 3) - pp.p1 - pp.p2) * n / 2.0
     assert ratio == pytest.approx(inner.var(ddof=1) / (n * pp.p1 * pp.p2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 2000, 10**6, 10**9])
+def test_wilson_interval_ends_exactly_at_0_and_1(n):
+    # center -+ half missed the ends by rounding: (0, 100) read a low end of 3.5e-18 and (2000, 2000) a high
+    # end of 0.9999999999999998, which ``fbmac simulate`` printed in ci95
+    assert _wilson_ci(0, n)[0] == 0.0 < _wilson_ci(0, n)[1]
+    assert _wilson_ci(n, n)[0] < 1.0 == _wilson_ci(n, n)[1]
+    for k in {1, n // 2, n - 1} - {0, n}:
+        lo, hi = _wilson_ci(k, n)
+        assert 0.0 < lo < k / n < hi < 1.0

@@ -469,23 +469,30 @@ def test_simulate_p2p_matches_loop_reference():
     assert res.errors == errors
 
 
+#: (p1, p2) in dB at which one power far exceeds the other
+_UNEQUAL_DB = [pytest.param(dbs, id=f"{dbs[0]}/{dbs[1]}") for dbs in ((400.0, 0.0), (0.0, 400.0), (1000.0, 0.0))]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("db", [200.0, 300.0, 1560.0])
+@pytest.mark.parametrize("db", [200.0, 300.0, 1560.0, *_UNEQUAL_DB])
 def test_simulators_decode_without_error_at_high_snr(db, capsys):
     # ||y - x||^2 expanded as ||y||^2 - 2 <y, x> + n p lost the noise's norm to rounding once n p >> n: the
     # sent codeword failed its own test from about 165 dB at n = 100 (eps_hat 0.349 in p2p and 0.483 in the
     # 8 x 8 MAC at 200 dB), and ``verify bounds`` failed.  From about 1530 dB a wrong codeword's
-    # p (n - ||r||^2) overflows to -inf, which fails its test as it should, but warned from numpy
+    # p (n - ||r||^2) overflowed to -inf, which failed its test as it should, but warned from numpy.  At unequal
+    # powers <x2, r> taken as <y, x2> - n p2 - <x1, x2> cancelled <s1, x2>, about sqrt(n p1 p2), down to rounding
+    # noise: the 8 x 8 MAC read 0.5557 at 400/0 dB, 0.4926 at 0/400 dB and 0.5536 at 1000/0 dB
     from fbmac.cli import main
 
-    p = 10.0 ** (db / 10.0)
-    p2p = CodebookSpec(n=100, m1=8, p1=p, seed=0)
-    mac = CodebookSpec(n=100, m1=8, m2=8, p1=p, p2=p, seed=0)
+    db1, db2 = db if isinstance(db, tuple) else (db, db)
+    p1, p2 = 10.0 ** (db1 / 10.0), 10.0 ** (db2 / 10.0)
+    p2p = CodebookSpec(n=100, m1=8, p1=p1, seed=0)
+    mac = CodebookSpec(n=100, m1=8, m2=8, p1=p1, p2=p2, seed=0)
     assert simulate_p2p(p2p, default_thresholds(p2p, 1.0, 1.0, 1.0), 20_000).eps_hat == 0.0
-    mac_th = default_thresholds(mac, *shell_rn_constants(PowerPair(p, p)))
+    mac_th = default_thresholds(mac, *shell_rn_constants(PowerPair(p1, p2)))
     assert simulate_mac(mac, mac_th, 20_000).eps_hat == 0.0
     for mode in ("p2p", "mac-joint"):
-        link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", str(db), "--p2-db", str(db)]
+        link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", str(db1), "--p2-db", str(db2)]
         assert main(["verify", "bounds", "--mode", mode, *link]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
