@@ -93,9 +93,14 @@ class OutageEstimate:
 
 
 def _density(n, p, zsq, xz):
-    """n C(p) + [p (n - ||z||^2) + 2 <x, z>] / (2 (1 + p)): the density formula of the samplers; the link
-    simulator evaluates the same density in its likelihood-ratio form (see ``simlink``)."""
+    """n C(p) + [p (n - ||z||^2) + 2 <x, z>] / (2 (1 + p)): the density formula of the samplers."""
     return n * capacity(p) + (p * (n - zsq) + 2.0 * xz) / (2.0 * (1.0 + p))
+
+
+def _ratio_density(n, p, other_sq, rsq):
+    """n C(p) + (||y - other||^2 / (1 + p) - ||r||^2) / 2, r = y - x: :func:`_density` in its likelihood-ratio
+    form, the same quantity, as the link simulator reads it."""
+    return n * capacity(p) + (other_sq / (1.0 + p) - rsq) / 2.0
 
 
 def _mac_densities(n, p1, p2, zsq, x1z, x2z, x12):

@@ -3,22 +3,19 @@
 Each trial draws a fresh codebook (the quantity being estimated is the
 ensemble-average error probability), a uniform message, and Gaussian noise.
 The one decoder accepts the lexicographically first codeword pair whose three
-``shellmc`` densities exceed their thresholds, in their likelihood-ratio form
-n C(p) + (||y - other||^2 / (1 + p) - ||r||^2) / 2, with r = y - x1 - x2 the
-pair's residual and other the other user's codeword (0 for the sum).  Every
-squared norm is summed from codeword differences, exactly 0 at the sent pair:
-||y||^2 - 2 <y, x> + n p loses the noise's norm to rounding once n p >> n
-(from about 165 dB at n = 100), and <x2, r> as <y, x2> - n p2 - <x1, x2>
-cancels <s1, x2>, about sqrt(n p1 p2), to rounding noise once one power far
-exceeds the other (the 8 x 8 MAC read 0.56 at 400/0 dB).  ``CodebookSpec``
-refuses the powers at which a wrong pair's ||r||^2, up to about
-4 n (sqrt p1 + sqrt p2)^2, overflows (from about 3057 dB at n = 100).
-Point-to-point is the MAC whose second user sends one known codeword on the
-zero shell (m2 = 1, p2 = 0): its difference is exactly 0, i2 = 0 and i3 = i1
-meet their -inf thresholds, and user 1's decision is the point-to-point rule
-on the same residual (n = 100, M = 8: 47 ms per 20 000 trials on one core,
-the 8 x 8 MAC 128 ms).  The Wilson interval ends at exactly 0 (1) when no
-(every) trial fails.
+``shellmc`` densities exceed their thresholds, in the likelihood-ratio form of
+``shellmc._ratio_density`` with r = y - x1 - x2 the pair's residual.  Every
+||r||^2 and ||y - x1||^2 is summed from codeword differences, the sent codeword
+and the noise subtracted one at a time, so the sent pair's ||r||^2 is the
+noise's norm at any SNR (an expansion in <y, x> or in s1 + z rounds it away
+once a power is large); s1 + z and y enter only divided by 1 + p.
+``CodebookSpec`` refuses the powers at which a wrong pair's ||r||^2, about
+4 n (sqrt p1 + sqrt p2)^2, overflows (from about 3057 dB at n = 100).  Point-
+to-point is the MAC whose second user sends one known codeword on the zero
+shell (m2 = 1, p2 = 0): its difference is exactly 0, i2 = 0 and i3 = i1 meet
+their -inf thresholds, and user 1's decision is the point-to-point rule on the
+same residual (n = 100, M = 8: 47 ms per 20 000 trials on one core, the 8 x 8
+MAC 135 ms).  The Wilson interval ends exactly at 0 (1) at 0 (all) errors.
 A trial draws the Gram matrix of its k = m1 + m2 + 1 codeword and noise
 vectors, which is all the decoder reads: by Bartlett's decomposition of the
 Wishart law, k i.i.d. N(0, I_n) vectors are, in a basis of their span, the
@@ -50,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import thread_map  # noqa: F401  unused here: perfbench/tracing.py wraps it as a pool user's attribute
-from .core import DomainError, PowerPair, _require_finite_positive, capacity, db_to_linear
-from .shellmc import _stream, _wilson_ci, importance_weights, merge_moments, moments
+from .core import DomainError, PowerPair, _require_finite_positive, db_to_linear
+from .shellmc import _ratio_density, _stream, _wilson_ci, importance_weights, merge_moments, moments
 from .shellmc import mac_density_samples, p2p_density_samples, shell_rn_constants
 
 #: scalars per simulation chunk; a trial holds its k x min(n, k) Bartlett rows and
@@ -177,21 +174,21 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
         s1, s2 = x1[np.arange(b), j], x2[np.arange(b), k]
         # every pair's residual r = y - x1 - x2 = u + e2, with u = s1 - x1 + z and e2 = s2 - x2 held negated in x1
         # and x2; the likelihood-ratio form (see the module docstring) also reads ||y - x2||^2 = ||v + e2||^2 for
-        # v = s1 + z, ||y - x1||^2 = ||u + s2||^2 and ||y||^2
+        # v = s1 + z, ||y - x1||^2 = ||u + s2||^2 and ||y||^2; the sent row of x1 is -z exactly, not -(s1 + z)
         v, y = s1 + z, s1 + s2 + z
-        x1 -= v[:, None]
+        x1 -= s1[:, None]
+        x1 -= z[:, None]
         x2 -= s2[:, None]
         usq, esq = np.einsum("bim,bim->bi", x1, x1), np.einsum("bjm,bjm->bj", x2, x2)
         rsq = 2.0 * (x1 @ x2.transpose(0, 2, 1)) + usq[:, :, None] + esq[:, None, :]
         other2 = np.einsum("bm,bm->b", v, v)[:, None] + esq - 2.0 * np.einsum("bm,bjm->bj", v, x2)
         other1 = np.einsum("bm,bm->b", s2, s2)[:, None] + usq - 2.0 * np.einsum("bm,bim->bi", s2, x1)
-        it1 = n * capacity(p1) + (other2[:, None, :] / (1.0 + p1) - rsq) / 2.0
-        it2 = n * capacity(p2) + (other1[:, :, None] / (1.0 + p2) - rsq) / 2.0
-        it3 = n * capacity(p1 + p2) + (np.einsum("bm,bm->b", y, y)[:, None, None] / (1.0 + p1 + p2) - rsq) / 2.0
+        it1 = _ratio_density(n, p1, other2[:, None, :], rsq)
+        it2 = _ratio_density(n, p2, other1[:, :, None], rsq)
+        it3 = _ratio_density(n, p1 + p2, np.einsum("bm,bm->b", y, y)[:, None, None], rsq)
         passing = (it1 > th.log_gamma1) & (it2 > th.log_gamma2) & (it3 > th.log_gamma3)
         flat = passing.reshape(b, m1 * m2)
-        first = flat.argmax(axis=1)
-        return flat.any(axis=1) & (first == j * m2 + k)
+        return flat.any(axis=1) & (flat.argmax(axis=1) == j * m2 + k)
 
     errors = trials - int(sum(_stream(trials, spec.seed, decode, np.count_nonzero, _sim_chunk(n, m1, m2))))
     lo, hi = _wilson_ci(errors, trials)

@@ -13,6 +13,7 @@ from fbmac.simlink import (
     SimResult,
     Thresholds,
     default_thresholds,
+    link,
     shell_rn_constants,
     simulate_mac,
     simulate_p2p,
@@ -495,6 +496,18 @@ def test_simulators_decode_without_error_at_high_snr(db, capsys):
         link = ["--n", "100", "--m1", "8", "--m2", "8", "--p1-db", str(db1), "--p2-db", str(db2)]
         assert main(["verify", "bounds", "--mode", mode, *link]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("db1", [400.0, 1000.0])
+def test_weak_user_error_does_not_depend_on_a_strong_partner(db1):
+    # once p1 >> 1 user 1 always decodes and user 2's error law no longer depends on p1; one seed draws the
+    # same normals at every power, so the counts agree.  Subtracting s1 + z from x1 at once rounded z away in
+    # the sent residual once p1 >> 1, and user 2 saw a quieter channel: 3558 errors at 400/-10 dB against 3788
+    base = simulate_mac(*link("mac-joint", 100, 8, 8, 0.0, -10.0), 20_000)
+    strong = simulate_mac(*link("mac-joint", 100, 8, 8, db1, -10.0), 20_000)
+    assert 0.1 < base.eps_hat < 0.3
+    assert abs(strong.errors - base.errors) <= 10
 
 
 @pytest.mark.parametrize("n, m, p", [(100, 8, 0.2), (60, 4, 0.1), (40, 16, 0.5)])
