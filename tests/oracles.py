@@ -165,6 +165,33 @@ def sumshell_orthant(p1: float, p2: float, z) -> float:
     return sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
 
 
+def sumshell_outage(p1: float, p2: float, z) -> float:
+    """1 - :func:`sumshell_orthant`, by quadrature of the tail, so that a small outage keeps its relative accuracy.
+
+    The outage is Q(z1 / s1) plus the integral over u <= z1 / s1 of phi(u) times the conditional tail
+    of X2 past min(z2, (z3 - a s1 u) / b); the quadrature runs on [-40, z1 / s1], split at the kink of the
+    min and where each of its two terms meets the conditional mean of X2.
+    """
+    ps = p1 + p2
+    v1, v2 = (p * (p + 2.0) / (2.0 * (1.0 + p) ** 2) for p in (p1, p2))
+    v12 = p1 * p2 / (2.0 * (1.0 + p1) * (1.0 + p2))
+    a, b = (1.0 + p1) / (1.0 + ps), (1.0 + p2) / (1.0 + ps)
+    s1 = math.sqrt(v1)
+    slope = v12 / s1
+    sd = math.sqrt(v2 - slope * slope)
+    z1, z2, z3 = (float(v) for v in z)
+
+    def integrand(u):
+        bound = min(z2, (z3 - a * s1 * u) / b)
+        return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi) * float(ndtr((slope * u - bound) / sd))
+
+    top = min(z1 / s1, 40.0)
+    marks = [(z3 - b * z2) / (a * s1), z2 / slope if slope else math.inf, z3 / (a * s1 + b * slope)]
+    cuts = [-40.0, *sorted(m for m in marks if -40.0 < m < top), top]
+    tail = sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
+    return float(ndtr(-z1 / s1)) + tail
+
+
 def shell_setup(p1: float, p2: float):
     """(capacity vector, dispersion matrix) of independent power-shell inputs, from their closed forms.
 

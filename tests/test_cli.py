@@ -152,6 +152,27 @@ def test_region_at_extreme_snrs_never_exits_1(kind, p1_db, p2_db, tmp_path, caps
         assert (pts.sum(axis=1) <= caps[2] * (1.0 + 1e-12)).all()
 
 
+@pytest.mark.parametrize("p1_db, p2_db", [(300, 0), (0, 300)])
+def test_region_iid_with_collinear_leading_coordinates(p1_db, p2_db, tmp_path, capsys):
+    # at 1e30 against 1 the i.i.d. matrix's strong-user and sum coordinates are collinear (rank 2), and
+    # the command exited 2 while the integrator refused their singular leading block.  The weak user
+    # reaches its own i.i.d. point-to-point rate, C(1) - sqrt(0.5 / n) Qinv(eps)
+    out = tmp_path / "iid.json"
+    code, _, err = run_cli(
+        [
+            "region", "--kind", "iid", "--n", "500", "--eps", "1e-3", "--p1-db", str(p1_db),
+            "--p2-db", str(p2_db), "--format", "json", "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    pts = np.array(json.loads(out.read_text())["points"])
+    assert pts.shape == (256, 2) and np.isfinite(pts).all() and (pts >= 0.0).all()
+    assert (np.diff(pts[:, 0]) >= 0.0).all() and (np.diff(pts[:, 1]) <= 0.0).all()
+    weak = pts[:, 1 if p1_db else 0].max()
+    assert weak == pytest.approx(0.5 * math.log(2.0) - math.sqrt(0.5 / 500) * 3.090232306167813, abs=1e-8)
+
+
 def test_byte_identical_rerun(tmp_path, capsys):
     args = [
         "region", "--kind", "splitting", "--n", "500", "--eps", "1e-3",

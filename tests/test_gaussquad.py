@@ -20,7 +20,7 @@ from fbmac.gaussquad import (
 )
 from fbmac import regions
 from fbmac.regions import resolve_delta, second_order_ray
-from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv, q_tail_inv_mp, sumshell_orthant
+from oracles import bivariate_lower_prob_trapezoid, q_tail, q_tail_inv, q_tail_inv_mp, sumshell_orthant, sumshell_outage
 
 
 def test_q_scalar_values():
@@ -144,7 +144,8 @@ def test_orthant_deterministic():
 
 def test_orthant_rank_deficient_ok():
     # the rank-2 sum-shell matrix against a quadrature that conditions on one user; at each point
-    # the sum constraint binds, and conditioning on the other user gives the same value
+    # the sum constraint binds, and conditioning on the other user gives the same value.  Rank 2 is
+    # exact whatever the sample count and the seed
     points = [
         (1.0, 1.0, (0.5, 0.4, 0.3)),
         (2.0, 0.5, (0.6, 0.2, 0.3)),
@@ -156,9 +157,26 @@ def test_orthant_rank_deficient_ok():
         ref = sumshell_orthant(p1, p2, z)
         assert sumshell_orthant(p2, p1, (z[1], z[0], z[2])) == pytest.approx(ref, abs=1e-10)
         sigma = dispersion_matrix_sumshell(PowerPair(p1, p2))
-        for samples, tol in ((1 << 12, 1e-4), (1 << 16, 1e-5)):
-            est = lower_orthant_prob(OrthantQuery(sigma, np.array(z)), samples=samples, seed=2)
-            assert abs(est.value - ref) <= tol
+        for samples, seed in ((1 << 12, 2), (1 << 16, 7)):
+            est = lower_orthant_prob(OrthantQuery(sigma, np.array(z)), samples=samples, seed=seed)
+            assert abs(est.value - ref) <= 1e-12 and est.std_err == 0.0
+
+
+def test_orthant_rank2_matches_the_quadrature_oracle():
+    # 400 seeded points, powers on a log grid in [0.01, 100] and thresholds in [-1, 6] sigma, and the
+    # near-collinear point where a rule without cuts at the bound lines missed by 3e-4: the probability
+    # within 1e-11 of the quadrature, and the outage within 1e-6 of the oracle's tail form, relative
+    rng = np.random.Generator(np.random.Philox(21))
+    powers = np.logspace(-2.0, 2.0, 5)
+    grid = [(p1, p2, rng.uniform(-1.0, 6.0, 3)) for p1 in powers for p2 in powers for _ in range(16)]
+    for p1, p2, h in [(10.45119, 0.0205257, (-0.03287, 4.25231, 3.93954)), *grid]:
+        sigma = dispersion_matrix_sumshell(PowerPair(p1, p2))
+        z = np.array(h) * np.sqrt(np.diag(sigma))
+        est = lower_orthant_prob(OrthantQuery(sigma, z), samples=1 << 12, seed=0)
+        outage = sumshell_outage(p1, p2, z)
+        assert abs(est.value - sumshell_orthant(p1, p2, z)) <= 1e-11, (p1, p2, h)
+        assert abs((1.0 - est.value) - outage) <= 1e-6 * outage, (p1, p2, h)
+        assert est.std_err == 0.0
 
 
 def test_orthant_degenerate_factors():
@@ -179,30 +197,68 @@ def test_orthant_degenerate_factors():
     assert est.value == pytest.approx(expect, abs=1e-12)
 
 
-def test_orthant_refuses_collinear_leading_coordinates():
-    # the two largest variances belong to one direction, so the leading block has no Cholesky factor.
-    # The i.i.d. matrix is such a matrix at p1 = 1e30, p2 = 1: its r1 and r1 + r2 entries all round
-    # to 1, so `region --kind iid --n 500 --eps 1e-3 --p1-db 300 --p2-db 0` exits 2 with this refusal
+def test_orthant_of_collinear_leading_coordinates():
+    # the two largest variances belong to one direction, X1 = X2, so the second leading coordinate is
+    # the one with the largest variance given the first, X3.  The i.i.d. matrix is such a matrix at
+    # p1 = 1e30, p2 = 1, where its r1 and r1 + r2 entries all round to 1
     sigma = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
-    with pytest.raises(DomainError):
-        lower_orthant_prob(OrthantQuery(sigma, np.zeros(3)), samples=1 << 12)
-    with pytest.raises(DomainError):
-        boundary_scale(1e-3, sigma, np.ones(3), np.full(3, 10.0), 0.0, samples=1 << 12)
+    for z in ([0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [-1.0, 2.0, -0.4], [2.5, 3.0, 1.5]):
+        z = np.array(z)
+        est = lower_orthant_prob(OrthantQuery(sigma, z), samples=1 << 12)
+        expect = (1.0 - q_scalar(min(z[0], z[1]))) * (1.0 - q_scalar(z[2] / math.sqrt(0.5)))
+        assert est.value == pytest.approx(expect, abs=1e-15) and est.std_err == 0.0
+    # the ray 10 - t leaves the set where Phi(10 - t) Phi((10 - t) / sqrt(0.5)) = 1 - 1e-3
+    from scipy.optimize import brentq
+    from scipy.special import ndtr
+
+    root = brentq(lambda t: ndtr(10.0 - t) * ndtr((10.0 - t) / math.sqrt(0.5)) - (1.0 - 1e-3), 5.0, 8.0, xtol=1e-14)
+    t = boundary_scale(1e-3, sigma, np.ones(3), np.full(3, 10.0), 0.0, samples=1 << 12)
+    assert abs(t - root) <= 1e-9
 
 
 def test_sumshell_ray_matches_oracle_root():
-    # the figure point's diagonal ray, against the root of the quadrature oracle
+    # the figure point's diagonal ray, against the root of the quadrature oracle.  The rank-2 rule's own
+    # root is the oracle's to 1e-12; the secant returns its last step unevaluated, 2.7e-9 past it here
     from scipy.optimize import brentq
 
     n, eps, theta = 500, 1e-3, math.pi / 4
     d = np.array([math.cos(theta), math.sin(theta), math.cos(theta) + math.sin(theta)])
     origin = 0.5 * np.log1p([1.0, 1.0, 2.0])
     root = brentq(
-        lambda t: sumshell_orthant(1.0, 1.0, math.sqrt(n) * (origin - t * d)) - (1.0 - eps), 0.2, 0.4, xtol=1e-12
+        lambda t: sumshell_orthant(1.0, 1.0, math.sqrt(n) * (origin - t * d)) - (1.0 - eps), 0.2, 0.4, xtol=1e-14
     )
     assert root == pytest.approx(0.323254, abs=5e-7)
+    integ = _OrthantIntegrator(dispersion_matrix_sumshell(PowerPair(1.0, 1.0)), np.ones(3, dtype=bool), 1 << 12, 0)
+    rule_root = brentq(lambda t: integ(math.sqrt(n) * (origin - t * d))[0] - (1.0 - eps), 0.2, 0.4, xtol=1e-14)
+    assert abs(rule_root - root) <= 1e-12
     for seed in range(5):
-        assert abs(second_order_ray(n, eps, PowerPair(1.0, 1.0), theta, "sumshell", 1 << 12, seed) - root) <= 2e-6
+        assert abs(second_order_ray(n, eps, PowerPair(1.0, 1.0), theta, "sumshell", 1 << 12, seed) - root) <= 3e-9
+
+
+def test_sumshell_flat_segment_is_the_single_user_rate():
+    # near the axes only one user's constraint binds, and the sum-shell curve reads that user's
+    # point-to-point rate exactly: the rank-2 rule has no error to add to it
+    rb = regions.sumshell_hypothetical_boundary(500, 1e-3, PowerPair(1.0, 1.0), 64)
+    rate = regions.p2p_second_order_rate(500, 1e-3, 1.0)
+    assert abs(rb.points[:, 0].max() - rate) <= 1e-9 and abs(rb.points[:, 1].max() - rate) <= 1e-9
+    assert (np.abs(rb.points[:, 0] - rate) <= 1e-9).sum() >= 2
+
+
+@pytest.mark.parametrize(
+    "n, eps, p1_db, p2_db, rays",
+    [(500, 1e-3, 0.0, 0.0, 64), (500, 1e-6, 0.0, 0.0, 32), (500, 1e-3, 10.0, 0.0, 32), (10_000, 1e-1, -10.0, -10.0, 32)],
+)
+def test_sumshell_radii_lie_in_their_theorem_bracket(n, eps, p1_db, p2_db, rays):
+    # the figure point and the three sweep points: every sum-shell radius lies within 1e-9 of
+    # [union-bound radius, single-constraint radius] (ROADMAP item 12, sum-shell slice)
+    pp = PowerPair(10.0 ** (p1_db / 10.0), 10.0 ** (p2_db / 10.0))
+    pts = regions.sumshell_hypothetical_boundary(n, eps, pp, rays).points[::-1]  # back to ray order
+    thetas, radii = regions.ray_angles(rays), np.hypot(pts[:, 0], pts[:, 1])
+    cvec, sigma = regions._quantile_region_setup("sumshell", pp, 0.0)
+    inner = regions.union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)
+    rates = regions._normal_rate(cvec, np.diag(sigma), n, regions._penalty(eps))
+    outer = np.array([regions.pentagon_ray(t, *rates) for t in thetas])
+    assert (radii >= inner - 1e-9).all() and (radii <= outer + 1e-9).all()
 
 
 def test_orthant_rejects_bad_sigma():
@@ -220,30 +276,26 @@ def test_orthant_requires_min_samples():
 
 def test_lattice_is_shared_per_samples_seed_and_rank():
     # the rays of a curve read one cached, read-only lattice; it depends on nothing but the sample
-    # count, the seed and the rank, and a change of any of the three gets its own
+    # count and the seed, and a change of either gets its own.  Only rank 3 builds one
     active = np.ones(3, dtype=bool)
     shell, sumshell = (m(PowerPair(1.0, 1.0)) for m in (dispersion_matrix_shell, dispersion_matrix_sumshell))
     x = _OrthantIntegrator(shell, active, 1 << 12, 5).x
     assert _OrthantIntegrator(np.eye(3), active, 1 << 12, 5).x is x and not x.flags.writeable
     assert _OrthantIntegrator(shell, active, 1 << 12, (5,)).x is x  # the same seed path
-    for other in (
-        _OrthantIntegrator(shell, active, 1 << 12, 6).x,
-        _OrthantIntegrator(shell, active, 1 << 13, 5).x,
-        _OrthantIntegrator(sumshell, active, 1 << 12, 5).x,
-    ):
+    for other in (_OrthantIntegrator(shell, active, 1 << 12, 6).x, _OrthantIntegrator(shell, active, 1 << 13, 5).x):
         assert other.shape != x.shape or not np.array_equal(other, x)
+    assert not hasattr(_OrthantIntegrator(sumshell, active, 1 << 12, 5), "x")
 
 
-@pytest.mark.parametrize("seed, r", [(0, 3), (1, 2)])
-def test_lattice_shifts_come_from_philox(seed, r):
-    # the lattice fixes every quantile-set curve; it is rebuilt here from its own Philox shifts, so a
-    # change of the package's Monte Carlo generator cannot move a curve unnoticed
-    gen = {2: [0.6180339887498949], 3: [0.7548776662466927, 0.5698402909980532]}[r]
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lattice_shifts_come_from_philox(seed):
+    # the lattice fixes every rank-3 quantile-set curve; it is rebuilt here from its own Philox shifts,
+    # so a change of the package's Monte Carlo generator cannot move a curve unnoticed
     ss = np.random.SeedSequence(entropy=seed, spawn_key=())
-    shifts = np.random.Generator(np.random.Philox(ss)).random((8, r - 1))
+    shifts = np.random.Generator(np.random.Philox(ss)).random((8, 2))
     idx = np.arange(1, 4097, dtype=float)
-    x = np.remainder(idx[None, :, None] * np.array(gen)[None, None, :] + shifts[:, None, :], 1.0)
-    assert np.array_equal(_lattice(4096, (seed,), r), np.abs(2.0 * x - 1.0))
+    x = np.remainder(idx[None, :, None] * np.array([0.7548776662466927, 0.5698402909980532]) + shifts[:, None, :], 1.0)
+    assert np.array_equal(_lattice(4096, (seed,)), np.abs(2.0 * x - 1.0))
 
 
 def test_prob_estimate_invariants():
@@ -389,11 +441,11 @@ def test_boundary_scale_matches_scipy_brentq(kind, eps, monkeypatch):
 
 
 def test_boundary_scale_finds_roots_past_the_single_constraint_radius(monkeypatch):
-    # at the first of 64 rays only user 1's constraint binds, and at seed 1 the lattice puts the
-    # sum-shell root 9.4e-5 nats past the single-constraint radius: the solve goes on past it
+    # at the first of 64 rays only user 1's constraint binds, and at seed 7 the lattice puts the
+    # joint root 8.5e-6 nats past the single-constraint radius: the solve goes on past it
     seen, _ = _recorded_solves(monkeypatch)
     theta = regions.ray_angles(64)[0]
-    t = second_order_ray(500, 1e-3, PowerPair(1.0, 1.0), theta, "sumshell", 1 << 12, 1)
+    t = second_order_ray(500, 1e-3, PowerPair(1.0, 1.0), theta, "joint", 1 << 12, 7)
     (args, _, _), = seen
     outer = regions.p2p_second_order_rate(500, 1e-3, 1.0) / math.cos(theta)
     assert args[4] <= outer < t
