@@ -8,7 +8,7 @@ Library layout:
   i.i.d. Gaussian, error exponent, TDMA, outer bounds).
 * :mod:`fbmac.shellmc`   -- power-shell sampling, information densities, and
   the Monte Carlo verification suite.
-* :mod:`fbmac.simlink`   -- random-coding link simulator and bound estimators.
+* :mod:`fbmac.simlink`   -- random-coding link simulator and its achievability bound.
 * :mod:`fbmac.cli`       -- the ``fbmac`` command.
 """
 

@@ -103,6 +103,12 @@ def _ratio_density(n, p, other_sq, rsq):
     return n * capacity(p) + (other_sq / (1.0 + p) - rsq) / 2.0
 
 
+def _confusion(it, log_w, log_gamma):
+    """e^{ln w - i} 1{i > ln gamma}: a confusion term of weight w, importance-sampled under the channel law.  The
+    exponent never passes ln w - ln gamma, so no weight overflows it, and a trivial codebook's -inf gives 0."""
+    return np.where(it > log_gamma, np.exp(log_w - np.maximum(it, log_gamma)), 0.0)
+
+
 def _mac_densities(n, p1, p2, zsq, x1z, x2z, x12):
     xsz = x12 + x1z + x2z  # <x1 + x2, z> + <x1, x2>
     return _density(n, p1, zsq, x1z), _density(n, p2, zsq, x2z), _density(n, p1 + p2, zsq, xsz)
@@ -641,15 +647,6 @@ def verify_inner_product(n: int, p1: float, p2: float, pairs: int, seed=0) -> di
 # ---------------------------------------------------------------------------
 
 
-def importance_weights(it: np.ndarray, log_gamma: float) -> np.ndarray:
-    """Per-draw terms e^{-i} 1{i > log_gamma} of the reference-tail estimator.
-
-    On the selected set e^{-i} <= e^{-log_gamma}, so the clip only guards the
-    absurd regime log_gamma < -709.
-    """
-    return np.where(it > log_gamma, np.exp(np.clip(-it, -745.0, 709.0)), 0.0)
-
-
 @dataclass(frozen=True)
 class ConfusionScalePoint:
     n: int
@@ -660,7 +657,7 @@ class ConfusionScalePoint:
 def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> list[ConfusionScalePoint]:
     """gamma_n * Pr_Q[i > ln gamma_n] at ln gamma_n = nC - sqrt(nV); ~ n^{-1/2}.
 
-    Computed entirely with bounded reweighted terms e^{ln gamma - i}, so no
+    Computed entirely with the bounded terms e^{ln gamma - i} of :func:`_confusion`, so no
     under/overflow at any blocklength.
     """
     p = _require_finite_positive("p", p)
@@ -674,7 +671,7 @@ def confusion_scaling_check(n_list, p: float, seed=0, trials: int = 1 << 17) -> 
     chunk_sizes(len(n_list) * trials, _CHUNK)
 
     def contrib(lg, it):
-        return moments(np.where(it > lg, np.exp(np.clip(lg - it, -745.0, 0.0)), 0.0))
+        return moments(_confusion(it, lg, lg))  # the confusion term of weight w = gamma
 
     out = []
     for j, n in enumerate(n_list):

@@ -24,31 +24,35 @@ min(i, d) standard normals and, for i < d, sqrt(chi2(n - i)) on the diagonal.
 Codeword rows are scaled onto their shells.  The error counts are exact in
 law, and a trial costs the same at any n >= k.
 
-The companion ``*_achievability_bound`` estimators evaluate the matching
-upper bounds on the ensemble-average error: an outage term under the channel
-law plus confusion terms under the reference measures.  Confusion
+The one estimator :func:`mac_achievability_bound` evaluates the matching
+upper bound on the ensemble-average error of either link: an outage term under
+the channel law plus confusion terms under the reference measures, over the 1
+(point-to-point) or 3 (MAC) density rows of one chunk reduction.  Confusion
 probabilities are estimated by importance sampling from the channel measure
 with weight e^{-i}, which resolves reference-tail probabilities near 1/gamma
-at any blocklength; both bounds reduce their 1 (point-to-point) or 3 (MAC)
-density rows in one chunk reduction.  The MAC bound weighs its confusion terms
-with the uniform density-ratio constants of :func:`shell_rn_constants`, and
-:func:`link` sets the MAC thresholds with the same constants for ``fbmac
-simulate`` and ``verify bounds`` alike.  The simulator draws chunk i from the
-substream ``(seed, i)`` and the bound estimators from ``(seed, 1, i)``, so for
-one seed the two estimates are independent.
+at any blocklength.  Every codebook weight is a logarithm: ln(k (M - 1)/2),
+taken from the integer sizes by :func:`default_thresholds`, so it is finite
+at any size, with k = 1 for point-to-point and the uniform density-ratio
+constants of :func:`shell_rn_constants` for the MAC.  The same values are the
+thresholds :func:`link` sets for ``fbmac simulate`` and ``verify bounds`` and
+the weights of the bound, whose terms ``shellmc._confusion`` keeps in the log
+domain.  The simulator draws chunk i from the substream ``(seed, i)`` and the
+bound from ``(seed, 1, i)``, so for one seed the two estimates are
+independent.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from ._rng import chunk_sizes
 from ._rng import thread_map  # noqa: F401  unused here: perfbench/tracing.py wraps it as a pool user's attribute
 from .core import DomainError, PowerPair, _require_finite_positive, db_to_linear
-from .shellmc import _ratio_density, _stream, _wilson_ci, importance_weights, merge_moments, moments
+from .shellmc import _CHUNK, _confusion, _ratio_density, _stream, _wilson_ci, merge_moments, moments
 from .shellmc import mac_density_samples, p2p_density_samples, shell_rn_constants
 
 #: scalars per simulation chunk; a trial holds its k x min(n, k) Bartlett rows and
@@ -117,18 +121,23 @@ class BoundEstimate:
     trials: int
 
 
-def _log_half(x: float) -> float:
-    return math.log(x / 2.0) if x > 0 else -math.inf
-
-
 def default_thresholds(spec: CodebookSpec, k1: float, k2: float, k3: float) -> Thresholds:
-    """Rate-optimal thresholds ln(k (M-1)/2); -inf when a codebook is trivial."""
-    k1, k2, k3 = (_require_finite_positive(name, k) for name, k in (("k1", k1), ("k2", k2), ("k3", k3)))
-    return Thresholds(
-        _log_half(k1 * (spec.m1 - 1)),
-        _log_half(k2 * (spec.m2 - 1)),
-        _log_half(k3 * (spec.m1 - 1) * (spec.m2 - 1)),
-    )
+    """Rate-optimal thresholds ln(k prod(M - 1)/2), the log weights of the bound's confusion terms; -inf when a
+    codebook is trivial.  prod(M - 1) is an integer, whose logarithm is finite at any size."""
+
+    def log_weight(name, k, *sizes):
+        log_half_k = math.log(_require_finite_positive(name, k)) - math.log(2.0)  # finite at the least subnormal k
+        product = math.prod(m - 1 for m in sizes)
+        return math.log(product) + log_half_k if product else -math.inf
+
+    return Thresholds(log_weight("k1", k1, spec.m1), log_weight("k2", k2, spec.m2),
+                      log_weight("k3", k3, spec.m1, spec.m2))
+
+
+def _log_weights(spec: CodebookSpec) -> Thresholds:
+    """The thresholds of :func:`link` and the log weights of the bound: k = 1 for point-to-point (p2 = 0, the one
+    known codeword), :func:`shell_rn_constants` for the MAC."""
+    return default_thresholds(spec, *(shell_rn_constants(PowerPair(spec.p1, spec.p2)) if spec.p2 else (1, 1, 1)))
 
 
 def _sim_chunk(n: int, m1: int, m2: int = 1) -> int:
@@ -202,72 +211,61 @@ simulate_p2p = simulate_mac
 def link(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: float | None, seed=0) -> tuple:
     """(spec, thresholds) of ``fbmac simulate`` and ``verify bounds``, the one rule both use.
 
-    ``p2p`` mode has one user (the MAC whose second user sends one known codeword) and thresholds
-    ln((M - 1)/2); every other mode has two users, whose thresholds ln(k (M - 1)/2) take k from
-    :func:`shell_rn_constants`, as the MAC bound weighs them.
+    ``p2p`` mode has one user (the MAC whose second user sends one known codeword), every other mode
+    two; the thresholds are the log weights of :func:`_log_weights`, which the bound weighs its terms by.
     """
     p1 = db_to_linear(p1_db)
     if mode == "p2p":
         spec = CodebookSpec(n=n, m1=m1, p1=p1, seed=seed)
-        return spec, default_thresholds(spec, 1.0, 1.0, 1.0)
-    if p2_db is None:
+    elif p2_db is None:
         raise DomainError(f"--p2-db is required in {mode} mode")
-    spec = CodebookSpec(n=n, m1=m1, m2=m2, p1=p1, p2=db_to_linear(p2_db), seed=seed)
-    return spec, default_thresholds(spec, *shell_rn_constants(PowerPair(spec.p1, spec.p2)))
-
-
-def _bound(seed, trials: int, sample, gammas: tuple, weights: tuple, joint: bool) -> BoundEstimate:
-    """Outage plus the weighted confusion terms of the density rows ``sample`` draws, reduced chunk by chunk; the
-    outage is the union of the rows' outages (``joint``) or their sum, a union bound."""
-    if trials < 1000:
-        raise DomainError("need trials >= 1000")
-
-    def chunk_moments(iv):
-        iv = iv.reshape(len(gammas), -1)  # the p2p draws are one row
-        below = [i <= g for i, g in zip(iv, gammas)]
-        outage = functools.reduce(np.logical_or, below).astype(float) if joint else sum(o.astype(float) for o in below)
-        conf = sum(w * importance_weights(i, g) for w, i, g in zip(weights, iv, gammas))
-        return moments(np.stack([outage + conf, outage, conf]))
-
-    (value, outage, conf), (se, _, _) = merge_moments(sample(trials, (seed, 1), reduce=chunk_moments))
-    return BoundEstimate(float(value), float(se), float(outage), float(conf), trials)
-
-
-def p2p_achievability_bound(spec: CodebookSpec, th: Thresholds, trials: int) -> BoundEstimate:
-    """Outage plus (M-1)/2 times the reference-tail confusion estimate.
-
-    The cost-violation term is identically zero for shell codebooks.
-    """
-    sample = functools.partial(p2p_density_samples, spec.n, spec.p1)  # 2-variate: cheaper than the MAC sampler
-    return _bound(spec.seed, trials, sample, (th.log_gamma1,), ((spec.m1 - 1) / 2.0,), joint=True)
+    else:
+        spec = CodebookSpec(n=n, m1=m1, m2=m2, p1=p1, p2=db_to_linear(p2_db), seed=seed)
+    return spec, _log_weights(spec)
 
 
 def mac_achievability_bound(spec: CodebookSpec, th: Thresholds, trials: int, mode: str = "joint") -> BoundEstimate:
-    """Joint-outage or outage-splitting bound with three confusion terms.
+    """Outage plus the confusion terms of weights k prod(M - 1)/2 (:func:`_log_weights`), reduced chunk by chunk;
+    point-to-point (m2 = 1, p2 = 0) has one density row, the MAC three.
 
-    ``mode='splitting'`` replaces the joint outage with the sum of the three
-    marginal outages (a union bound), so it is never below the joint value.
+    ``mode='splitting'`` replaces the joint outage, the union of the rows' outages, with their sum (a union
+    bound), so it is never below the joint value.  The cost-violation term is identically zero for shell
+    codebooks.
     """
     if mode not in ("joint", "splitting"):
         raise DomainError(f"unknown mode {mode!r}")
-    pp = PowerPair(spec.p1, spec.p2)
-    k1, k2, k3 = shell_rn_constants(pp)
-    gammas = (th.log_gamma1, th.log_gamma2, th.log_gamma3)
-    weights = (k1 * (spec.m1 - 1) / 2.0, k2 * (spec.m2 - 1) / 2.0, k3 * (spec.m1 - 1) * (spec.m2 - 1) / 2.0)
-    sample = functools.partial(mac_density_samples, spec.n, pp)
-    return _bound(spec.seed, trials, sample, gammas, weights, joint=mode == "joint")
+    if trials < 1000:
+        raise DomainError("need trials >= 1000")
+    if spec.p2:
+        rows, sample = 3, functools.partial(mac_density_samples, spec.n, PowerPair(spec.p1, spec.p2))
+    else:  # 2-variate: cheaper than the MAC sampler
+        rows, sample = 1, functools.partial(p2p_density_samples, spec.n, spec.p1)
+    gammas, weights = astuple(th)[:rows], astuple(_log_weights(spec))[:rows]
+
+    def chunk_moments(iv):
+        iv = iv.reshape(rows, -1)  # the p2p draws are one row
+        below = [i <= g for i, g in zip(iv, gammas)]
+        outage = (functools.reduce(np.logical_or, below).astype(float) if mode == "joint"
+                  else sum(o.astype(float) for o in below))
+        conf = sum(_confusion(i, w, g) for i, w, g in zip(iv, weights, gammas))
+        return moments(np.stack([outage + conf, outage, conf]))
+
+    (value, outage, conf), (se, _, _) = merge_moments(sample(trials, (spec.seed, 1), reduce=chunk_moments))
+    return BoundEstimate(float(value), float(se), float(outage), float(conf), trials)
+
+
+# one bound for both links: perfbench/tracing.py wraps this name, as it does ``simulate_p2p``
+p2p_achievability_bound = mac_achievability_bound
 
 
 def verify_bounds(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: float | None, sim_trials: int,
                   bound_trials: int, seed=0) -> dict:
     """The ``verify bounds`` verdict: the simulated error passes when it exceeds its achievability bound
     (``mode`` p2p, mac-joint or mac-splitting) by at most 2 hypot(se_sim, se_bound)."""
-    # the bound runs first, so an over-budget bound_trials is refused before the simulation draws
     spec, th = link(mode, n, m1, m2, p1_db, p2_db, seed)
-    if mode == "p2p":
-        rhs = p2p_achievability_bound(spec, th, bound_trials)
-    else:
-        rhs = mac_achievability_bound(spec, th, bound_trials, mode=mode.removeprefix("mac-"))
+    chunk_sizes(sim_trials, _sim_chunk(spec.n, spec.m1, spec.m2))  # every budget is refused before any draw
+    chunk_sizes(bound_trials, _CHUNK)
+    rhs = mac_achievability_bound(spec, th, bound_trials, mode="splitting" if mode == "mac-splitting" else "joint")
     sim = simulate_mac(spec, th, sim_trials)
     sim_se = math.sqrt(max(sim.eps_hat * (1 - sim.eps_hat), 1e-300) / sim.trials)
     margin = 2.0 * math.hypot(sim_se, rhs.std_err)

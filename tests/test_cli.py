@@ -277,6 +277,21 @@ def test_monte_carlo_count_knobs_over_budget_exit_2_at_once(capsys):
         assert time.monotonic() - start < 1.0, argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_bounds_refuses_an_over_budget_codebook_before_any_draw(capsys, monkeypatch):
+    # the bound ran its 200 000 trials first, and warned on its overflowing weight, before the simulation's
+    # budget refused the 10^160-codeword books
+    from fbmac import shellmc
+
+    drawn = []
+    monkeypatch.setattr(shellmc, "substream", lambda *args: drawn.append(args))
+    big = str(10**160)
+    link = ["--n", "100", "--m1", big, "--m2", big, "--p1-db", "0", "--p2-db", "0"]
+    code, out, err = run_cli(["verify", "bounds", "--mode", "mac-joint", *link], capsys)
+    assert (code, out, drawn) == (2, "", [])
+    assert "budget" in err
+
+
 def test_confusion_scaling_refuses_a_small_n_anywhere_before_any_draw(capsys, monkeypatch):
     from fbmac import shellmc
 
@@ -435,8 +450,8 @@ def test_out_of_domain_powers_and_orders_exit_2(argv, named, capsys):
     assert "invalid arguments" in err and named in err
 
 
-#: each command's arguments inside its domain, then outside it; ``verify`` holds one pair per target.
-#: figure1 writes into the test's working directory
+#: each command's arguments inside its domain, then one or more sets outside it; ``verify`` holds one such
+#: tuple per target.  figure1 writes into the test's working directory
 _COMMAND_ARGS = {
     "region": (
         ["--kind", "joint", "--n", "500", "--eps", "1e-3", "--p1-db", "0", "--p2-db", "0", "--points", "8"],
@@ -458,6 +473,8 @@ _COMMAND_ARGS = {
             ["--mode", "mac-splitting", "--n", "30", "--m1", "2", "--m2", "2", "--p1-db", "0", "--p2-db", "0",
              "--sim-trials", "1000", "--bound-trials", "1000"],
             ["--mode", "mac-joint", "--n", "30", "--m1", "2", "--p1-db", "0"],  # a MAC with no second power
+            # ln M = 714 nats: the float weight (M - 1)/2 overflowed (exit 1), now the trial budget refuses it
+            ["--mode", "p2p", "--n", "2000", "--m1", str(10**310), "--p1-db", "0"],
         ),
     },
     "figure1": (
@@ -504,15 +521,17 @@ _CASES = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, target", _CASES, ids=["-".join(filter(None, case)) for case in _CASES])
 def test_every_command_exits_0_with_its_output_or_2(command, target, capsys, tmp_path, monkeypatch):
     # a command or verify target added to the table without arguments here fails its own case
     monkeypatch.chdir(tmp_path)
-    inside, outside = _COMMAND_ARGS[command][target] if target else _COMMAND_ARGS[command]
+    inside, *outside = _COMMAND_ARGS[command][target] if target else _COMMAND_ARGS[command]
     prefix = [command, target] if target else [command]
-    code, out, err = run_cli([*prefix, *outside], capsys)  # an exception fails the test
-    assert (code, out) == (2, "") and "invalid arguments" in err and "Traceback" not in err, (outside, err)
-    assert not any(tmp_path.iterdir()), outside  # a refused run writes no file either
+    for argv in outside:
+        code, out, err = run_cli([*prefix, *argv], capsys)  # an exception fails the test
+        assert (code, out) == (2, "") and "invalid arguments" in err and "Traceback" not in err, (argv, err)
+        assert not any(tmp_path.iterdir()), argv  # a refused run writes no file either
     code, out, err = run_cli([*prefix, *inside], capsys)
     assert code == 0 and "Traceback" not in err, (inside, err)
     _OUTPUT[command](out, target)

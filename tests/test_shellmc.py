@@ -19,6 +19,7 @@ from fbmac.shellmc import (
     _ks_and_cov,
     _ks_bin,
     _log_sin_sq,
+    _confusion,
     _mac_densities,
     _phi,
     _wilson_ci,
@@ -26,7 +27,6 @@ from fbmac.shellmc import (
     KsReport,
     clt_function_check,
     confusion_scaling_check,
-    importance_weights,
     empirical_outage_p2p,
     log_bessel_i,
     mac_density_samples,
@@ -793,9 +793,11 @@ def test_confusion_scaling_ratio():
     assert 1.4 <= float(np.mean(ratios)) <= 2.9  # ~2 expected for n^(-1/2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_confusion_infinite_threshold():
     it = p2p_density_samples(100, 1.0, 2000, seed=27)
-    assert np.all(importance_weights(it, math.inf) == 0.0)
+    assert np.all(_confusion(it, 0.0, math.inf) == 0.0)
+    assert np.all(_confusion(it, -math.inf, -math.inf) == 0.0)  # a trivial codebook: weight 0, no threshold
 
 
 def test_samplers_thread_invariant(monkeypatch):
