@@ -11,7 +11,10 @@ figure1 file order; each maps to its figure1 CSV name and to a builder that
 calls the constructor below, whose docstring says what the region is.  The six
 curved kinds (joint, iid, sumshell, splitting, gallager, tdma) are each a
 batched map from ray angles to radii, which ``_curve`` turns into a boundary;
-at equal powers it solves the rays up to pi/4 only and mirrors the rest.
+at equal powers it solves the rays up to pi/4 only and mirrors the rest.  No
+radius depends on the other angles of its batch, so the single-ray views
+(``second_order_ray``, ``splitting_ray``, ``gallager_ray``, ``tdma_ray``) are
+the maps at one angle and equal their curves' radii bit for bit.
 """
 
 from __future__ import annotations
@@ -186,39 +189,43 @@ def resolve_delta(delta_rule, n: int) -> float:
     return delta
 
 
-def second_order_ray(
-    n: int,
-    eps: float,
-    pp: PowerPair,
-    theta: float,
-    kind: str = "joint",
-    samples: int = 1 << 12,
-    seed=0,
-    delta: float = 0.0,
-) -> float:
-    """Largest radius r with (r cos, r sin, r(cos+sin)) inside the quantile region.
+def _quantile_radii(kind: str, n: int, eps: float, pp: PowerPair, thetas, samples: int, seed, delta: float):
+    """Largest radius r with (r cos, r sin, r(cos+sin)) inside the quantile region, on each ray.
 
-    The only solver of a quantile-set ray: every curve and check built on one
-    goes through here.  The solve starts at the union-bound radius, which is inside the
-    quantile set by Bonferroni; for eps < 1/2 the ray is outside past the single-constraint
-    radius (one marginal outage alone eps).
+    The only solver of the quantile-set rays: every curve and check built on one goes through here.  The
+    setup, the origin test and the union-bound radius are computed once for all rays; a ray on which one
+    marginal alone fails at the origin reads 0, and each other ray is one :func:`boundary_scale` solve from
+    its union-bound radius, inside the quantile set by Bonferroni (for eps < 1/2 the ray is outside past the
+    single-constraint radius, where one marginal outage alone is eps).
     """
     _require_operating_point(n, eps)
     cvec, sigma = _quantile_region_setup(kind, pp, delta)
-    c, s = math.cos(theta), math.sin(theta)
-    direction = math.sqrt(n) * np.array([c, s, c + s])  # the ray's step in (r1, r2, r1 + r2), normalized
-    if pentagon_ray(theta, *_normal_rate(cvec, np.diag(sigma), n, _penalty(eps))) == 0.0:
-        return 0.0  # one marginal alone already fails at the origin
-    start = float(union_bound_radius(cvec, np.diag(sigma), n, eps, theta))
-    return boundary_scale(eps, sigma, direction, math.sqrt(n) * cvec, start, samples, seed)
+    thetas = np.asarray(thetas, dtype=float)
+    live = pentagon_ray(thetas, *_normal_rate(cvec, np.diag(sigma), n, _penalty(eps))) != 0.0
+    start = union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)
+
+    def solve(ray):
+        theta, t0 = ray
+        c, s = math.cos(theta), math.sin(theta)
+        direction = math.sqrt(n) * np.array([c, s, c + s])  # the ray's step in (r1, r2, r1 + r2), normalized
+        return boundary_scale(eps, sigma, direction, math.sqrt(n) * cvec, t0, samples, seed)
+
+    r = np.zeros(thetas.shape)
+    r[live] = thread_map(solve, zip(thetas[live], start[live]))
+    return r
+
+
+def second_order_ray(n: int, eps: float, pp: PowerPair, theta: float, kind: str = "joint", samples: int = 1 << 12,
+                     seed=0, delta: float = 0.0) -> float:
+    """Ray radius of quantile region ``kind``: the one-angle view of :func:`_quantile_radii`."""
+    return float(_quantile_radii(kind, n, eps, pp, [theta], samples, seed, delta)[0])
 
 
 def _quantile_curve(kind, n, eps, pp, num_points, samples, seed, **extra) -> RegionBoundary:
-    """Region ``kind``: :func:`second_order_ray` at every angle, one seed for all, at ``extra``'s back-off delta."""
+    """Region ``kind``: :func:`_quantile_radii` at every angle, one seed for all, at ``extra``'s back-off delta."""
     params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2, "samples": samples, "seed": seed, **extra}
-    ray = functools.partial(second_order_ray, n, eps, pp, kind=kind, samples=samples, seed=seed,
-                            delta=extra.get("delta", 0.0))
-    return _curve(kind, params, num_points, lambda thetas: np.array(thread_map(ray, thetas)))
+    return _curve(kind, params, num_points, functools.partial(
+        _quantile_radii, kind, n, eps, pp, samples=samples, seed=seed, delta=extra.get("delta", 0.0)))
 
 
 def joint_outage_boundary(
@@ -235,15 +242,8 @@ def sumshell_hypothetical_boundary(
     return _quantile_curve("sumshell", n, eps, pp, num_points, samples, seed, conjectured_outer=True)
 
 
-def iid_gaussian_boundary(
-    n: int,
-    eps: float,
-    pp: PowerPair,
-    delta_rule="zero",
-    num_points: int = 256,
-    samples: int = 1 << 12,
-    seed=0,
-) -> RegionBoundary:
+def iid_gaussian_boundary(n: int, eps: float, pp: PowerPair, delta_rule="zero", num_points: int = 256,
+                          samples: int = 1 << 12, seed=0) -> RegionBoundary:
     """i.i.d.-Gaussian-input region boundary at backed-off powers."""
     _require_operating_point(n, eps)
     return _quantile_curve("iid", n, eps, pp, num_points, samples, seed, delta=resolve_delta(delta_rule, n))
@@ -261,11 +261,13 @@ def _newton_roots(f, lo, hi, x, xtol: float = 1e-15):
     never evaluated.  Each element takes Newton steps from ``x`` and bisects its bracket wherever a
     step would leave it, so every iterate stays bracketed, and wherever a step would land on an end
     more than ``xtol`` away, since such steps can cycle (where f turns from convex to concave, or where
-    rounding makes them hop between two floats).  The solve stops once every step or bracket is within
-    ``xtol``, or after 100 steps.
+    rounding makes them hop between two floats).  Each element is frozen at its first step within
+    ``xtol``, or once its bracket is within ``xtol``, so its root depends on its own map only, never on
+    the other elements; the solve stops once every element is frozen, or after 100 steps.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
+    frozen = False
     for _ in range(100):
         value, slope = f(x)
         lo, hi = np.where(value <= 0.0, x, lo), np.where(value >= 0.0, x, hi)
@@ -273,9 +275,10 @@ def _newton_roots(f, lo, hi, x, xtol: float = 1e-15):
             step = x - value / slope
         inside = ((step > lo) & (step < hi)) | ((step >= lo) & (step <= hi) & (np.abs(step - x) <= xtol))
         step = np.where(inside, step, 0.5 * (lo + hi))
-        converged = ((np.abs(step - x) <= xtol) | (hi - lo <= xtol)).all()
-        x = step
-        if converged:
+        settled = (np.abs(step - x) <= xtol) | (hi - lo <= xtol)
+        x = np.where(frozen, x, step)
+        frozen = frozen | settled
+        if frozen.all():
             break
     return x
 
@@ -324,13 +327,8 @@ def splitting_ray(n: int, eps: float, pp: PowerPair, theta: float) -> float:
     return float(_splitting_radius(n, eps, pp, theta))
 
 
-def outage_splitting_boundary(
-    n: int,
-    eps: float,
-    pp: PowerPair,
-    lambda_grid_resolution=None,
-    num_points: int = 256,
-) -> RegionBoundary:
+def outage_splitting_boundary(n: int, eps: float, pp: PowerPair, lambda_grid_resolution=None,
+                              num_points: int = 256) -> RegionBoundary:
     """Union over the weight simplex of three scalar-quantile constraints, solved exactly on each ray."""
     # lambda_grid_resolution is accepted for old callers and ignored: no weight grid is sampled
     params = {"n": n, "eps": eps, "p1": pp.p1, "p2": pp.p2}

@@ -60,6 +60,9 @@ from .shellmc import mac_density_samples, p2p_density_samples, shell_rn_constant
 #: The bound estimators hold one density chunk (see ``shellmc``).
 _SIM_BUDGET = 1 << 18
 
+#: fewest trials of a simulation and of a bound estimate
+_MIN_SIM_TRIALS, _MIN_BOUND_TRIALS = 1, 1000
+
 
 @dataclass(frozen=True)
 class CodebookSpec:
@@ -140,12 +143,18 @@ def _log_weights(spec: CodebookSpec) -> Thresholds:
     return default_thresholds(spec, *(shell_rn_constants(PowerPair(spec.p1, spec.p2)) if spec.p2 else (1, 1, 1)))
 
 
+def _require_trials(name: str, trials: int, least: int) -> None:
+    if trials < least:
+        raise DomainError(f"need {name} >= {least}")
+
+
 def _sim_chunk(n: int, m1: int, m2: int = 1) -> int:
     """Trials per chunk; DomainError if one trial is over budget."""
     k = m1 + m2 + 1
     held = k * min(n, k) + m1 * m2
-    if held > _SIM_BUDGET:
-        raise DomainError(f"one trial needs {held} scalars, over the budget of {_SIM_BUDGET}")
+    if held > _SIM_BUDGET:  # the sizes may have hundreds of digits: give their scalar count as a power of 2
+        raise DomainError(f"one trial holds k min(n, k) + m1 m2 scalars, k = m1 + m2 + 1: about "
+                          f"2^{math.log2(held):.1f} at these sizes, over the budget of 2^{math.log2(_SIM_BUDGET):g}")
     return _SIM_BUDGET // held
 
 
@@ -171,8 +180,7 @@ def simulate_mac(spec: CodebookSpec, th: Thresholds, trials: int) -> SimResult:
     """Ensemble-average error of the first jointly-typical pair decoder; point-to-point at m2 = 1, p2 = 0."""
     n, m1, m2 = spec.n, spec.m1, spec.m2
     p1, p2 = spec.p1, spec.p2
-    if trials < 1:
-        raise DomainError("need trials >= 1")
+    _require_trials("trials", trials, _MIN_SIM_TRIALS)
 
     def decode(b, rng):
         """Whether each of ``b`` trials decodes its sent pair."""
@@ -234,8 +242,7 @@ def mac_achievability_bound(spec: CodebookSpec, th: Thresholds, trials: int, mod
     """
     if mode not in ("joint", "splitting"):
         raise DomainError(f"unknown mode {mode!r}")
-    if trials < 1000:
-        raise DomainError("need trials >= 1000")
+    _require_trials("trials", trials, _MIN_BOUND_TRIALS)
     if spec.p2:
         rows, sample = 3, functools.partial(mac_density_samples, spec.n, PowerPair(spec.p1, spec.p2))
     else:  # 2-variate: cheaper than the MAC sampler
@@ -263,7 +270,9 @@ def verify_bounds(mode: str, n: int, m1: int, m2: int, p1_db: float, p2_db: floa
     """The ``verify bounds`` verdict: the simulated error passes when it exceeds its achievability bound
     (``mode`` p2p, mac-joint or mac-splitting) by at most 2 hypot(se_sim, se_bound)."""
     spec, th = link(mode, n, m1, m2, p1_db, p2_db, seed)
-    chunk_sizes(sim_trials, _sim_chunk(spec.n, spec.m1, spec.m2))  # every budget is refused before any draw
+    _require_trials("sim_trials", sim_trials, _MIN_SIM_TRIALS)  # every minimum and budget is refused before any draw
+    _require_trials("bound_trials", bound_trials, _MIN_BOUND_TRIALS)
+    chunk_sizes(sim_trials, _sim_chunk(spec.n, spec.m1, spec.m2))
     chunk_sizes(bound_trials, _CHUNK)
     rhs = mac_achievability_bound(spec, th, bound_trials, mode="splitting" if mode == "mac-splitting" else "joint")
     sim = simulate_mac(spec, th, sim_trials)

@@ -292,6 +292,33 @@ def test_verify_bounds_refuses_an_over_budget_codebook_before_any_draw(capsys, m
     assert "budget" in err
 
 
+def test_verify_bounds_refuses_too_few_trials_before_either_estimator_draws(capsys, monkeypatch):
+    # each estimator checked its own least trial count, so the bound drew its 2 * 10^7 trials for 1.5 s
+    # before the simulation refused a count of 0
+    import time
+
+    from fbmac import shellmc
+
+    drawn = []
+    monkeypatch.setattr(shellmc, "substream", lambda *args: drawn.append(args))
+    link = ["--n", "100", "--m1", "8", "--p1-db", "0"]
+    for sims, bounds, least in (("0", "20000000", "sim_trials >= 1"), ("20000000", "999", "bound_trials >= 1000")):
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["verify", "bounds", "--mode", "p2p", *link, "--sim-trials", sims, "--bound-trials", bounds], capsys
+        )
+        assert (code, out, drawn) == (2, "", []) and least in err, (sims, bounds)
+        assert time.monotonic() - start < 1.0, (sims, bounds)
+
+
+def test_verify_bounds_states_the_trial_budget_briefly(capsys):
+    # the refusal printed the 314-digit scalar count of a 10^310-word codebook
+    argv = ["verify", "bounds", "--mode", "p2p", "--n", "2000", "--m1", str(10**310), "--p1-db", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "over the budget of 2^18" in err and len(err) < 300, err
+
+
 def test_confusion_scaling_refuses_a_small_n_anywhere_before_any_draw(capsys, monkeypatch):
     from fbmac import shellmc
 

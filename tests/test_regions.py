@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -197,21 +198,37 @@ def test_quantile_boundary_memory_bounded(boundary, threads, monkeypatch):
     assert peak < 8 << 20
 
 
-@pytest.mark.parametrize("kind", ["joint", "iid", "sumshell"])
-def test_curve_rays_are_second_order_rays(kind):
-    # a curve solves each ray as second_order_ray does at the curve's seed, as the figure1 symmetric
-    # nesting rays do at the run's seed: same lattice, bracket and root.  At these unequal powers
-    # every ray is solved; at equal powers the rays above pi/4 would be mirrored instead
-    n, eps, pp = 500, 1e-3, PowerPair(2.0, 1.0)
-    rb = REGIONS[kind][1](n, eps, pp, RegionOptions(points=8, seed=3, delta_rule="n^-1/4"))
-    thetas = ray_angles(8)
-    j = 2
-    r = second_order_ray(n, eps, pp, thetas[j], kind, 1 << 12, 3, rb.params.get("delta", 0.0))
-    # the curve lists its points in r1-ascending order, that is by descending angle
-    assert rb.points[-1 - j].tolist() == [r * np.cos(thetas)[j], r * np.sin(thetas)[j]]
-
-
 CURVED = ("joint", "iid", "sumshell", "splitting", "gallager", "tdma")
+
+#: the single-ray view of each curved kind, ray(n, eps, pp, theta, the curve's params)
+SINGLE_RAY = {
+    kind: lambda n, eps, pp, th, prm, kind=kind: second_order_ray(
+        n, eps, pp, th, kind, prm["samples"], prm["seed"], prm.get("delta", 0.0)
+    )
+    for kind in ("joint", "iid", "sumshell")
+} | {
+    "splitting": lambda n, eps, pp, th, prm: splitting_ray(n, eps, pp, th),
+    "gallager": lambda n, eps, pp, th, prm: gallager_ray(GallagerParams(prm["a"], n, eps), pp, th),
+    "tdma": lambda n, eps, pp, th, prm: tdma_ray(n, eps, pp, th),
+}
+
+
+@pytest.mark.parametrize("kind", CURVED)
+def test_curve_rays_are_second_order_rays(kind, monkeypatch):
+    # a curve solves each ray as its single-ray view does, as the figure1 symmetric nesting rays do at the
+    # run's seed: same setup, start and root, whichever other rays share the batch.  Before each Newton
+    # root was frozen on its own, the splitting, Gallager and TDMA views missed their curves' radii by up
+    # to an ulp.  At these unequal powers every ray is solved; at equal powers the rays above pi/4 would be
+    # mirrored instead.  The radii are compared before the monotone repair, which moves flat segments
+    curve, radii = regions._curve, []
+    monkeypatch.setattr(regions, "_curve", lambda kind, params, num, f, **kw: curve(
+        kind, params, num, lambda thetas: radii.append(f(thetas)) or radii[-1], **kw))
+    n, eps, pp = 500, 1e-3, PowerPair(2.0, 1.0)
+    for num_points in (8, 64):
+        radii.clear()
+        rb = REGIONS[kind][1](n, eps, pp, RegionOptions(points=num_points, seed=3, delta_rule="n^-1/4"))
+        single = [SINGLE_RAY[kind](n, eps, pp, th, rb.params) for th in ray_angles(num_points)]
+        assert radii[0].tolist() == single, num_points
 
 
 @pytest.mark.parametrize("num_points", [63, 64])
@@ -653,6 +670,32 @@ def test_newton_roots_breaks_the_two_cycle_of_a_convex_then_concave_map():
     assert root[0] == pytest.approx(1.5 - math.sqrt(3.0) / 2.0, abs=1e-14)
     rb = gallager_boundary(GallagerParams(1.0, 500, 1e-3), PowerPair(10.0, 1.0), 256)
     assert rb.points.shape == (256, 2)
+
+
+def test_newton_roots_solve_each_element_on_its_own(monkeypatch):
+    # every root of a batched solve is the root of its element solved alone, on the batch's own maps: the
+    # union-bound excess over 256 angles at three eps, and a Gallager and a TDMA point.  The solve kept
+    # stepping every element until all had converged, which moved a root by up to an ulp with its batch
+    calls, newton = [], regions._newton_roots
+    monkeypatch.setattr(regions, "_newton_roots", lambda *a: calls.append(a) or newton(*a))
+    n, pp, thetas = 500, PowerPair(2.0, 1.0), ray_angles(256)
+    cvec, sigma = regions._quantile_region_setup("joint", pp, 0.0)
+    for eps in (1e-1, 1e-3, 1e-9):
+        union_bound_radius(cvec, np.diag(sigma), n, eps, thetas)
+    regions._gallager_radii(GallagerParams(1.0, n, 1e-3), pp, thetas)
+    _tdma_radius(n, 1e-3, pp, 0.3, np.cos(thetas), np.sin(thetas))
+    assert len(calls) == 5
+    for f, lo, hi, x in calls:
+        roots = newton(f, lo, hi, x)
+        lo, hi, x = (np.broadcast_to(v, roots.shape) for v in (lo, hi, x))
+
+        def alone(xi, i):
+            """Element i of f, the others held at their starts: f is elementwise, so they do not matter."""
+            value, slope = f(np.concatenate([x[:i], xi, x[i + 1 :]]))
+            return value[i : i + 1], slope[i : i + 1]
+
+        single = [newton(functools.partial(alone, i=i), lo[i], hi[i], x[i : i + 1])[0] for i in range(roots.size)]
+        assert roots.tolist() == single
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
